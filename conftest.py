@@ -21,27 +21,6 @@ os.environ.pop("REPRO_REMOTE_CACHE", None)
 os.environ["REPRO_REMOTE_REPROBE_S"] = "0"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _arena_leak_guard():
-    """No shared-memory trace-arena segment may outlive the suite.
-
-    Arena segments are parent-owned and refcount-unlinked per batch (plus
-    an atexit sweep), so anything still named ``repro-arena-*`` in
-    ``/dev/shm`` after the last test is a real leak.  The teardown print
-    is load-bearing: CI greps for it to prove the guard actually ran.
-    """
-    shm_dir = os.path.join(os.sep, "dev", "shm")
-    yield
-    if not os.path.isdir(shm_dir):  # non-POSIX-shm platform: nothing to leak
-        print("\narena leak guard: /dev/shm not present, skipped")
-        return
-    leaked = sorted(
-        name for name in os.listdir(shm_dir) if name.startswith("repro-arena-")
-    )
-    print(f"\narena leak guard: {len(leaked)} orphaned repro-arena segments")
-    assert not leaked, f"leaked trace-arena segments: {leaked}"
-
-
 @pytest.fixture(autouse=True)
 def _no_ambient_remote_cache(monkeypatch):
     """Per-test guard on top of the import-time scrub, so a test that sets

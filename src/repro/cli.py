@@ -9,9 +9,8 @@ result store when warm) and can export the serialized result:
     python -m repro run figure7 --export json --out figure7.json
     python -m repro run tables --export csv
 
-Raw kernel sweeps -- the job tables previously served by
-``python -m repro.sweep`` -- remain available via ``--sweep`` (a named job
-set without result assembly) or ad-hoc axes::
+Raw kernel sweeps are available via ``--sweep`` (a named job set without
+result assembly) or ad-hoc axes::
 
     python -m repro run --sweep figure7 --jobs 4
     python -m repro run --kernels gemm,csum --schemes bit-serial,bit-parallel \
@@ -39,8 +38,7 @@ round so a killed search resumes with zero re-simulation::
 Per-job progress streams to stderr as results complete (``--no-progress``
 disables it).  ``cache`` shows or clears the persistent store (location:
 ``$REPRO_SWEEP_CACHE_DIR`` or ``~/.cache/repro-sweep``); ``--no-cache``
-bypasses it for one run.  ``python -m repro.sweep`` is a deprecated alias
-of this CLI.
+bypasses it for one run.
 
 Multi-machine sweeps share one cache through the HTTP cache service::
 
@@ -137,7 +135,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-#  Named sweeps (raw job sets, shared with the deprecated repro.sweep CLI)
+#  Named sweeps (raw job sets)
 # ---------------------------------------------------------------------- #
 
 
@@ -552,27 +550,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.action == "capture":
         print(f"payload: {trace_payload_bytes(payload['trace'])} bytes (columnar npz)")
         return 0
-
-    if args.bytes:
-        encoded = trace_payload_bytes(payload["trace"])
-        decoded = artifact.columnar_bytes()
-        print("\nTrace footprint:")
-        print(
-            format_table(
-                ["representation", "bytes", "per entry"],
-                [
-                    ["encoded envelope (store/wire)", encoded,
-                     f"{encoded / max(1, len(artifact)):.1f}"],
-                    ["decoded columnar (arena segment)", decoded,
-                     f"{decoded / max(1, len(artifact)):.1f}"],
-                ],
-            )
-        )
-        print(
-            "shipping per extra partition task: "
-            f"{decoded} bytes pickled without the arena, "
-            "~a few hundred (one handle) with it"
-        )
 
     stats = artifact.stats()
     mix = stats.as_dict()
@@ -1067,9 +1044,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 
 
-def main(argv: Optional[Sequence[str]] = None, prog: str = "python -m repro") -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="python -m repro",
         description="Run the paper's experiments and kernel sweeps, with "
         "parallel execution, persistent caching and JSON/CSV export.",
     )
@@ -1146,12 +1123,6 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = "python -m repro") ->
         "--configs", metavar="SWEEP", default=None,
         help="with `stats`: report how many configurations of the named "
         "sweep share one batched replay of this kernel's trace",
-    )
-    trace.add_argument(
-        "--bytes", action="store_true",
-        help="with `stats`: report the encoded envelope size and the "
-        "decoded columnar footprint (what one shared-memory arena "
-        "segment holds)",
     )
     trace.add_argument(
         "--no-cache", action="store_true", help="capture fresh, bypassing the trace cache"
@@ -1327,9 +1298,6 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = "python -m repro") ->
     workerp.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     workerp.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    legacy_clear = sub.add_parser("clear-cache", help="(deprecated) alias for `cache clear`")
-    legacy_clear.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list(args)
@@ -1347,9 +1315,6 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = "python -m repro") ->
         return _cmd_queue(args)
     if args.command == "worker":
         return _cmd_worker(args)
-    if args.command == "clear-cache":
-        args.action = "clear"
-        return _cmd_cache(args)
     return _cmd_run(args)
 
 

@@ -12,16 +12,13 @@ geometry (array count and shape) recompiles to the *same* compiled kernel.
 Configs that only vary cache, DRAM, TMU or scheme parameters therefore skip
 scheduling and register allocation entirely.
 
-The memo is also the pool workers' cross-batch warm state: because keys
-embed ``id(trace)``, it only hits when the caller presents the *same trace
-object* again -- which is exactly what the shared-memory trace plane
-guarantees.  :func:`repro.core.trace_arena.attached_trace` memoizes one
-decoded entry list per spec per worker process, and the persistent
-``LocalPoolAdapter`` pool keeps those processes alive across batches, so
-repeated partitions over one trace skip scheduling and register allocation
-here no matter which batch they arrive in.  ``compile_cache_info`` exposes
-the hit/miss counters so tests and benchmarks can assert that warmth
-instead of guessing at it from wall clock.
+Keys embed ``id(trace)``, so the memo only hits when the caller presents
+the *same trace object* again: within one process and one decoded trace
+(a batched replay, or the sweep engine's trace memo across batches).  A
+pool task unpickles its own copy of the trace, so the memo does not carry
+over from one pool task to the next.  ``compile_cache_info`` exposes the
+hit/miss counters so tests and benchmarks can assert memo hits instead of
+guessing at them from wall clock.
 """
 
 from __future__ import annotations
@@ -117,8 +114,7 @@ def compile_cache_info() -> dict:
     """This process's compile-memo counters: hits, misses, entries, capacity.
 
     In a pool worker the numbers describe *that worker's* memo (each
-    process has its own); the arena tests read them in-process to pin the
-    trace-identity contract that keeps the memo warm across batches.
+    process has its own).
     """
     return {
         "hits": _compile_memo.hits,

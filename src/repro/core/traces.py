@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..isa.instructions import TraceEntry
-from ..isa.trace_io import (
-    decode_trace,
-    encode_trace,
-    trace_columnar_bytes,
-    trace_columns,
-)
+from ..isa.trace_io import decode_trace, encode_trace
 from .cache import ResultStore, functional_fingerprint, stable_hash
 
 __all__ = ["TraceSpec", "TraceArtifact", "TraceStore"]
@@ -124,15 +119,6 @@ class TraceArtifact:
         from ..intrinsics.machine import TraceStats  # deferred: import cycle
 
         return TraceStats(self.trace)
-
-    def columnar_bytes(self) -> int:
-        """Decoded columnar footprint of this trace, in bytes.
-
-        What one shared-memory arena segment holds for this trace -- and
-        what every pickled-trace partition task used to re-materialize.
-        Surfaced by ``repro trace stats --bytes`` for capacity planning.
-        """
-        return trace_columnar_bytes(trace_columns(self.trace))
 
     def to_payload(self) -> dict:
         """The JSON-safe record body persisted in the store."""

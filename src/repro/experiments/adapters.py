@@ -8,38 +8,30 @@ cache tier to a pluggable :class:`ExecutionAdapter`:
 * :class:`SerialAdapter` -- everything in-process, no pool ever created.
   The default for ``jobs=1`` (the interactive :class:`ExperimentRunner`).
 * :class:`LocalPoolAdapter` -- a **persistent** ``ProcessPoolExecutor``
-  (created on first use, kept warm for the engine's lifetime, recreated
-  once after a mid-batch ``BrokenProcessPool``) fed through the
-  **shared-memory trace arena** (:mod:`repro.core.trace_arena`): resolved
-  traces are published once per batch and tasks ship only tiny handles,
-  so a one-kernel/many-config sweep never pickles the same multi-megabyte
-  trace into every partition task, and worker-side decoded-trace/compile
-  LRUs stay warm across batches.  ``REPRO_SHM_TRACE=0`` or any ``OSError``
-  at segment creation degrades to the historical pickled-trace path (one
-  ``RuntimeWarning``, bit-identical results); a pool that cannot start or
-  dies twice degrades to the serial path.  The default for ``jobs > 1``.
+  (created on first use, kept for the engine's lifetime, recreated once
+  after a mid-batch ``BrokenProcessPool``).  Each task pickles its jobs
+  together with the trace they replay; a pool that cannot start or dies
+  twice degrades to the serial path.  The default for ``jobs > 1``.
 
 The fleet path reuses the same seam from the outside: ``python -m repro
 worker`` (:mod:`repro.worker`) leases partitions from a coordinator
 (:mod:`repro.core.coordinator`) and drains every one through a single
 long-lived engine carrying one of the adapters above -- so fleet workers
-inherit the persistent pool and its warm caches across partitions, and
-distribution lives in the lease protocol, not in yet another execution
-code path, keeping fleet results bit-identical to local runs by
-construction.
+keep one process pool across partitions, and distribution lives in the
+lease protocol, not in yet another execution code path, keeping fleet
+results bit-identical to local runs by construction.
 
 Adapters call back into engine helpers (``_resolve_groups``,
 ``_split_resolved_groups``, ``_capture_starved_groups``,
 ``_run_group_serial``) rather than owning copies: those helpers maintain
-engine state (trace memo, capture/store-hit/batched-replay/arena
-counters) that must stay consistent no matter which adapter ran the
-jobs.  Engines call :meth:`ExecutionAdapter.close` (via
-``engine.close()`` / ``__del__``) to release whatever the adapter holds.
+engine state (trace memo, capture/store-hit/batched-replay counters) that
+must stay consistent no matter which adapter ran the jobs.  Engines call
+:meth:`ExecutionAdapter.close` (via ``engine.close()`` / ``__del__``) to
+release whatever the adapter holds.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -93,28 +85,21 @@ class LocalPoolAdapter(ExecutionAdapter):
     one worker per trace group (keeping every capture single-shot even
     under a pool); replays of already-resolved traces are split per
     batched-replay partition (per up-to-``jobs`` chunk with
-    ``REPRO_BATCHED_REPLAY=0``) before submission, with each resolved
-    trace published once into the shared-memory arena and shipped to its
-    partition tasks as a handle.  The pool outlives the batch: worker
-    processes keep their spec-keyed decoded-trace LRU and the
-    identity-keyed compile memo warm, so follow-up batches over the same
-    trace skip the decode *and* the recompile.  A pool that cannot start
-    (fork blocked) degrades to the serial path; one that dies mid-batch
-    is recreated once and, failing that, the leftovers run serially --
-    never failing the sweep.  ``persistent=False`` restores the
-    pool-per-batch lifetime (the pre-arena behaviour; kept as the
-    benchmark baseline and for callers that cannot keep workers around).
+    ``REPRO_BATCHED_REPLAY=0``) before submission, and each task pickles
+    its partition's jobs together with the resolved trace.  The pool
+    outlives the batch, so follow-up batches skip the worker start-up.
+    A pool that cannot start (fork blocked) degrades to the serial path;
+    one that dies mid-batch is recreated once and, failing that, the
+    leftovers run serially -- never failing the sweep.
     """
 
     name = "local-pool"
 
-    def __init__(self, jobs: Optional[int] = None, persistent: bool = True):
+    def __init__(self, jobs: Optional[int] = None):
         from .sweep import default_job_count
 
         self.jobs = max(1, default_job_count() if jobs is None else jobs)
-        self.persistent = persistent
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._arena_warned = False
 
     # -- pool lifetime ------------------------------------------------- #
 
@@ -146,40 +131,14 @@ class LocalPoolAdapter(ExecutionAdapter):
 
     # -- batch execution ----------------------------------------------- #
 
-    def _warn_arena_degraded(self) -> None:
-        if self._arena_warned:
-            return
-        self._arena_warned = True
-        warnings.warn(
-            "shared-memory trace arena unavailable (shm creation failed); "
-            "falling back to pickled trace shipping for this engine "
-            "(results are unaffected; set REPRO_SHM_TRACE=0 to silence)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+    def _submit(self, pool, task):
+        """Submit one (spec, group, trace, payload) task to the pool."""
+        from .sweep import execute_trace_group
 
-    def _submit(self, pool, engine, arena, task):
-        """Submit one task, via an arena handle whenever the trace is in
-        hand and the arena is alive.  Returns (future, retained spec key
-        or None)."""
-        from .sweep import execute_trace_group, execute_trace_group_arena
+        _, group, trace, payload = task
+        return pool.submit(execute_trace_group, group, payload, trace)
 
-        spec, group, trace, payload = task
-        if trace is not None and not arena.dead:
-            before = arena.published
-            handle = arena.publish(spec.cache_key(), trace)
-            if handle is None:
-                # Creation just failed (OSError inside publish): one
-                # warning, then pickled shipping for the rest of the run.
-                self._warn_arena_degraded()
-            else:
-                if arena.published > before:
-                    engine._count_arena_publish(spec)
-                arena.retain(handle.spec_key)
-                return pool.submit(execute_trace_group_arena, group, handle), handle.spec_key
-        return pool.submit(execute_trace_group, group, payload, trace), None
-
-    def _drain_once(self, engine, pool, arena, tasks, remaining, emit) -> bool:
+    def _drain_once(self, engine, pool, tasks, remaining, emit) -> bool:
         """Submit every remaining task and consume completions.  Returns
         True when the pool broke mid-batch (caller recreates and retries,
         then degrades to serial)."""
@@ -187,13 +146,9 @@ class LocalPoolAdapter(ExecutionAdapter):
 
         broken = False
         futures: dict = {}
-        retained: dict[int, str] = {}
         try:
             for index in sorted(remaining):
-                future, spec_key = self._submit(pool, engine, arena, tasks[index])
-                futures[future] = index
-                if spec_key is not None:
-                    retained[index] = spec_key
+                futures[self._submit(pool, tasks[index])] = index
         except (OSError, BrokenProcessPool):
             broken = True
         for future in as_completed(futures):
@@ -203,12 +158,8 @@ class LocalPoolAdapter(ExecutionAdapter):
                 outcomes, captured = future.result()
             except (OSError, BrokenProcessPool):
                 # Workers killed mid-batch: leave this task for the retry
-                # pool (or the serial pass).  Release its arena ref so the
-                # refcount stays balanced across resubmission.
+                # pool (or the serial pass).
                 broken = True
-                spec_key = retained.pop(index, None)
-                if spec_key is not None:
-                    arena.release(spec_key)
                 continue
             if captured is not None:
                 engine._count_capture(spec)
@@ -228,9 +179,6 @@ class LocalPoolAdapter(ExecutionAdapter):
                 engine._count_store_hit(spec)
             engine._count_batched_replays(group)
             remaining.discard(index)
-            spec_key = retained.pop(index, None)
-            if spec_key is not None:
-                arena.release(spec_key)
             # emit runs outside the except scopes above so a
             # callback/persistence error propagates instead of being
             # mistaken for a broken pool (which would silently
@@ -241,7 +189,6 @@ class LocalPoolAdapter(ExecutionAdapter):
 
     def execute(self, engine, pending: list, emit: Callable) -> None:
         from ..core.replay import batched_replay_enabled
-        from ..core.trace_arena import TraceArena
         from .sweep import batch_partitions
 
         tasks = engine._resolve_groups(pending)
@@ -269,23 +216,17 @@ class LocalPoolAdapter(ExecutionAdapter):
             tasks = engine._split_resolved_groups(tasks)
         remaining = set(range(len(tasks)))
         if self.jobs > 1 and len(tasks) > 1:
-            arena = TraceArena()
-            try:
-                # Two attempts: the live (or fresh) pool, then -- if it
-                # broke mid-batch -- one recreated pool for the leftovers.
-                for _ in range(2):
-                    if not remaining:
-                        break
-                    pool = self._ensure_pool(engine)
-                    if pool is None:
-                        break
-                    if not self._drain_once(engine, pool, arena, tasks, remaining, emit):
-                        break
-                    self.close()
-            finally:
-                arena.close()
-                if not self.persistent:
-                    self.close()
+            # Two attempts: the live (or fresh) pool, then -- if it broke
+            # mid-batch -- one recreated pool for the leftovers.
+            for _ in range(2):
+                if not remaining:
+                    break
+                pool = self._ensure_pool(engine)
+                if pool is None:
+                    break
+                if not self._drain_once(engine, pool, tasks, remaining, emit):
+                    break
+                self.close()
         for index, (spec, group, trace, payload) in enumerate(tasks):
             if index in remaining:
                 engine._run_group_serial(spec, group, trace, payload, emit)

@@ -34,8 +34,7 @@ The engine also
   K-config scheme/cache/DRAM axis costs ~1 decomposed replay instead of K
   (``REPRO_BATCHED_REPLAY=0`` restores the per-job split and loop).
 
-``python -m repro`` exposes the same engine as a batch CLI (with
-``python -m repro.sweep`` kept as a deprecated alias); the
+``python -m repro`` exposes the same engine as a batch CLI; the
 :class:`~repro.experiments.runner.ExperimentRunner` sits on top of it so the
 figure modules, the experiment registry, the benchmark suite and the example
 scripts all share one cache.  :meth:`ParallelSweepEngine.run_jobs` streams
@@ -76,7 +75,6 @@ __all__ = [
     "partition_jobs",
     "execute_job",
     "execute_trace_group",
-    "execute_trace_group_arena",
     "simulate_traced_group",
     "simulate_traced_job",
     "default_job_count",
@@ -277,26 +275,6 @@ def execute_trace_group(
     return simulate_traced_group(jobs, trace), captured
 
 
-def execute_trace_group_arena(
-    jobs: Sequence[KernelJob], handle
-) -> tuple[list[JobOutcome], Optional[dict]]:
-    """Replay one arena-published trace for every job (worker side).
-
-    ``handle`` is a :class:`~repro.core.trace_arena.TraceHandle`; the
-    attach goes through the per-process decoded-trace LRU, so only this
-    worker's *first* task over a given spec pays the shared-memory decode
-    -- later partitions (and later batches, on the persistent pool) reuse
-    the same entry list object and therefore also hit the identity-keyed
-    compile memo.  Return shape matches :func:`execute_trace_group`
-    (captures never happen here: only resolved traces are published).
-
-    Module-level so worker processes can import it by qualified name.
-    """
-    from ..core.trace_arena import attached_trace
-
-    return simulate_traced_group(jobs, attached_trace(handle)), None
-
-
 def execute_job(job: KernelJob) -> JobOutcome:
     """Capture the job's lowering and simulate it (the fused path, now a
     one-job staged run with no persistence and therefore no encode).
@@ -352,10 +330,6 @@ class ParallelSweepEngine:
         #: multi-config batched replay passes performed (one per partition
         #: of :func:`batch_partitions` with at least two jobs)
         self.batched_replays = 0
-        #: shared-memory publishes per spec; the arena contract is exactly
-        #: one per distinct resolved trace per batch, no matter how many
-        #: partition tasks replay it (asserted by the shm perf smoke)
-        self.arena_publishes: dict[TraceSpec, int] = {}
         #: batches answered by an already-live persistent worker pool
         #: (vs. batches that had to create one)
         self.pool_reuses = 0
@@ -381,9 +355,6 @@ class ParallelSweepEngine:
 
     def _count_capture(self, spec: TraceSpec) -> None:
         self.trace_captures[spec] = self.trace_captures.get(spec, 0) + 1
-
-    def _count_arena_publish(self, spec: TraceSpec) -> None:
-        self.arena_publishes[spec] = self.arena_publishes.get(spec, 0) + 1
 
     def _count_pool_reuse(self) -> None:
         self.pool_reuses += 1

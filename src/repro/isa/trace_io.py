@@ -16,15 +16,6 @@ entry for entry (dataclass equality), including empty-vs-populated masks,
 ``None`` immediates and scalar-block notes.  Exactness is what lets the
 staged pipeline replay a cached trace through the timing simulator and
 reproduce the fused capture+simulate path bit for bit.
-
-The columnar intermediate representation is a public surface of its own:
-:func:`trace_columns` / :func:`entries_from_columns` expose the raw numpy
-columns without the compress/base64 envelope, which is what the
-shared-memory trace arena (:mod:`repro.core.trace_arena`) ships between
-the sweep parent and its pool workers -- same columns, same entry
-reconstruction, so the arena path is exact for the same reason the
-envelope path is.  :func:`scalar_notes` carries the one non-columnar
-field (scalar-block note strings) alongside.
 """
 
 from __future__ import annotations
@@ -50,10 +41,6 @@ __all__ = [
     "TRACE_CODEC",
     "encode_trace",
     "decode_trace",
-    "entries_from_columns",
-    "scalar_notes",
-    "trace_columnar_bytes",
-    "trace_columns",
     "trace_payload_bytes",
 ]
 
@@ -233,13 +220,6 @@ def trace_payload_bytes(payload: dict) -> int:
     return len(payload.get("npz_b64", "")) * 3 // 4
 
 
-def trace_columnar_bytes(columns) -> int:
-    """Decoded columnar footprint: the bytes the raw column arrays occupy
-    (what one arena segment holds, and what each pickled-trace task used
-    to re-materialize)."""
-    return int(sum(column.nbytes for column in columns.values()))
-
-
 def _slices(values: np.ndarray, offsets: np.ndarray, convert) -> list[tuple]:
     items = values.tolist()
     bounds = offsets.tolist()
@@ -276,11 +256,8 @@ def entries_from_columns(
 ) -> list[TraceEntry]:
     """Rebuild the exact entry list from the columnar IR.
 
-    ``columns`` is any mapping of column name to array-like (freshly loaded
-    npz arrays, or the zero-copy shared-memory views the trace arena
-    attaches); ``notes`` the sparse :func:`scalar_notes` pairs.  The
-    reconstruction copies everything out of the arrays, so the backing
-    buffers may be released as soon as this returns.
+    ``columns`` maps column name to array (the loaded npz arrays);
+    ``notes`` holds the sparse :func:`scalar_notes` pairs.
     """
     if len(columns["kind"]) != n:
         raise ValueError(

@@ -12,13 +12,10 @@ the exact same write-back path a single-machine ``--remote-cache`` run
 uses, which is why fleet results are bit-identical by construction.
 
 One engine drains every partition the worker ever leases, so with
-``--jobs > 1`` the worker inherits the whole zero-copy trace plane: the
-:class:`~repro.experiments.adapters.LocalPoolAdapter` process pool
-persists across partitions (shut down once, in this module's ``finally``,
-via ``engine.close()``), each resolved trace is arena-published once per
-partition batch, and the pool workers' decoded-trace and compile memos
-stay warm from one lease to the next -- a fleet worker grinding through
-many partitions of one kernel suite re-decodes and re-compiles nothing.
+``--jobs > 1`` the :class:`~repro.experiments.adapters.LocalPoolAdapter`
+process pool persists across partitions (shut down once, in this
+module's ``finally``, via ``engine.close()``) instead of starting anew
+for every lease.
 
 Failure contract (mirroring the PR 4 RemoteStore one): the first
 coordinator connectivity failure emits one ``RuntimeWarning`` and the
@@ -254,8 +251,7 @@ def run_worker(
                 break
     finally:
         stop.set()
-        # Releases the persistent pool (and, transitively, any in-flight
-        # arena segments) no matter how the lease loop ended.
+        # Releases the persistent pool no matter how the lease loop ended.
         engine.close()
     return report
 

@@ -1,4 +1,4 @@
-"""Tests for the unified ``python -m repro`` CLI and the repro.sweep shim.
+"""Tests for the unified ``python -m repro`` CLI.
 
 The expensive full-scale experiment exports run in CI; here the CLI is
 exercised on cheap experiments (tables, ad-hoc sweeps) and the export
@@ -11,10 +11,9 @@ import os
 
 import pytest
 
-from repro.cli import main as cli_main, schema_outline
+from repro.cli import main as cli_main, named_sweep, named_sweep_names, schema_outline
 from repro.experiments.registry import experiment_names
 from repro.experiments.tables import TablesResult
-from repro.sweep import main as legacy_main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -296,17 +295,8 @@ class TestExportSchemaGolden:
 
 
 class TestDeprecatedSweepShim:
-    def test_shim_delegates_and_warns(self, tmp_path, capsys):
-        argv = ["--cache-dir", str(tmp_path / "cache"), "run", "--kernels", "csum",
-                "--scale", "0.25", "--jobs", "1"]
-        assert legacy_main(argv) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "1 jobs" in captured.out and "1 simulated" in captured.out
-
     def test_shim_named_sweep_matches_experiment_jobs(self):
         from repro.experiments import ExperimentOptions, get_experiment
-        from repro.sweep import named_sweep, named_sweep_names
 
         assert "figure7" in named_sweep_names()
         spec = named_sweep("figure13")
@@ -316,8 +306,6 @@ class TestDeprecatedSweepShim:
         """Regression: figure11 reuses figure10's spec, so exposing it as a
         raw sweep would export payloads labelled \"figure10\"; multi-spec
         figure12 cannot be one raw sweep either."""
-        from repro.sweep import named_sweep, named_sweep_names
-
         names = named_sweep_names()
         assert "figure11" not in names and "figure12" not in names
         for name in names:

@@ -3,36 +3,24 @@
 import dataclasses
 import json
 import os
+import signal
 import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore, stable_hash
 from repro.core.config import default_config
 from repro.experiments import ExperimentRunner
 from repro.experiments.sweep import (
     KernelJob,
+    LocalPoolAdapter,
     ParallelSweepEngine,
     SweepSpec,
     default_job_count,
 )
-from repro.sweep import main as sweep_cli
 
 SMALL_JOB = KernelJob(kernel="csum", scale=0.25)
-
-
-@pytest.fixture(autouse=True)
-def _no_arena_segments_after_each_engine():
-    """Every engine this module builds (pooled ones included) must leave
-    /dev/shm clean at test teardown: arena segments are per-batch, not
-    per-engine-lifetime, so they may never survive a run_jobs return."""
-    yield
-    shm_dir = os.path.join(os.sep, "dev", "shm")
-    if os.path.isdir(shm_dir):
-        leaked = sorted(
-            name for name in os.listdir(shm_dir) if name.startswith("repro-arena-")
-        )
-        assert not leaked, f"leaked trace-arena segments: {leaked}"
 
 
 class TestResultStore:
@@ -158,6 +146,86 @@ class TestParallelSweepEngine:
         print(f"\ncold {cold_s * 1e3:.1f} ms vs warm {warm_s * 1e3:.1f} ms "
               f"({cold_s / max(warm_s, 1e-9):.0f}x)")
         assert warm_s * 5 <= cold_s
+
+
+def pool_jobs():
+    """Two kernels x two schemes: two resolved trace groups, so the pool
+    path (which requires more than one task) always engages."""
+    return [
+        KernelJob(kernel=kernel, scale=0.25, scheme_name=scheme)
+        for kernel in ("csum", "gemm")
+        for scheme in ("bit-serial", "bit-parallel")
+    ]
+
+
+def drop_results_keep_traces(store_root):
+    """Delete every stored result but the pool jobs' trace payloads, so the
+    next batch replays (results cold) from stored captures (traces warm)."""
+    trace_keys = {job.trace_spec().cache_key() for job in pool_jobs()}
+    for path in store_root.glob("*/*.json"):
+        if path.stem not in trace_keys:
+            path.unlink()
+
+
+def outcome_map(outcomes):
+    return {
+        job.cache_key(): (out.result.to_dict(), out.spills)
+        for job, out in outcomes.items()
+    }
+
+
+def stream_batch(engine):
+    """One pooled batch through ``stream_jobs``, which leaves the engine
+    memo empty so the next batch simulates again; returns job -> outcome."""
+    collected = {}
+    engine.stream_jobs(
+        pool_jobs(), on_result=lambda job, out, *_: collected.__setitem__(job, out)
+    )
+    return collected
+
+
+class TestPersistentPool:
+    """The local pool outlives batches, is replaced after its workers die,
+    and closes with the engine."""
+
+    @pytest.fixture(scope="class")
+    def serial_expected(self):
+        return outcome_map(ParallelSweepEngine(jobs=1).run_jobs(pool_jobs()))
+
+    @staticmethod
+    def pooled_engine(store_root):
+        ParallelSweepEngine(jobs=1, store=ResultStore(store_root)).run_jobs(pool_jobs())
+        drop_results_keep_traces(store_root)
+        adapter = LocalPoolAdapter(jobs=2)
+        return adapter, ParallelSweepEngine(store=ResultStore(store_root), adapter=adapter)
+
+    def test_killed_pool_workers_mid_run_recover(self, tmp_path, serial_expected):
+        adapter, engine = self.pooled_engine(tmp_path)
+        try:
+            assert outcome_map(stream_batch(engine)) == serial_expected
+            pool = adapter._pool
+            assert pool is not None
+            for pid in list(pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            drop_results_keep_traces(tmp_path)
+            assert outcome_map(stream_batch(engine)) == serial_expected
+            # The broken pool was recreated, not limped along or leaked.
+            assert adapter._pool is not None and adapter._pool is not pool
+        finally:
+            engine.close()
+        assert adapter._pool is None
+
+    def test_pool_survives_batches_and_counts_reuse(self, tmp_path, serial_expected):
+        adapter, engine = self.pooled_engine(tmp_path)
+        with engine:
+            assert outcome_map(stream_batch(engine)) == serial_expected
+            pool = adapter._pool
+            assert pool is not None and engine.pool_reuses == 0
+            drop_results_keep_traces(tmp_path)
+            stream_batch(engine)
+            assert adapter._pool is pool
+            assert engine.pool_reuses >= 1
+        assert adapter._pool is None
 
 
 class TestDefaultJobCount:
@@ -361,29 +429,29 @@ class TestSweepCli:
         cache_dir = str(tmp_path / "cache")
         argv = ["--cache-dir", cache_dir, "run", "--kernels", "csum,memcpy",
                 "--scale", "0.25", "--jobs", "1"]
-        assert sweep_cli(argv) == 0
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert "2 jobs" in out and "2 simulated" in out
 
-        assert sweep_cli(argv) == 0
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert "0 simulated, 2 from cache" in out
 
-        assert sweep_cli(["--cache-dir", cache_dir, "list"]) == 0
+        assert cli_main(["--cache-dir", cache_dir, "list"]) == 0
         assert "Named sweeps" in capsys.readouterr().out
 
         # 2 simulation results + 2 capture-stage trace artifacts.
-        assert sweep_cli(["--cache-dir", cache_dir, "clear-cache"]) == 0
+        assert cli_main(["--cache-dir", cache_dir, "cache", "clear"]) == 0
         assert "removed 4" in capsys.readouterr().out
 
     def test_run_no_cache_leaves_store_empty(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         argv = ["--cache-dir", str(cache_dir), "run", "--kernels", "csum",
                 "--scale", "0.25", "--jobs", "1", "--no-cache"]
-        assert sweep_cli(argv) == 0
+        assert cli_main(argv) == 0
         assert "cache disabled" in capsys.readouterr().out
         assert not cache_dir.exists() or not any(cache_dir.glob("*/*.json"))
 
     def test_unknown_kernel_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            sweep_cli(["--cache-dir", str(tmp_path), "run", "--kernels", "nope"])
+            cli_main(["--cache-dir", str(tmp_path), "run", "--kernels", "nope"])
