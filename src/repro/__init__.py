@@ -21,7 +21,7 @@ Public API overview
 
 from .core.config import MachineConfig, default_config
 from .core.results import SimulationResult
-from .core.simulator import MVESimulator, simulate_kernel
+from .core.simulator import simulate_kernel
 from .intrinsics.machine import MVEMachine
 from .isa.datatypes import DataType
 from .memory.flatmem import FlatMemory
@@ -32,7 +32,6 @@ __all__ = [
     "MachineConfig",
     "default_config",
     "SimulationResult",
-    "MVESimulator",
     "simulate_kernel",
     "MVEMachine",
     "DataType",

@@ -16,9 +16,9 @@ compiled MVE trace into its SIMT equivalent:
 * extra spill/fill memory traffic is injected to model the higher register
   pressure of keeping all scalars vectorised.
 
-The transformed trace then runs on the same
-:class:`~repro.core.simulator.MVESimulator`, which keeps the comparison
-grounded in one timing model.
+The transformed trace then runs, cold and as given (no compile step), on
+the same timing model as MVE (:func:`~repro.core.simulator.simulate_kernel`),
+which keeps the comparison grounded in one simulator.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from ..core.config import MachineConfig, default_config
 from ..core.results import SimulationResult
-from ..core.simulator import MVESimulator
+from ..core.simulator import simulate_kernel
 from ..isa.datatypes import DataType
 from ..isa.instructions import (
     ArithmeticInstruction,
@@ -155,5 +155,11 @@ class DualityCacheModel:
 
     def run(self, compiled_trace: Sequence[TraceEntry]) -> SimulationResult:
         simt_trace = to_simt_trace(compiled_trace, self.spill_every_n_memory_ops)
-        simulator = MVESimulator(config=self.config, scheme=self.scheme)
-        return simulator.run(simt_trace)
+        result, _ = simulate_kernel(
+            simt_trace,
+            config=self.config,
+            scheme=self.scheme,
+            compile_first=False,
+            warm_cache=False,
+        )
+        return result

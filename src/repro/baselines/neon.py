@@ -20,7 +20,8 @@ import numpy as np
 
 from ..core.config import MachineConfig, default_config
 from ..core.energy import EnergyBreakdown, EnergyCoefficients, EnergyModel
-from ..memory.cache import CacheHierarchy, make_hierarchy
+from ..memory.cache import make_hierarchy
+from ..memory.vector_cache import VectorCacheHierarchy
 from .profile import KernelProfile
 
 __all__ = ["NeonResult", "NeonModel"]
@@ -109,7 +110,7 @@ class NeonModel:
         config: Optional[MachineConfig] = None,
         coefficients: Optional[EnergyCoefficients] = None,
         simd_efficiency: Optional[float] = None,
-        hierarchy: Optional[CacheHierarchy] = None,
+        hierarchy: Optional[VectorCacheHierarchy] = None,
     ):
         self.config = config or default_config()
         self.coefficients = coefficients or EnergyCoefficients()

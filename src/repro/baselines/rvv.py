@@ -137,8 +137,8 @@ def run_rvv_trace(
 ) -> SimulationResult:
     """Compile and simulate an RVV-style trace on the in-cache engine.
 
-    The simulation drives the same (vectorized, or ``REPRO_SCALAR_CACHE=1``
-    reference) cache engine as the MVE path.  Passing a
+    The simulation drives the same timing model and cache engine as the
+    MVE path.  Passing a
     :class:`~repro.core.cache.ResultStore` answers repeated traces from the
     persistent cache, keyed -- like every simulator job -- by the trace
     content, the full machine configuration and the source fingerprint.

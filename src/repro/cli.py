@@ -580,7 +580,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _print_config_batching(sweep_name: str, kernel: str, scale: float) -> None:
     """``trace stats KERNEL --configs SWEEP``: how the named sweep's
     configurations for this kernel collapse into batched replays."""
-    from .core.replay import batched_replay_enabled
     from .experiments.sweep import batch_partitions
 
     try:
@@ -596,13 +595,11 @@ def _print_config_batching(sweep_name: str, kernel: str, scale: float) -> None:
         print(f"\nSweep {sweep_name!r} has no jobs for kernel {kernel!r}.")
         return
 
-    enabled = batched_replay_enabled()
-    mode = "on" if enabled else "off (REPRO_BATCHED_REPLAY=0)"
-    print(f"\nConfig batching for sweep {sweep_name!r} [{mode}]:")
-    rows = []
-    for spec, jobs in groups.items():
-        replays = len(batch_partitions(jobs)) if enabled else len(jobs)
-        rows.append([spec.describe(), len(jobs), replays])
+    print(f"\nConfig batching for sweep {sweep_name!r}:")
+    rows = [
+        [spec.describe(), len(jobs), len(batch_partitions(jobs))]
+        for spec, jobs in groups.items()
+    ]
     print(format_table(["trace", "configs", "batched replays"], rows))
 
 

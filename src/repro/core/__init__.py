@@ -9,7 +9,7 @@ from .controller import InstructionPlacement, MVEControllerModel
 from .energy import EnergyBreakdown, EnergyCoefficients, EnergyModel
 from .results import SimulationResult
 from .scalar_core import AddressDecoder, ScalarCoreModel, WriteBuffer
-from .simulator import MVESimulator, simulate_kernel
+from .simulator import simulate_kernel
 
 __all__ = [
     "address_range",
@@ -38,6 +38,5 @@ __all__ = [
     "AddressDecoder",
     "ScalarCoreModel",
     "WriteBuffer",
-    "MVESimulator",
     "simulate_kernel",
 ]

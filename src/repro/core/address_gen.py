@@ -5,7 +5,8 @@ address(es), resolved per-dimension strides and the dimension-level mask
 (Algorithm 1 and Equation 1).  The timing simulator uses the resulting set
 of touched cache lines to drive the cache/DRAM model, and the LSQ address
 decoder in the scalar core uses the footprint (Equation 2) for memory
-disambiguation.
+disambiguation.  This is the only expansion of Algorithm 1: the functional
+machine calls :func:`element_addresses` too, when it records values.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -
     """Unique cache-line base addresses touched by a vector memory access.
 
     Returns a sorted, deduplicated int64 array that flows into
-    :meth:`~repro.memory.cache.CacheHierarchy.vector_block_access` unchanged
+    :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.vector_block_access` unchanged
     -- the footprint stays an ndarray from address generation through the
     cache engine, with no Python-list round-trip.
     """

@@ -1,11 +1,11 @@
-"""Config-batched trace replay: one pass over a trace, many configs out.
+"""Config-batched trace replay: the MVE timing and energy model.
 
-The staged pipeline (PR 5) froze the captured instruction stream, which makes
-every timing model a pure function of the machine configuration.  This module
-exploits that purity: :func:`simulate_trace_batch` replays one trace for a
-whole *axis* of configurations, sharing every piece of work that does not
-depend on the axis instead of walking the configs one at a time through
-:func:`~repro.core.simulator.simulate_trace`.
+A captured instruction stream is frozen, which makes every timing model a
+pure function of the machine configuration.  :func:`simulate_trace_batch`
+exploits that purity: it replays one trace for a whole *axis* of
+configurations, sharing every piece of work that does not depend on the
+axis.  A single configuration is a batch of one
+(:func:`~repro.core.simulator.simulate_trace`); this is the only timing path.
 
 The decomposition leans on three invariants of the timing models:
 
@@ -21,17 +21,13 @@ The decomposition leans on three invariants of the timing models:
   of (scheme, engine geometry, instruction), so one pass per distinct
   compute key covers every config using it.
 * **The core/engine timeline is cheap.**  Given per-entry durations, the
-  queue-backpressure recurrence of :meth:`MVESimulator.run` is a small
-  scalar loop, so it runs per config without dominating.
+  queue-backpressure recurrence is a small scalar loop, so it runs per
+  config without dominating.
 
-Float accumulation order is replicated exactly (energy sums, utilization
-weights, the timeline recurrence), so results are **bit-identical** to the
-per-config path.  The ``REPRO_BATCHED_REPLAY=0`` environment switch pins
-that: it routes every caller through per-config :func:`simulate_trace`, the
-same way ``REPRO_SCALAR_CACHE=1`` pins the vectorized cache engine to its
-scalar reference.  (When the scalar cache reference *is* selected, batching
-is disabled as well: the scalar path stays the executable specification,
-end to end.)
+Float accumulation order (energy sums, utilization weights, the timeline
+recurrence) follows a per-config walk of the trace, so results are
+**bit-identical** to the per-config reference simulator that the parity
+suites keep in ``tests/oracle.py``.
 
 Axes that batch together: compute scheme, SRAM-cycle/float-latency knobs,
 cache geometry, ``l2_compute_ways``, DRAM structure and timing, TMU and
@@ -44,7 +40,6 @@ spill traffic (see :func:`replay_group_key`).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Optional, Sequence
 
@@ -59,7 +54,7 @@ from ..isa.instructions import (
     TraceEntry,
 )
 from ..isa.registers import PhysicalRegisterFile
-from ..memory.cache import make_hierarchy, use_scalar_cache
+from ..memory.cache import aggregate_block_cycles, dedup_lines, make_hierarchy
 from ..memory.dram import DRAMConfig, DRAMModel
 from ..sram.schemes import ComputeScheme, get_scheme
 from ..sram.tmu import TransposeMemoryUnit
@@ -70,28 +65,11 @@ from .energy import EnergyBreakdown, EnergyCoefficients
 from .results import SimulationResult
 
 __all__ = [
-    "BATCHED_REPLAY_ENV",
-    "batched_replay_enabled",
+    "register_file_for",
     "replay_group_key",
+    "replay_trace",
     "simulate_trace_batch",
 ]
-
-#: environment switch disabling the batched engine (``=0`` selects the
-#: per-config reference path, mirroring ``REPRO_SCALAR_CACHE``)
-BATCHED_REPLAY_ENV = "REPRO_BATCHED_REPLAY"
-
-
-def batched_replay_enabled() -> bool:
-    """True when multi-config replays may share one batched pass.
-
-    ``REPRO_BATCHED_REPLAY=0`` disables batching explicitly;
-    ``REPRO_SCALAR_CACHE=1`` disables it implicitly, because the scalar
-    cache reference is meant to be the end-to-end executable specification
-    and therefore always runs the plain per-config loop.
-    """
-    if os.environ.get(BATCHED_REPLAY_ENV, "") == "0":
-        return False
-    return not use_scalar_cache()
 
 
 def replay_group_key(config: MachineConfig) -> tuple[int, int, int]:
@@ -104,6 +82,12 @@ def replay_group_key(config: MachineConfig) -> tuple[int, int, int]:
     """
     engine = config.engine
     return (engine.num_arrays, engine.array.rows, engine.array.cols)
+
+
+def register_file_for(config: MachineConfig) -> PhysicalRegisterFile:
+    """The physical register file the compiler allocates for ``config``."""
+    num_arrays, rows, cols = replay_group_key(config)
+    return PhysicalRegisterFile(num_arrays=num_arrays, array_rows=rows, array_cols=cols)
 
 
 # --------------------------------------------------------------------- #
@@ -208,10 +192,10 @@ def _run_memory_pass(
     warm_cache: bool,
 ) -> _MemoryPass:
     """Replay the memory footprint stream once, pricing every DRAM timing
-    variant; mirrors :meth:`MVESimulator._memory_duration` state-wise."""
-    hierarchy = make_hierarchy(
-        hierarchy_config, l2_compute_ways=l2_compute_ways, scalar=False
-    )
+    variant.  A warm-cache replay first runs the stream once to fill the
+    hierarchy, then clears the statistics (the steady state of a repeatedly
+    invoked library kernel)."""
+    hierarchy = make_hierarchy(hierarchy_config, l2_compute_ways=l2_compute_ways)
     lines_per_instruction = static.lines_for(hierarchy.line_bytes)
     if warm_cache:
         for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
@@ -234,7 +218,7 @@ def _run_memory_pass(
 
 def _record_single_variant(static, hierarchy, lines_per_instruction, result) -> None:
     """One timing variant: drive the hierarchy's own block-access path and
-    read the stat deltas around it, exactly like the per-config simulator."""
+    read the stat deltas around it."""
     cycles = result.cycles[next(iter(result.cycles))]
     for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
         l2_before = hierarchy.l2.stats.hits
@@ -255,8 +239,6 @@ def _record_multi_variant(
     miss latencies per variant.  This is an exact unrolling of
     :meth:`VectorCacheHierarchy.vector_block_access` with the DRAM latency
     lookup vectorized over the variant axis."""
-    from ..memory.cache import aggregate_block_cycles, dedup_lines
-
     inclusive = hierarchy.config.l2.inclusive
     mshr_entries = hierarchy.config.l2.mshr_entries
     l2_hit_latency = hierarchy.config.l2.hit_latency
@@ -333,7 +315,7 @@ def _memory_data_energy(
 ) -> float:
     """``data_access_nj`` for one memory pass, accumulated in trace order
     (scalar L1 terms, cache-line terms, TMU terms) so the float sum matches
-    the per-config simulator bit for bit."""
+    a per-config walk bit for bit."""
     data_nj = 0.0
     for op, payload in static.ops:
         if op == _OP_SCALAR:
@@ -480,8 +462,9 @@ def _run_timeline(
     durations: Sequence[float],
     config: MachineConfig,
 ) -> tuple[float, float]:
-    """The core/engine occupancy recurrence of :meth:`MVESimulator.run`,
-    reduced to its timing skeleton; returns (total_cycles, raw idle)."""
+    """The core/engine occupancy recurrence: the core issues in program
+    order, the instruction queue applies backpressure, and the engine runs
+    one entry at a time.  Returns (total_cycles, raw idle)."""
     core_time = 0.0
     engine_free = 0.0
     idle = 0.0
@@ -553,20 +536,25 @@ def _memory_key(config: MachineConfig) -> tuple:
     )
 
 
-def _replay_compiled_batch(
-    compiled: CompiledKernel,
-    members: list[tuple[int, MachineConfig, ComputeScheme]],
-    warm_cache: bool,
-) -> dict[int, SimulationResult]:
-    """Replay one compiled kernel for every member config, sharing the
-    memory and compute passes across the axis."""
+def replay_trace(
+    trace: Sequence[TraceEntry],
+    members: Sequence[tuple[MachineConfig, ComputeScheme]],
+    warm_cache: bool = True,
+) -> list[SimulationResult]:
+    """Time ``trace`` exactly as given -- no compile step -- under every
+    (config, scheme) member, sharing the memory and compute passes across
+    the axis.  Results come back in member order.
+
+    ``warm_cache=True`` reports a second, steady-state run after one that
+    fills the hierarchy; ``False`` reports the cold run.
+    """
     coefficients = EnergyCoefficients()
-    static = _StaticTrace(compiled.trace, coefficients)
+    static = _StaticTrace(trace, coefficients)
 
     # Memory passes: one hierarchy replay per cache/DRAM-structure key, with
     # DRAM-timing variants priced inside the same pass.
     memory_groups: dict[tuple, dict] = {}
-    for index, config, _ in members:
+    for config, _ in members:
         group = memory_groups.setdefault(
             _memory_key(config), {"hierarchy": config.hierarchy, "variants": []}
         )
@@ -583,15 +571,15 @@ def _replay_compiled_batch(
 
     # Compute passes: one per (scheme, engine geometry, knobs) key.
     compute_passes: dict[tuple, _ComputePass] = {}
-    for index, config, scheme in members:
+    for config, scheme in members:
         key = _compute_key(config, scheme)
         if key not in compute_passes:
             compute_passes[key] = _run_compute_pass(static, scheme, config, coefficients)
 
     pair_cache: dict[tuple, _PairDurations] = {}
     scalar_cache: dict[float, list[float]] = {}
-    results: dict[int, SimulationResult] = {}
-    for index, config, scheme in members:
+    results: list[SimulationResult] = []
+    for config, scheme in members:
         memory_key = _memory_key(config)
         compute_key = _compute_key(config, scheme)
         memory = memory_passes[memory_key]
@@ -617,25 +605,27 @@ def _replay_compiled_batch(
         power_mw = coefficients.core_static_mw + coefficients.cache_static_mw
         static_nj = power_mw * 1e-3 * seconds * 1e9
 
-        results[index] = SimulationResult(
-            total_cycles=total_cycles,
-            idle_cycles=idle,
-            compute_cycles=pair.compute_cycles,
-            data_access_cycles=pair.data_access_cycles,
-            scalar_instructions=static.scalar_instructions,
-            vector_instructions=dict(static.vector_counts),
-            spill_instructions=static.spill_instructions,
-            lane_utilization=pair.lane_utilization,
-            cb_utilization=pair.cb_utilization,
-            energy=EnergyBreakdown(
-                compute_nj=compute.compute_nj,
-                data_access_nj=data_energy[memory_key],
-                cpu_nj=static.cpu_nj,
-                static_nj=static_nj,
-            ),
-            frequency_ghz=config.frequency_ghz,
-            dram_bytes=memory.dram_bytes,
-            l2_hit_rate=memory.l2_hit_rate,
+        results.append(
+            SimulationResult(
+                total_cycles=total_cycles,
+                idle_cycles=idle,
+                compute_cycles=pair.compute_cycles,
+                data_access_cycles=pair.data_access_cycles,
+                scalar_instructions=static.scalar_instructions,
+                vector_instructions=dict(static.vector_counts),
+                spill_instructions=static.spill_instructions,
+                lane_utilization=pair.lane_utilization,
+                cb_utilization=pair.cb_utilization,
+                energy=EnergyBreakdown(
+                    compute_nj=compute.compute_nj,
+                    data_access_nj=data_energy[memory_key],
+                    cpu_nj=static.cpu_nj,
+                    static_nj=static_nj,
+                ),
+                frequency_ghz=config.frequency_ghz,
+                dram_bytes=memory.dram_bytes,
+                l2_hit_rate=memory.l2_hit_rate,
+            )
         )
     return results
 
@@ -648,53 +638,37 @@ def simulate_trace_batch(
 ) -> list[tuple[SimulationResult, CompiledKernel]]:
     """Replay one captured trace under every configuration in ``configs``.
 
-    Returns ``(result, compiled)`` pairs in input order, bit-identical to
-    calling :func:`~repro.core.simulator.simulate_trace` per config.  Configs
-    sharing register-file geometry share the compiled kernel and one
-    decomposed replay (memory pass per hierarchy key, compute pass per
-    scheme/geometry key, cheap per-config timeline); geometry changes split
-    the batch, exactly as :func:`replay_group_key` describes.
+    Returns ``(result, compiled)`` pairs in input order.  Configs sharing
+    register-file geometry share the compiled kernel (via
+    :func:`compile_trace_cached`) and one decomposed replay (memory pass per
+    hierarchy key, compute pass per scheme/geometry key, cheap per-config
+    timeline); geometry changes split the batch, exactly as
+    :func:`replay_group_key` describes.
 
     ``schemes`` optionally pins a scheme object per config (defaulting to
-    ``get_scheme(config.scheme_name)``).  With ``REPRO_BATCHED_REPLAY=0`` (or
-    the scalar cache reference selected) this degrades to the per-config
-    loop, which is the bit-identity escape hatch the parity suite pins.
+    ``get_scheme(config.scheme_name)``).
     """
     if schemes is None:
         schemes = [None] * len(configs)
     if len(schemes) != len(configs):
         raise ValueError("schemes must match configs one-to-one")
-    resolved_schemes = [
-        scheme if scheme is not None else get_scheme(config.scheme_name)
+    members = [
+        (config, scheme if scheme is not None else get_scheme(config.scheme_name))
         for config, scheme in zip(configs, schemes)
     ]
 
-    if not batched_replay_enabled() or len(configs) < 2:
-        from .simulator import simulate_trace
+    by_geometry: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        by_geometry.setdefault(replay_group_key(config), []).append(index)
 
-        return [
-            simulate_trace(trace, config=config, scheme=scheme, warm_cache=warm_cache)
-            for config, scheme in zip(configs, resolved_schemes)
-        ]
-
-    by_geometry: dict[tuple, list[tuple[int, MachineConfig, ComputeScheme]]] = {}
-    for index, (config, scheme) in enumerate(zip(configs, resolved_schemes)):
-        by_geometry.setdefault(replay_group_key(config), []).append(
-            (index, config, scheme)
+    replays: list = [None] * len(configs)
+    for indices in by_geometry.values():
+        compiled = compile_trace_cached(
+            trace, register_file=register_file_for(configs[indices[0]])
         )
-
-    results: dict[int, SimulationResult] = {}
-    compiled_for: dict[int, CompiledKernel] = {}
-    for members in by_geometry.values():
-        _, first_config, _ = members[0]
-        register_file = PhysicalRegisterFile(
-            num_arrays=first_config.engine.num_arrays,
-            array_rows=first_config.engine.array.rows,
-            array_cols=first_config.engine.array.cols,
+        results = replay_trace(
+            compiled.trace, [members[index] for index in indices], warm_cache
         )
-        compiled = compile_trace_cached(trace, register_file=register_file)
-        group_results = _replay_compiled_batch(compiled, members, warm_cache)
-        for index, _, _ in members:
-            results[index] = group_results[index]
-            compiled_for[index] = compiled
-    return [(results[index], compiled_for[index]) for index in range(len(configs))]
+        for index, result in zip(indices, results):
+            replays[index] = (result, compiled)
+    return replays

@@ -54,8 +54,7 @@ class ExecutionAdapter(ABC):
     streaming on top of it.
     """
 
-    #: parallelism this adapter offers; the engine mirrors it as
-    #: ``engine.jobs`` so group splitting can size its chunks
+    #: worker processes this adapter runs jobs on
     jobs: int = 1
     name: str = "base"
 
@@ -84,8 +83,7 @@ class LocalPoolAdapter(ExecutionAdapter):
     the only way to use more than one core.  Capture work is pinned to
     one worker per trace group (keeping every capture single-shot even
     under a pool); replays of already-resolved traces are split per
-    batched-replay partition (per up-to-``jobs`` chunk with
-    ``REPRO_BATCHED_REPLAY=0``) before submission, and each task pickles
+    batched-replay partition before submission, and each task pickles
     its partition's jobs together with the resolved trace.  The pool
     outlives the batch, so follow-up batches skip the worker start-up.
     A pool that cannot start (fork blocked) degrades to the serial path;
@@ -188,31 +186,21 @@ class LocalPoolAdapter(ExecutionAdapter):
         return broken
 
     def execute(self, engine, pending: list, emit: Callable) -> None:
-        from ..core.replay import batched_replay_enabled
         from .sweep import batch_partitions
 
         tasks = engine._resolve_groups(pending)
         if self.jobs > 1:
             # Will splitting alone feed the pool?  Resolved groups yield one
-            # task per batched-replay partition (or up to `jobs` chunks with
-            # batching off); capture-needed groups stay whole.
-            batched = batched_replay_enabled()
+            # task per batched-replay partition; capture-needed groups stay
+            # whole.
             projected = sum(
-                1
-                if trace is None and payload is None
-                else (
-                    len(batch_partitions(group))
-                    if batched
-                    else min(self.jobs, len(group))
-                )
+                1 if trace is None and payload is None else len(batch_partitions(group))
                 for _, group, trace, payload in tasks
             )
             if projected < min(self.jobs, len(pending)):
                 # Too few tasks to feed the pool: capture the cold groups
                 # up front (cheap) so their replays parallelize too.
                 tasks = engine._capture_starved_groups(tasks)
-            # Single split pass: chunks are never re-split into singletons,
-            # preserving within-chunk decode/compile sharing.
             tasks = engine._split_resolved_groups(tasks)
         remaining = set(range(len(tasks)))
         if self.jobs > 1 and len(tasks) > 1:

@@ -119,7 +119,7 @@ def run_figure9(
             SweepPoint(
                 kernel="gemm",
                 shape=(n, k, m),
-                flops=mve.kernel.profile().total_ops,
+                flops=runner.profile("gemm", scale=1.0, n=n, k=k, m=m).total_ops,
                 mve_time_ms=mve.result.time_ms,
                 gpu_time_ms=gpu.time_ms,
             )
@@ -133,7 +133,7 @@ def run_figure9(
             SweepPoint(
                 kernel="spmm",
                 shape=(n, k, m, nnz),
-                flops=mve.kernel.profile().total_ops,
+                flops=runner.profile("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz).total_ops,
                 mve_time_ms=mve.result.time_ms,
                 gpu_time_ms=gpu.time_ms,
             )

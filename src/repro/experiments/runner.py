@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from ..baselines.gpu import GPUModel, GPUResult
 from ..baselines.neon import NeonModel, NeonResult
+from ..baselines.profile import KernelProfile
 from ..core.cache import (
     ResultStore,
     code_fingerprint,
@@ -150,7 +151,7 @@ class ExperimentRunner:
         return self.engine.captured_trace(job.trace_spec())
 
     def prefetch(self, jobs: Iterable[KernelJob]) -> None:
-        """Execute a batch of jobs up front (in parallel when engine.jobs > 1).
+        """Execute a batch of jobs up front (in parallel on a pooled engine).
 
         Subsequent ``run_mve``/``run_rvv`` calls for the same jobs answer
         from the engine memo; experiments call this with their full job set
@@ -183,6 +184,15 @@ class ExperimentRunner:
         return self._run(
             self.job(name, "rvv", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
         )
+
+    def profile(
+        self, name: str, scale: Optional[float] = None, **kernel_kwargs
+    ) -> KernelProfile:
+        """A kernel's ISA-independent work profile (FLOPs, bytes moved),
+        read from its prepared instance: an analytic query, so the
+        functional machine never runs for it."""
+        scale = scale if scale is not None else self.default_scale
+        return self._get_kernel(name, scale, **kernel_kwargs).profile()
 
     # -- baseline models (persistent-cached like the simulator jobs) ------ #
 
@@ -232,9 +242,7 @@ class ExperimentRunner:
         return self._baseline_run(
             key,
             NeonResult,
-            lambda: NeonModel(config).run(
-                self._get_kernel(name, scale, **kernel_kwargs).profile()
-            ),
+            lambda: NeonModel(config).run(self.profile(name, scale, **kernel_kwargs)),
         )
 
     def run_gpu(
@@ -254,7 +262,7 @@ class ExperimentRunner:
             key,
             GPUResult,
             lambda: GPUModel().run(
-                self._get_kernel(name, scale, **kernel_kwargs).profile(),
+                self.profile(name, scale, **kernel_kwargs),
                 include_transfer=include_transfer,
             ),
         )

@@ -31,8 +31,7 @@ The engine also
   already-resolved traces are split per batched-replay partition
   (:func:`batch_partitions`): configs sharing a compiled kernel replay
   together through :func:`~repro.core.replay.simulate_trace_batch`, so a
-  K-config scheme/cache/DRAM axis costs ~1 decomposed replay instead of K
-  (``REPRO_BATCHED_REPLAY=0`` restores the per-job split and loop).
+  K-config scheme/cache/DRAM axis costs ~1 decomposed replay instead of K.
 
 ``python -m repro`` exposes the same engine as a batch CLI; the
 :class:`~repro.experiments.runner.ExperimentRunner` sits on top of it so the
@@ -52,7 +51,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..core.cache import ResultStore, code_fingerprint, config_digest, stable_hash
 from ..core.config import MachineConfig, default_config
-from ..core.replay import batched_replay_enabled, replay_group_key, simulate_trace_batch
+from ..core.replay import replay_group_key, simulate_trace_batch
 from ..core.results import SimulationResult
 from ..core.simulator import simulate_trace
 from ..core.traces import TraceArtifact, TraceSpec, TraceStore
@@ -209,13 +208,9 @@ def simulate_traced_group(
 ) -> list[JobOutcome]:
     """Replay one resolved trace for every job, batching the config axis.
 
-    With batching enabled (the default), jobs replay through
-    :func:`simulate_trace_batch`, which groups them by compiled-kernel
-    geometry internally -- a K-config axis costs ~1 decomposed replay instead
-    of K.  ``REPRO_BATCHED_REPLAY=0`` (or the scalar cache reference) falls
-    back to the per-job loop; outcomes are bit-identical either way."""
-    if len(jobs) == 1 or not batched_replay_enabled():
-        return [simulate_traced_job(job, trace) for job in jobs]
+    Jobs replay through :func:`simulate_trace_batch`, which groups them by
+    compiled-kernel geometry internally -- a K-config axis costs ~1
+    decomposed replay instead of K."""
     replays = simulate_trace_batch(
         trace,
         [job.config for job in jobs],
@@ -308,8 +303,6 @@ class ParallelSweepEngine:
         if adapter is None:
             adapter = SerialAdapter() if max(1, jobs) == 1 else LocalPoolAdapter(jobs)
         self.adapter = adapter
-        #: mirror of ``adapter.jobs`` -- group splitting sizes chunks off it
-        self.jobs = max(1, adapter.jobs)
         self.store = store
         self.computed = 0
         self._memo: dict[KernelJob, JobOutcome] = {}
@@ -391,8 +384,6 @@ class ParallelSweepEngine:
         (the parent computes the same geometry partitioning the worker
         does, so pool-side replays are counted without shipping state
         back)."""
-        if not batched_replay_enabled():
-            return
         for partition in batch_partitions(group):
             if len(partition) > 1:
                 self.batched_replays += 1
@@ -508,13 +499,10 @@ class ParallelSweepEngine:
         pool can parallelize the replays of a single-kernel multi-config
         sweep.
 
-        With batched replay enabled the split unit is a
-        :func:`batch_partitions` partition: one partition is ~one decomposed
-        replay pass, so finer chunks would only re-run shared passes in
-        separate workers.  With batching off, groups chunk into up to
-        ``self.jobs`` slices as before (chunks rather than singletons keep
-        the decode and the geometry-keyed compile memo shared within each
-        worker).  Groups that still need their capture stay whole --
+        The split unit is a :func:`batch_partitions` partition: one
+        partition is ~one decomposed replay pass, so finer chunks would only
+        re-run shared passes in separate workers.  Groups that still need
+        their capture stay whole --
         splitting them would break the capture-once-per-batch invariant.
         Stored payloads are decoded here (once, in the parent) rather than
         per task in the workers -- single-job groups included, so no task
@@ -534,16 +522,10 @@ class ParallelSweepEngine:
                     self._memo_trace(spec, trace)
             if trace is None or len(group) == 1:
                 split.append((spec, group, trace, payload))
-            elif batched_replay_enabled():
+            else:
                 split.extend(
                     (spec, partition, trace, None)
                     for partition in batch_partitions(group)
-                )
-            else:
-                size = (len(group) + self.jobs - 1) // self.jobs
-                split.extend(
-                    (spec, group[i : i + size], trace, None)
-                    for i in range(0, len(group), size)
                 )
         return split
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.address_gen import element_addresses
 from ..isa.datatypes import DataType
 from ..isa.encoding import StrideMode, resolve_strides
 from ..isa.instructions import (
@@ -109,10 +110,11 @@ class MVEMachine:
         """A machine configured for the staged pipeline's capture phase.
 
         Value recording is off: every intrinsic still emits its full
-        timing-relevant instruction (addresses, strides, masks, resolved
-        random bases), but no payload data is read from or written to flat
-        memory, so capture is cheap and the recorded trace is identical to
-        the value-recording one (pinned by the regression suite).
+        timing-relevant instruction (base address, strides, masks, resolved
+        random bases), but no element addresses are expanded and no payload
+        data is read from or written to flat memory, so capture is cheap and
+        the recorded trace is identical to the value-recording one (pinned
+        by the regression suite).
         """
         return cls(memory, simd_lanes=simd_lanes, record_values=False)
 
@@ -197,46 +199,69 @@ class MVEMachine:
         self._emit(ConfigInstruction(Opcode.SET_STORE_STRIDE, operand_a=dim, operand_b=stride))
 
     # ------------------------------------------------------------------ #
-    # address generation (Algorithm 1 / Equation 1)
+    # memory access instructions
     # ------------------------------------------------------------------ #
 
-    def _element_addresses(
-        self,
-        dtype: DataType,
-        base_address: int,
-        stride_modes: Sequence[int],
-        is_store: bool,
-        random_bases: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Byte address for every logical element in SIMD-lane order."""
-        shape = self._shape()
+    def _resolved_strides(
+        self, shape: VectorShape, stride_modes: Sequence[int], is_store: bool, is_random: bool
+    ) -> list[int]:
+        """Element stride per dimension from the stride modes and the
+        stride CRs (Equation 1).  A random access takes its highest
+        dimension from the pointer table, so only the lower dimensions
+        follow stride semantics."""
         modes = list(stride_modes)
         if len(modes) < shape.dim_count:
             modes = modes + [int(StrideMode.SEQUENTIAL)] * (shape.dim_count - len(modes))
         stride_regs = self.cr.store_strides if is_store else self.cr.load_strides
         lengths = list(shape.lengths)
-        if random_bases is not None:
-            # The highest dimension uses random base addresses; only the lower
-            # dimensions follow the stride semantics (Equation 1).
-            strides = resolve_strides(modes[: shape.dim_count - 1], lengths, stride_regs)
-            strides = strides + [0]
-        else:
-            strides = resolve_strides(modes[: shape.dim_count], lengths, stride_regs)
+        if is_random:
+            return resolve_strides(modes[: shape.dim_count - 1], lengths, stride_regs) + [0]
+        return resolve_strides(modes[: shape.dim_count], lengths, stride_regs)
 
-        element_bytes = dtype.bytes
-        # Build per-dimension index grids in lane order (dim 0 fastest).
-        addresses = np.zeros(shape.total_elements, dtype=np.int64)
-        multiplier = 1
-        for dim, length in enumerate(lengths):
-            indices = (np.arange(shape.total_elements) // multiplier) % length
-            if random_bases is not None and dim == shape.dim_count - 1:
-                addresses += random_bases[indices]
-            else:
-                addresses += indices * strides[dim] * element_bytes
-            multiplier *= length
-        if random_bases is None:
-            addresses += base_address
-        return addresses, strides
+    def _memory_instruction(
+        self,
+        shape: VectorShape,
+        dtype: DataType,
+        base_address: int,
+        stride_modes: Sequence[int],
+        is_store: bool,
+        is_random: bool,
+        register: Optional[int] = None,
+    ) -> MemoryInstruction:
+        """The timing-relevant instruction of one vector load/store.
+
+        Random accesses read their pointer table here, so the resolved
+        bases travel with the instruction; element addresses (Algorithm 1)
+        are only expanded by :func:`~repro.core.address_gen.element_addresses`
+        when values are recorded.  ``register`` defaults to a fresh one (a
+        load's destination)."""
+        self._check_shape_fits(shape)
+        random_bases: tuple[int, ...] = ()
+        if is_random:
+            random_bases = tuple(
+                int(base)
+                for base in self.memory.read_pointer_table(
+                    base_address, shape.highest_dim_length
+                )
+            )
+        strides = self._resolved_strides(shape, stride_modes, is_store, is_random)
+        if is_store:
+            opcode = Opcode.RANDOM_STORE if is_random else Opcode.STRIDED_STORE
+        else:
+            opcode = Opcode.RANDOM_LOAD if is_random else Opcode.STRIDED_LOAD
+        return MemoryInstruction(
+            opcode,
+            dtype=dtype,
+            register=self._new_register() if register is None else register,
+            base_address=base_address,
+            stride_modes=tuple(int(m) for m in stride_modes),
+            is_store=is_store,
+            is_random=is_random,
+            random_bases=random_bases,
+            resolved_strides=tuple(strides),
+            shape_lengths=shape.lengths,
+            mask=self._mask_tuple(),
+        )
 
     def _active_lane_mask(self, shape: VectorShape) -> np.ndarray:
         mask_bits = np.asarray(self.cr.active_mask(), dtype=bool)
@@ -244,112 +269,70 @@ class MVEMachine:
         lane_high_index = np.arange(shape.total_elements) // inner
         return mask_bits[lane_high_index]
 
-    # ------------------------------------------------------------------ #
-    # memory access instructions
-    # ------------------------------------------------------------------ #
-
     def vsld(self, dtype: DataType, base_address: int, stride_modes: Sequence[int]) -> MDV:
         """Multi-dimensional strided vector load (Algorithm 1)."""
-        return self._load(dtype, base_address, stride_modes, random_table=None)
+        return self._load(dtype, base_address, stride_modes, is_random=False)
 
     def vrld(
         self, dtype: DataType, pointer_table_address: int, stride_modes: Sequence[int]
     ) -> MDV:
         """Random vector load: unique base per highest-dimension element."""
-        return self._load(dtype, pointer_table_address, stride_modes, random_table=True)
+        return self._load(dtype, pointer_table_address, stride_modes, is_random=True)
 
     def vsst(self, value: MDV, base_address: int, stride_modes: Sequence[int]) -> None:
         """Multi-dimensional strided vector store."""
-        self._store(value, base_address, stride_modes, random_table=None)
+        self._store(value, base_address, stride_modes, is_random=False)
 
     def vrst(self, value: MDV, pointer_table_address: int, stride_modes: Sequence[int]) -> None:
         """Random vector store: unique base per highest-dimension element."""
-        self._store(value, pointer_table_address, stride_modes, random_table=True)
+        self._store(value, pointer_table_address, stride_modes, is_random=True)
 
     def _load(
         self,
         dtype: DataType,
         base_address: int,
         stride_modes: Sequence[int],
-        random_table: Optional[bool],
+        is_random: bool,
     ) -> MDV:
         shape = self._shape()
-        self._check_shape_fits(shape)
-        random_bases = None
-        random_base_tuple: tuple[int, ...] = ()
-        if random_table:
-            random_bases = self.memory.read_pointer_table(
-                base_address, shape.highest_dim_length
-            )
-            random_base_tuple = tuple(int(b) for b in random_bases)
-        addresses, strides = self._element_addresses(
-            dtype, base_address, stride_modes, is_store=False, random_bases=random_bases
+        instruction = self._memory_instruction(
+            shape, dtype, base_address, stride_modes, is_store=False, is_random=is_random
         )
-        lane_mask = self._active_lane_mask(shape)
         values = np.zeros(shape.total_elements, dtype=dtype.numpy_dtype)
-        if self.record_values and lane_mask.any():
-            values[lane_mask] = self.memory.read_elements(addresses[lane_mask], dtype)
-
-        register = self._new_register()
-        opcode = Opcode.RANDOM_LOAD if random_table else Opcode.STRIDED_LOAD
-        self._emit(
-            MemoryInstruction(
-                opcode,
-                dtype=dtype,
-                register=register,
-                base_address=base_address,
-                stride_modes=tuple(int(m) for m in stride_modes),
-                is_store=False,
-                is_random=bool(random_table),
-                random_bases=random_base_tuple,
-                resolved_strides=tuple(strides),
-                shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
-            )
-        )
-        return MDV(register, dtype, shape, values)
+        if self.record_values:
+            lane_mask = self._active_lane_mask(shape)
+            if lane_mask.any():
+                values[lane_mask] = self.memory.read_elements(
+                    element_addresses(instruction), dtype
+                )
+        self._emit(instruction)
+        return MDV(instruction.register, dtype, shape, values)
 
     def _store(
         self,
         value: MDV,
         base_address: int,
         stride_modes: Sequence[int],
-        random_table: Optional[bool],
+        is_random: bool,
     ) -> None:
         shape = self._shape()
-        self._check_shape_fits(shape)
-        dtype = value.dtype
-        random_bases = None
-        random_base_tuple: tuple[int, ...] = ()
-        if random_table:
-            random_bases = self.memory.read_pointer_table(
-                base_address, shape.highest_dim_length
-            )
-            random_base_tuple = tuple(int(b) for b in random_bases)
-        addresses, strides = self._element_addresses(
-            dtype, base_address, stride_modes, is_store=True, random_bases=random_bases
+        instruction = self._memory_instruction(
+            shape,
+            value.dtype,
+            base_address,
+            stride_modes,
+            is_store=True,
+            is_random=is_random,
+            register=value.register,
         )
-        lane_mask = self._active_lane_mask(shape)
-        if self.record_values and lane_mask.any():
-            stored = self._conform(value, shape)
-            self.memory.write_elements(addresses[lane_mask], stored[lane_mask], dtype)
-
-        opcode = Opcode.RANDOM_STORE if random_table else Opcode.STRIDED_STORE
-        self._emit(
-            MemoryInstruction(
-                opcode,
-                dtype=dtype,
-                register=value.register,
-                base_address=base_address,
-                stride_modes=tuple(int(m) for m in stride_modes),
-                is_store=True,
-                is_random=bool(random_table),
-                random_bases=random_base_tuple,
-                resolved_strides=tuple(strides),
-                shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
-            )
-        )
+        if self.record_values:
+            lane_mask = self._active_lane_mask(shape)
+            if lane_mask.any():
+                stored = self._conform(value, shape)
+                self.memory.write_elements(
+                    element_addresses(instruction), stored[lane_mask], value.dtype
+                )
+        self._emit(instruction)
 
     # ------------------------------------------------------------------ #
     # move instructions

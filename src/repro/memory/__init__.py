@@ -4,9 +4,7 @@ from .flatmem import Allocation, FlatMemory
 from .dram import DRAMConfig, DRAMModel, DRAMStats
 from .cache import (
     AccessResult,
-    Cache,
     CacheConfig,
-    CacheHierarchy,
     CacheStats,
     HierarchyConfig,
     make_hierarchy,
@@ -20,9 +18,7 @@ __all__ = [
     "DRAMModel",
     "DRAMStats",
     "AccessResult",
-    "Cache",
     "CacheConfig",
-    "CacheHierarchy",
     "CacheStats",
     "HierarchyConfig",
     "VectorCache",

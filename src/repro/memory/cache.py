@@ -7,42 +7,33 @@ the DRAM model.  Each level tracks hit/miss statistics and models a limited
 number of Miss Status Holding Registers (MSHRs) which bound the memory-level
 parallelism available to wide vector gathers.
 
-Two interchangeable implementations exist:
-
-* :class:`Cache`/:class:`CacheHierarchy` (this module) -- the scalar,
-  per-line reference implementation, and
-* :class:`~repro.memory.vector_cache.VectorCache` /
-  :class:`~repro.memory.vector_cache.VectorCacheHierarchy` -- a batched,
-  numpy-backed engine that processes a whole vector op's line list in array
-  form and is bit-for-bit identical to the reference.
-
-:func:`make_hierarchy` picks the vectorized engine unless
-``REPRO_SCALAR_CACHE=1`` is set in the environment.
+This module holds the configuration types and the block-timing helpers;
+the engine itself is the batched, numpy-backed
+:class:`~repro.memory.vector_cache.VectorCacheHierarchy`, which
+:func:`make_hierarchy` builds.  The scalar, per-line reference it is tested
+against lives beside the tests (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
 from .dram import DRAMConfig, DRAMModel
 
+if TYPE_CHECKING:
+    from .vector_cache import VectorCacheHierarchy
+
 __all__ = [
     "CacheConfig",
-    "Cache",
     "CacheStats",
-    "CacheHierarchy",
     "AccessResult",
     "HierarchyConfig",
     "make_hierarchy",
 ]
-
-#: environment switch selecting the scalar reference implementation
-SCALAR_CACHE_ENV = "REPRO_SCALAR_CACHE"
 
 
 @dataclass(frozen=True)
@@ -89,8 +80,8 @@ class AccessResult:
 
 
 # ---------------------------------------------------------------------- #
-#  Shared helpers (used by both the scalar reference and the vector engine
-#  so the two paths cannot drift apart)
+#  Block-timing helpers (shared by the engine, the config-batched replay's
+#  DRAM re-pricing and the scalar reference, so the paths cannot drift apart)
 # ---------------------------------------------------------------------- #
 
 
@@ -145,135 +136,6 @@ def aggregate_block_cycles(
     return hit_cycles + max(miss_cycles, math.ceil(bandwidth_floor))
 
 
-# ---------------------------------------------------------------------- #
-#  Scalar reference implementation
-# ---------------------------------------------------------------------- #
-
-
-class _Line:
-    __slots__ = ("tag", "valid", "dirty", "present_in_l1", "lru")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.present_in_l1 = False
-        self.lru = 0
-
-
-class Cache:
-    """One set-associative, write-back, LRU cache level (scalar reference)."""
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.stats = CacheStats()
-        self._sets = [[_Line() for _ in range(config.ways)] for _ in range(config.num_sets)]
-        self._tick = 0
-        #: line-aligned address evicted by the most recent single ``access``
-        #: (None when the access hit or filled an invalid way)
-        self.last_eviction: Optional[int] = None
-
-    def reset(self) -> None:
-        self.stats = CacheStats()
-        for cache_set in self._sets:
-            for line in cache_set:
-                line.tag = -1
-                line.valid = False
-                line.dirty = False
-                line.present_in_l1 = False
-                line.lru = 0
-        self._tick = 0
-        self.last_eviction = None
-
-    def _index_tag(self, address: int) -> tuple[int, int]:
-        line_addr = address // self.config.line_bytes
-        return line_addr % self.config.num_sets, line_addr // self.config.num_sets
-
-    def _line_address(self, index: int, tag: int) -> int:
-        return (tag * self.config.num_sets + index) * self.config.line_bytes
-
-    def lookup(self, address: int) -> Optional[_Line]:
-        """Return the resident line for ``address`` without updating stats."""
-        index, tag = self._index_tag(address)
-        for line in self._sets[index]:
-            if line.valid and line.tag == tag:
-                return line
-        return None
-
-    def probe(self, address: int) -> bool:
-        """True if the line holding ``address`` is resident."""
-        return self.lookup(address) is not None
-
-    def _select_victim(self, cache_set: list[_Line]) -> _Line:
-        """Invalid ways are filled before any valid line is evicted; among
-        valid lines the least-recently-used one goes."""
-        for line in cache_set:
-            if not line.valid:
-                return line
-        return min(cache_set, key=lambda candidate: candidate.lru)
-
-    def access(self, address: int, is_write: bool = False) -> bool:
-        """Access one cache line; returns True on hit.
-
-        On a miss the line is installed (the caller models the fill latency
-        through the next level).
-        """
-        self._tick += 1
-        self.last_eviction = None
-        index, tag = self._index_tag(address)
-        cache_set = self._sets[index]
-        for line in cache_set:
-            if line.valid and line.tag == tag:
-                line.lru = self._tick
-                if is_write:
-                    line.dirty = True
-                self.stats.hits += 1
-                return True
-        self.stats.misses += 1
-        victim = self._select_victim(cache_set)
-        if victim.valid:
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.writebacks += 1
-            self.last_eviction = self._line_address(index, victim.tag)
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write
-        victim.present_in_l1 = False
-        victim.lru = self._tick
-        return False
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line holding ``address`` (inclusive back-invalidation);
-        returns True if a line was resident.  No statistics are updated."""
-        line = self.lookup(address)
-        if line is None:
-            return False
-        line.valid = False
-        line.tag = -1
-        line.dirty = False
-        line.present_in_l1 = False
-        line.lru = 0
-        return True
-
-    def mark_present_in_l1(self, address: int, present: bool = True) -> None:
-        line = self.lookup(address)
-        if line is not None:
-            line.present_in_l1 = present
-
-    def present_in_l1(self, address: int) -> bool:
-        line = self.lookup(address)
-        return bool(line and line.present_in_l1)
-
-    def dirty_line_count(self) -> int:
-        return sum(
-            1 for cache_set in self._sets for line in cache_set if line.valid and line.dirty
-        )
-
-    def valid_line_count(self) -> int:
-        return sum(1 for cache_set in self._sets for line in cache_set if line.valid)
-
-
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Cache-hierarchy configuration (defaults follow Table IV)."""
@@ -292,174 +154,12 @@ class HierarchyConfig:
     dram: DRAMConfig = DRAMConfig()
 
 
-class CacheHierarchy:
-    """L1-D / private L2 / shared LLC backed by DRAM.
-
-    ``l2_compute_ways`` of the L2 are repurposed for in-cache computing
-    (default: half), which halves the cache capacity available to normal
-    lookups while MVE is active.
-
-    Subclasses swap :attr:`cache_class` to change the per-level
-    implementation; the single-access logic below is shared so the scalar
-    and vectorized hierarchies agree by construction.
-    """
-
-    #: per-level cache implementation used by this hierarchy
-    cache_class = Cache
-
-    def __init__(
-        self,
-        config: HierarchyConfig | None = None,
-        dram: DRAMModel | None = None,
-        l2_compute_ways: int = 4,
-    ):
-        self.config = config or HierarchyConfig()
-        self.dram = dram or DRAMModel(self.config.dram)
-        self.l2_compute_ways = l2_compute_ways
-
-        l2_cfg = self.config.l2
-        storage_ways = max(1, l2_cfg.ways - l2_compute_ways)
-        l2_storage_cfg = CacheConfig(
-            name=l2_cfg.name,
-            size_bytes=l2_cfg.size_bytes * storage_ways // l2_cfg.ways,
-            ways=storage_ways,
-            line_bytes=l2_cfg.line_bytes,
-            hit_latency=l2_cfg.hit_latency,
-            mshr_entries=l2_cfg.mshr_entries,
-            inclusive=l2_cfg.inclusive,
-        )
-        self.l1d = self.cache_class(self.config.l1d)
-        self.l2 = self.cache_class(l2_storage_cfg)
-        self.llc = self.cache_class(self.config.llc)
-
-    def reset(self) -> None:
-        self.l1d.reset()
-        self.l2.reset()
-        self.llc.reset()
-        self.dram.reset()
-
-    def reset_stats(self) -> None:
-        """Clear statistics while keeping cache contents (warm-cache runs)."""
-        self.l1d.stats = CacheStats()
-        self.l2.stats = CacheStats()
-        self.llc.stats = CacheStats()
-        self.dram.stats = type(self.dram.stats)()
-
-    @property
-    def line_bytes(self) -> int:
-        return self.config.l1d.line_bytes
-
-    def core_access(self, address: int, is_write: bool = False) -> AccessResult:
-        """A scalar-core access that goes through L1 first."""
-        latency = self.config.l1d.hit_latency
-        if self.l1d.access(address, is_write):
-            return AccessResult(latency, "L1-D")
-        # The L1 fill may have displaced another line; the inclusive L2 must
-        # drop its presence bit or later engine-side accesses to that line
-        # pay a phantom coherence penalty.
-        evicted = self.l1d.last_eviction
-        if evicted is not None:
-            self.l2.mark_present_in_l1(evicted, False)
-        result = self.l2_access(address, is_write, from_core=True)
-        return AccessResult(latency + result.latency, result.hit_level)
-
-    def l2_access(self, address: int, is_write: bool = False, from_core: bool = False) -> AccessResult:
-        """An access that starts at the L2 (used by the MVE controller).
-
-        When the access originates from the in-cache engine (``from_core``
-        False) and the line is present in the L1, the inclusive presence bit
-        forces an L1 eviction to preserve coherency (Section V-C); the
-        eviction cost is folded into the returned latency.
-        """
-        latency = self.config.l2.hit_latency
-        coherence_penalty = 0
-        if not from_core and self.l2.present_in_l1(address):
-            coherence_penalty = self.config.l1d.hit_latency
-            self.l2.mark_present_in_l1(address, False)
-        if self.l2.access(address, is_write):
-            if from_core:
-                self.l2.mark_present_in_l1(address, True)
-            return AccessResult(latency + coherence_penalty, "L2")
-        # The install displaced an L2 victim; an inclusive L2 must
-        # back-invalidate the victim's L1 copy, or the L1 keeps serving a
-        # line the L2 no longer tracks (and later engine accesses to it
-        # would skip the coherence penalty bookkeeping entirely).  The LLC
-        # is modelled non-inclusive, so no such propagation happens there.
-        evicted = self.l2.last_eviction
-        if evicted is not None and self.config.l2.inclusive:
-            self.l1d.invalidate(evicted)
-        latency += self.config.llc.hit_latency
-        if self.llc.access(address, is_write):
-            if from_core:
-                self.l2.mark_present_in_l1(address, True)
-            return AccessResult(latency + coherence_penalty, "LLC")
-        latency += self.dram.access(address, is_write, self.line_bytes)
-        if from_core:
-            self.l2.mark_present_in_l1(address, True)
-        return AccessResult(latency + coherence_penalty, "DRAM")
-
-    #: cache lines the L2 can hand to the TMU per cycle once streaming
-    #: (the compute half reads whole 64 B lines bank-parallel)
-    VECTOR_LINES_PER_CYCLE = 2
-
-    def vector_block_access(
-        self, line_addresses: Union[np.ndarray, Iterable[int]], is_write: bool = False
-    ) -> int:
-        """Access a set of cache lines on behalf of one vector memory op.
-
-        Hits stream at :data:`VECTOR_LINES_PER_CYCLE`; misses overlap up to
-        the L2 MSHR count.  The returned value is the estimated cycles until
-        all lines are available at the Transpose Memory Unit's input.
-        """
-        lines = dedup_lines(line_addresses)
-        if lines.size == 0:
-            return 0
-        hit_count = 0
-        miss_latencies: list[int] = []
-        for line_addr in lines.tolist():
-            result = self.l2_access(line_addr, is_write, from_core=False)
-            if result.hit_level == "L2":
-                hit_count += 1
-            else:
-                miss_latencies.append(result.latency)
-        return aggregate_block_cycles(
-            hit_count,
-            miss_latencies,
-            self.config.l2.mshr_entries,
-            self.config.l2.hit_latency,
-            self.dram.bandwidth_cycles(len(miss_latencies) * self.line_bytes),
-            self.VECTOR_LINES_PER_CYCLE,
-        )
-
-    def flush_dirty_cycles(self) -> int:
-        """Cycles to flush dirty L2 lines before entering compute mode."""
-        dirty = self.l2.dirty_line_count()
-        return dirty * (self.config.llc.hit_latency // 2 + 1)
-
-
-def use_scalar_cache() -> bool:
-    """True when ``REPRO_SCALAR_CACHE=1`` selects the scalar reference."""
-    return os.environ.get(SCALAR_CACHE_ENV, "") == "1"
-
-
 def make_hierarchy(
     config: HierarchyConfig | None = None,
     dram: DRAMModel | None = None,
     l2_compute_ways: int = 4,
-    scalar: Optional[bool] = None,
-) -> CacheHierarchy:
-    """Build the configured cache-hierarchy implementation.
-
-    The batched numpy engine is the default; ``scalar=True`` (or the
-    ``REPRO_SCALAR_CACHE=1`` environment switch) selects the per-line scalar
-    reference.  Both produce bit-for-bit identical results -- the scalar
-    path exists as the executable specification the vectorized engine is
-    tested against.
-    """
-    if scalar is None:
-        scalar = use_scalar_cache()
-    if scalar:
-        return CacheHierarchy(config, dram, l2_compute_ways)
+) -> "VectorCacheHierarchy":
+    """Build the cache hierarchy (L1-D / L2 / LLC / DRAM) for ``config``."""
     from .vector_cache import VectorCacheHierarchy
 
     return VectorCacheHierarchy(config, dram, l2_compute_ways)

@@ -1,15 +1,14 @@
-"""Batched, numpy-backed implementation of the cache hierarchy.
+"""Batched, numpy-backed cache hierarchy: the engine every simulation uses.
 
-This is the default engine behind :func:`repro.memory.cache.make_hierarchy`.
-Tags, valid/dirty bits, the L1-presence bit and the LRU clock live in
-``(num_sets, ways)`` arrays, and :meth:`VectorCacheHierarchy.vector_block_access`
-resolves a whole vector op's deduplicated line list in array form:
-set-indexing, tag compare, victim selection, the MSHR windowing and the
-DRAM row-buffer classification are all vectorized.
+:func:`repro.memory.cache.make_hierarchy` builds it.  Tags, valid/dirty
+bits, the L1-presence bit and the LRU clock live in ``(num_sets, ways)``
+arrays, and :meth:`VectorCacheHierarchy.vector_block_access` resolves a
+whole vector op's deduplicated line list in array form: set-indexing, tag
+compare, victim selection, the MSHR windowing and the DRAM row-buffer
+classification are all vectorized.
 
-The engine is bit-for-bit identical to the scalar reference
-(:class:`repro.memory.cache.Cache` et al., selectable with
-``REPRO_SCALAR_CACHE=1``); the property suite in ``tests/test_properties.py``
+The engine is bit-for-bit identical to the scalar, per-line reference in
+``tests/oracle.py``; the property suite in ``tests/test_properties.py``
 drives random access streams through both and asserts identical latencies
 and statistics.  Exactness hinges on two observations:
 
@@ -29,12 +28,14 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .cache import (
+    AccessResult,
     CacheConfig,
-    CacheHierarchy,
     CacheStats,
+    HierarchyConfig,
     aggregate_block_cycles,
     dedup_lines,
 )
+from .dram import DRAMModel
 
 __all__ = ["VectorCache", "VectorCacheHierarchy"]
 
@@ -91,8 +92,12 @@ class VectorCache:
         return self.lookup(address) is not None
 
     def access(self, address: int, is_write: bool = False) -> bool:
-        """Access one cache line; returns True on hit (see scalar
-        :meth:`~repro.memory.cache.Cache.access`)."""
+        """Access one cache line; returns True on hit.
+
+        On a miss the line is installed (the caller models the fill latency
+        through the next level); invalid ways fill before the LRU line is
+        evicted.
+        """
         self._tick += 1
         index, tag = self._index_tag(address)
         return self._access_one(index, tag, self._tick, is_write)
@@ -440,16 +445,126 @@ class VectorCache:
         self.stats.misses += int(missed.sum())
 
 
-class VectorCacheHierarchy(CacheHierarchy):
-    """The cache hierarchy on :class:`VectorCache` levels with a batched
-    vector access path; single-line traffic reuses the shared base-class
-    logic, so only the block access differs from the reference."""
+class VectorCacheHierarchy:
+    """L1-D / private L2 / shared LLC backed by DRAM, on :class:`VectorCache`
+    levels.
 
+    ``l2_compute_ways`` of the L2 are repurposed for in-cache computing
+    (default: half), which halves the cache capacity available to normal
+    lookups while MVE is active.  Engine traffic goes through the batched
+    :meth:`vector_block_access`; single-line :meth:`core_access` /
+    :meth:`l2_access` model scalar-core traffic and the inclusive L1
+    presence bookkeeping the engine path reacts to.
+    """
+
+    #: per-level cache implementation (the scalar reference the tests
+    #: compare against swaps in its per-line levels)
     cache_class = VectorCache
+
+    def __init__(
+        self,
+        config: HierarchyConfig | None = None,
+        dram: DRAMModel | None = None,
+        l2_compute_ways: int = 4,
+    ):
+        self.config = config or HierarchyConfig()
+        self.dram = dram or DRAMModel(self.config.dram)
+        self.l2_compute_ways = l2_compute_ways
+
+        l2_cfg = self.config.l2
+        storage_ways = max(1, l2_cfg.ways - l2_compute_ways)
+        l2_storage_cfg = CacheConfig(
+            name=l2_cfg.name,
+            size_bytes=l2_cfg.size_bytes * storage_ways // l2_cfg.ways,
+            ways=storage_ways,
+            line_bytes=l2_cfg.line_bytes,
+            hit_latency=l2_cfg.hit_latency,
+            mshr_entries=l2_cfg.mshr_entries,
+            inclusive=l2_cfg.inclusive,
+        )
+        self.l1d = self.cache_class(self.config.l1d)
+        self.l2 = self.cache_class(l2_storage_cfg)
+        self.llc = self.cache_class(self.config.llc)
+
+    def reset(self) -> None:
+        self.l1d.reset()
+        self.l2.reset()
+        self.llc.reset()
+        self.dram.reset()
+
+    def reset_stats(self) -> None:
+        """Clear statistics while keeping cache contents (warm-cache runs)."""
+        self.l1d.stats = CacheStats()
+        self.l2.stats = CacheStats()
+        self.llc.stats = CacheStats()
+        self.dram.stats = type(self.dram.stats)()
+
+    @property
+    def line_bytes(self) -> int:
+        return self.config.l1d.line_bytes
+
+    def core_access(self, address: int, is_write: bool = False) -> AccessResult:
+        """A scalar-core access that goes through L1 first."""
+        latency = self.config.l1d.hit_latency
+        if self.l1d.access(address, is_write):
+            return AccessResult(latency, "L1-D")
+        # The L1 fill may have displaced another line; the inclusive L2 must
+        # drop its presence bit or later engine-side accesses to that line
+        # pay a phantom coherence penalty.
+        evicted = self.l1d.last_eviction
+        if evicted is not None:
+            self.l2.mark_present_in_l1(evicted, False)
+        result = self.l2_access(address, is_write, from_core=True)
+        return AccessResult(latency + result.latency, result.hit_level)
+
+    def l2_access(self, address: int, is_write: bool = False, from_core: bool = False) -> AccessResult:
+        """An access that starts at the L2 (used by the MVE controller).
+
+        When the access originates from the in-cache engine (``from_core``
+        False) and the line is present in the L1, the inclusive presence bit
+        forces an L1 eviction to preserve coherency (Section V-C); the
+        eviction cost is folded into the returned latency.
+        """
+        latency = self.config.l2.hit_latency
+        coherence_penalty = 0
+        if not from_core and self.l2.present_in_l1(address):
+            coherence_penalty = self.config.l1d.hit_latency
+            self.l2.mark_present_in_l1(address, False)
+        if self.l2.access(address, is_write):
+            if from_core:
+                self.l2.mark_present_in_l1(address, True)
+            return AccessResult(latency + coherence_penalty, "L2")
+        # The install displaced an L2 victim; an inclusive L2 must
+        # back-invalidate the victim's L1 copy, or the L1 keeps serving a
+        # line the L2 no longer tracks (and later engine accesses to it
+        # would skip the coherence penalty bookkeeping entirely).  The LLC
+        # is modelled non-inclusive, so no such propagation happens there.
+        evicted = self.l2.last_eviction
+        if evicted is not None and self.config.l2.inclusive:
+            self.l1d.invalidate(evicted)
+        latency += self.config.llc.hit_latency
+        if self.llc.access(address, is_write):
+            if from_core:
+                self.l2.mark_present_in_l1(address, True)
+            return AccessResult(latency + coherence_penalty, "LLC")
+        latency += self.dram.access(address, is_write, self.line_bytes)
+        if from_core:
+            self.l2.mark_present_in_l1(address, True)
+        return AccessResult(latency + coherence_penalty, "DRAM")
+
+    #: cache lines the L2 can hand to the TMU per cycle once streaming
+    #: (the compute half reads whole 64 B lines bank-parallel)
+    VECTOR_LINES_PER_CYCLE = 2
 
     def vector_block_access(
         self, line_addresses: Union[np.ndarray, Iterable[int]], is_write: bool = False
     ) -> int:
+        """Access a set of cache lines on behalf of one vector memory op.
+
+        Hits stream at :data:`VECTOR_LINES_PER_CYCLE`; misses overlap up to
+        the L2 MSHR count.  The returned value is the estimated cycles until
+        all lines are available at the Transpose Memory Unit's input.
+        """
         lines = dedup_lines(line_addresses)
         if lines.size == 0:
             return 0
@@ -461,7 +576,7 @@ class VectorCacheHierarchy(CacheHierarchy):
             evicted = self.l2.take_evictions()
             if evicted.size:
                 # Inclusive back-invalidation: L1 copies of displaced L2
-                # lines are dropped, mirroring the per-line reference path.
+                # lines are dropped, as a per-line l2_access would.
                 self.l1d.invalidate_batch(evicted)
         hit_count = int(l2_hits.sum())
         miss_lines = lines[~l2_hits]
@@ -487,3 +602,8 @@ class VectorCacheHierarchy(CacheHierarchy):
             self.dram.bandwidth_cycles(len(miss_latencies) * self.line_bytes),
             self.VECTOR_LINES_PER_CYCLE,
         )
+
+    def flush_dirty_cycles(self) -> int:
+        """Cycles to flush dirty L2 lines before entering compute mode."""
+        dirty = self.l2.dirty_line_count()
+        return dirty * (self.config.llc.hit_latency // 2 + 1)

@@ -1,14 +1,16 @@
 """Parity and counter suite for the config-batched replay engine.
 
-The tentpole contract, pinned bit-for-bit:
+Batched replay is the only production timing path (a single config is a
+batch of one), so its contract is pinned against the per-config reference
+simulator of ``tests/oracle.py``, bit-for-bit:
 
-* ``simulate_trace_batch`` reproduces per-config ``simulate_trace`` exactly
-  -- the full ``SimulationResult`` dict including cache/DRAM statistics,
-  plus compile spill counts -- across the compute-scheme axis, the cache
-  geometry axis, the DRAM timing axis, and mixed axes that force a
-  compiled-kernel split inside one batch,
-* the sweep engine's batched path is bit-identical to the
-  ``REPRO_BATCHED_REPLAY=0`` escape hatch over the deduped job sets of
+* ``simulate_trace_batch`` reproduces the oracle exactly -- the full
+  ``SimulationResult`` dict including cache/DRAM statistics, plus compile
+  spill counts -- across the compute-scheme axis, the cache geometry axis,
+  the DRAM timing axis, mixed axes that force a compiled-kernel split
+  inside one batch, cold (``warm_cache=False``) replays and uncompiled
+  Duality Cache traces,
+* the sweep engine's replays match the oracle over the deduped job sets of
   every registered experiment, and
 * the engine counters stay honest: a warm sweep counts one trace-store hit
   per distinct spec regardless of ``--jobs``, and an eight-config
@@ -19,10 +21,11 @@ import dataclasses
 
 import pytest
 
+from repro.baselines.duality_cache import DualityCacheModel, to_simt_trace
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
-from repro.core.replay import batched_replay_enabled, replay_group_key
-from repro.core.simulator import simulate_trace, simulate_trace_batch
+from repro.core.replay import replay_group_key
+from repro.core.simulator import simulate_kernel, simulate_trace_batch
 from repro.core.traces import TraceSpec
 from repro.experiments.registry import all_experiments
 from repro.experiments.sweep import (
@@ -32,9 +35,11 @@ from repro.experiments.sweep import (
     batch_partitions,
     simulate_traced_group,
 )
-from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig
+from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig, VectorCacheHierarchy
 from repro.sram.array import EngineGeometry, SramArrayGeometry
-from repro.sram.schemes import SCHEME_NAMES
+from repro.sram.schemes import SCHEME_NAMES, get_scheme
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -54,17 +59,19 @@ def shrunk_rows_config():
     return dataclasses.replace(default_config(), engine=engine)
 
 
-def assert_batch_parity(trace, configs):
-    batched = simulate_trace_batch(trace, configs)
+def assert_batch_parity(trace, configs, warm_cache=True):
+    batched = simulate_trace_batch(trace, configs, warm_cache=warm_cache)
     assert len(batched) == len(configs)
     for config, (result, compiled) in zip(configs, batched):
-        expected, expected_compiled = simulate_trace(trace, config=config)
+        expected, expected_compiled = oracle.simulate_trace(
+            trace, config=config, warm_cache=warm_cache
+        )
         assert result.to_dict() == expected.to_dict()
         assert compiled.spill_count == expected_compiled.spill_count
 
 
 class TestSimulateTraceBatchParity:
-    """simulate_trace_batch vs per-config simulate_trace, axis by axis."""
+    """simulate_trace_batch vs the per-config oracle, axis by axis."""
 
     def test_scheme_axis(self, csum_trace):
         configs = [default_config().with_scheme(name) for name in SCHEME_NAMES]
@@ -108,24 +115,36 @@ class TestSimulateTraceBatchParity:
         assert len({replay_group_key(config) for config in configs}) == 2
         assert_batch_parity(gemm_trace, configs)
 
-    def test_escape_hatch_falls_back_per_config(self, csum_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_REPLAY", "0")
-        assert not batched_replay_enabled()
-        configs = [default_config().with_scheme(name) for name in SCHEME_NAMES[:2]]
-        assert_batch_parity(csum_trace, configs)
-
-    def test_scalar_cache_mode_disables_batching(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHED_REPLAY", raising=False)
-        monkeypatch.setenv("REPRO_SCALAR_CACHE", "1")
-        assert not batched_replay_enabled()
-
     def test_single_config_batch(self, csum_trace):
         assert_batch_parity(csum_trace, [default_config()])
 
+    def test_cold_cache(self, gemm_trace):
+        base = default_config()
+        configs = [base, base.with_scheme("bit-parallel"), shrunk_rows_config()]
+        assert_batch_parity(gemm_trace, configs, warm_cache=False)
+
+    def test_uncompiled_duality_cache_trace(self, gemm_trace):
+        """Duality Cache times its SIMT transform of a compiled trace as
+        given (no second compile) and cold: the oracle's plain run."""
+        config = default_config()
+        compiled = simulate_kernel(gemm_trace, config=config)[1].trace
+        simt = to_simt_trace(compiled)
+        expected = oracle.MVESimulator(config=config).run(simt)
+        result, recompiled = simulate_kernel(
+            simt, config=config, compile_first=False, warm_cache=False
+        )
+        assert recompiled is None
+        assert result.to_dict() == expected.to_dict()
+        assert DualityCacheModel(config).run(compiled).to_dict() == expected.to_dict()
+
 
 class TestEngineEnvParity:
-    """Acceptance: REPRO_BATCHED_REPLAY=0 is bit-identical to the batched
-    default across the deduped job sets of all registered experiments."""
+    """Acceptance: the sweep engine's replays are bit-identical to the
+    per-config oracle across the deduped job sets of all registered
+    experiments.  The oracle runs on the production cache engine here: the
+    per-line cache roughly doubles the test's cost, mostly on figure9's
+    largest SpMM, and the cache engine itself is pinned against it by the
+    golden, memory and property suites."""
 
     @pytest.fixture(scope="class")
     def trace_groups(self):
@@ -139,19 +158,18 @@ class TestEngineEnvParity:
             groups.setdefault(job.trace_spec(), []).append(job)
         return groups
 
-    def test_batched_matches_legacy_for_every_experiment_job(
-        self, trace_groups, monkeypatch
-    ):
+    def test_batched_matches_legacy_for_every_experiment_job(self, trace_groups):
         for spec, jobs in trace_groups.items():
             trace = spec.capture().trace
-            monkeypatch.delenv("REPRO_BATCHED_REPLAY", raising=False)
-            batched = simulate_traced_group(jobs, trace)
-            monkeypatch.setenv("REPRO_BATCHED_REPLAY", "0")
-            legacy = simulate_traced_group(jobs, trace)
-            monkeypatch.delenv("REPRO_BATCHED_REPLAY")
-            for job, got, want in zip(jobs, batched, legacy):
-                assert got.result.to_dict() == want.result.to_dict(), job.describe()
-                assert got.spills == want.spills, job.describe()
+            for job, got in zip(jobs, simulate_traced_group(jobs, trace)):
+                want, compiled = oracle.simulate_trace(
+                    trace,
+                    config=job.config,
+                    scheme=get_scheme(job.scheme_name),
+                    hierarchy_class=VectorCacheHierarchy,
+                )
+                assert got.result.to_dict() == want.to_dict(), job.describe()
+                assert got.spills == compiled.spill_count, job.describe()
 
 
 def eight_config_jobs():
@@ -185,14 +203,8 @@ def warm_traces_only(store_root, jobs):
 class TestEngineCounters:
     """Satellite: trace_store_hits counts specs, not partitions or jobs."""
 
-    @pytest.mark.parametrize(
-        "workers,batched",
-        [(1, True), (2, True), (8, True), (2, False)],
-        ids=["serial", "pool2", "pool8", "pool2-legacy"],
-    )
-    def test_warm_sweep_hits_once_per_spec(self, tmp_path, monkeypatch, workers, batched):
-        if not batched:
-            monkeypatch.setenv("REPRO_BATCHED_REPLAY", "0")
+    @pytest.mark.parametrize("workers", [1, 2, 8], ids=["serial", "pool2", "pool8"])
+    def test_warm_sweep_hits_once_per_spec(self, tmp_path, workers):
         jobs = SweepSpec(
             name="counters",
             kernels=[("csum", {"scale": 0.25}), ("memcpy", {"scale": 0.25})],
@@ -208,9 +220,9 @@ class TestEngineCounters:
         assert engine.computed == len(jobs)  # results really were cold
         assert engine.traces_captured == 0
         # The fixed counter: one hit per distinct warm spec, not one per
-        # replay partition (or per job under the legacy split).
+        # replay partition.
         assert engine.trace_store_hits == len(specs)
-        assert engine.batched_replays == (len(specs) if batched else 0)
+        assert engine.batched_replays == len(specs)
 
     def test_eight_config_sweep_replays_once(self, tmp_path):
         jobs = eight_config_jobs()

@@ -11,7 +11,6 @@ from repro.core import (
     EnergyModel,
     MachineConfig,
     MVEControllerModel,
-    MVESimulator,
     ScalarCoreModel,
     WriteBuffer,
     address_range,
@@ -30,6 +29,8 @@ from repro.isa import (
 )
 from repro.memory import FlatMemory
 from repro.sram import BitParallelScheme, BitSerialScheme, get_scheme
+
+from oracle import MVESimulator
 
 
 def make_memory_instruction(**overrides):

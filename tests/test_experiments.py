@@ -106,6 +106,31 @@ class TestFigure8And9:
         # The small problem must favour MVE (GPU launch overhead dominates).
         assert result.gemm_points[0].mve_wins
 
+    def test_figure9_never_captures_with_values(self, monkeypatch):
+        """FLOP counts are analytic: they come from the prepared kernel's
+        profile, so figure9 captures for timing only and never re-runs the
+        functional machine with values recorded."""
+        from repro.workloads.base import Kernel
+
+        modes = []
+        capture = Kernel.capture
+
+        def counted_capture(self, kind="mve", simd_lanes=8192, record_values=False):
+            modes.append(record_values)
+            return capture(self, kind, simd_lanes, record_values)
+
+        monkeypatch.setattr(Kernel, "capture", counted_capture)
+        result = run_figure9(
+            ExperimentRunner(default_scale=0.1),
+            gemm_sweep=((16, 16, 16),),
+            spmm_sweep=((16, 32, 16, 4),),
+        )
+        assert modes == [False, False]  # one timing capture per kernel
+        assert [point.flops for point in result.gemm_points + result.spmm_points] == [
+            2 * 16 * 16 * 16,
+            2 * 16 * 16 * 4,
+        ]
+
 
 class TestFigure10And11:
     @pytest.fixture(scope="class")

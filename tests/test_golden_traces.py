@@ -6,9 +6,11 @@ totals and the energy breakdown.  The suite guards two invariants:
 
 * the serial ``simulate_kernel`` path keeps producing the checked-in
   numbers (any simulator change that shifts results must regenerate the
-  snapshots deliberately), and
+  snapshots deliberately),
 * the parallel sweep engine -- worker processes plus the persistent cache
-  -- reproduces the serial numbers bit-for-bit.
+  -- reproduces the serial numbers bit-for-bit, and
+* the reference oracle (``tests/oracle.py``: the per-config simulator over
+  the scalar, per-line cache) reproduces them bit-for-bit too.
 
 Regenerate snapshots after an intentional model change with::
 
@@ -22,6 +24,9 @@ import pytest
 
 from repro.core.cache import ResultStore
 from repro.experiments.sweep import KernelJob, ParallelSweepEngine, execute_job
+from repro.sram.schemes import get_scheme
+
+import oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -121,13 +126,18 @@ def test_parallel_engine_matches_serial_bit_for_bit(case, serial_outcomes, paral
     assert parallel.spills == serial.spills
 
 
-@pytest.mark.parametrize("case", GOLDEN_CASES[:3], ids=case_id)
-def test_scalar_cache_reference_matches_golden(case, serial_outcomes, monkeypatch):
-    """The scalar reference cache (REPRO_SCALAR_CACHE=1) reproduces the same
-    golden numbers bit-for-bit as the default vectorized engine."""
-    monkeypatch.setenv("REPRO_SCALAR_CACHE", "1")
-    scalar = execute_job(job_for(case))
-    assert scalar.result.to_dict() == serial_outcomes[case_id(case)].result.to_dict()
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
+def test_scalar_cache_reference_matches_golden(case, serial_outcomes):
+    """The reference oracle -- per-config simulator on the scalar, per-line
+    cache -- reproduces the production golden numbers bit-for-bit."""
+    job = job_for(case)
+    trace = job.trace_spec().capture().trace
+    result, compiled = oracle.simulate_trace(
+        trace, config=job.config, scheme=get_scheme(job.scheme_name)
+    )
+    production = serial_outcomes[case_id(case)]
+    assert result.to_dict() == production.result.to_dict()
+    assert compiled.spill_count == production.spills
 
 
 def test_cached_reload_is_bit_for_bit(tmp_path, serial_outcomes):

@@ -1,8 +1,9 @@
 """Unit tests for the memory substrates: flat memory, DRAM, caches.
 
 The cache tests run against both implementations -- the scalar reference
-and the batched numpy engine -- via the ``cache_class`` / ``hierarchy_class``
-fixtures, so every behavioural assertion doubles as a parity check.
+(``tests/oracle.py``) and the batched numpy engine -- via the
+``cache_class`` / ``hierarchy_class`` fixtures, so every behavioural
+assertion doubles as a parity check.
 """
 
 import numpy as np
@@ -12,9 +13,7 @@ from hypothesis import strategies as st
 
 from repro.isa import DataType
 from repro.memory import (
-    Cache,
     CacheConfig,
-    CacheHierarchy,
     DRAMConfig,
     DRAMModel,
     FlatMemory,
@@ -23,6 +22,8 @@ from repro.memory import (
     VectorCacheHierarchy,
     make_hierarchy,
 )
+
+from oracle import Cache, CacheHierarchy
 
 
 @pytest.fixture(params=[Cache, VectorCache], ids=["scalar", "vector"])
@@ -495,15 +496,5 @@ class TestEvictionParity:
 
 
 class TestEngineSelection:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_CACHE", raising=False)
-        assert isinstance(make_hierarchy(), VectorCacheHierarchy)
-
-    def test_env_switch_selects_scalar_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_CACHE", "1")
-        hierarchy = make_hierarchy()
-        assert type(hierarchy) is CacheHierarchy
-
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_CACHE", "1")
-        assert isinstance(make_hierarchy(scalar=False), VectorCacheHierarchy)
+    def test_default_is_vectorized(self):
+        assert type(make_hierarchy()) is VectorCacheHierarchy

@@ -359,7 +359,9 @@ class TestCacheEngineParity:
     @given(st.lists(op_strategy, min_size=1, max_size=40))
     @settings(max_examples=60)
     def test_random_streams_identical(self, ops):
-        from repro.memory import CacheHierarchy, VectorCacheHierarchy
+        from oracle import CacheHierarchy
+
+        from repro.memory import VectorCacheHierarchy
 
         scalar = self._small_hierarchy(CacheHierarchy)
         vector = self._small_hierarchy(VectorCacheHierarchy)

@@ -52,6 +52,16 @@ def spec_id(spec: TraceSpec) -> str:
     return f"{spec.kernel}-{spec.kind}"
 
 
+def registered_jobs() -> list[KernelJob]:
+    """The deduped job set of every registered experiment."""
+    experiments = all_experiments()
+    assert len(experiments) == 11
+    jobs = []
+    for experiment in experiments:
+        jobs.extend(experiment.jobs())
+    return list(dict.fromkeys(jobs))
+
+
 def legacy_fused(job: KernelJob):
     """The seed pipeline, verbatim: build the kernel, trace it with full
     value recording, compile and simulate in one fused step."""
@@ -170,6 +180,15 @@ class TestRecordValuesParity:
         without_values, _ = simulate_trace(captured)
         assert without_values.to_dict() == with_values.to_dict()
 
+    def test_every_registered_spec_captures_identically(self):
+        """Values-off capture skips Algorithm 1 entirely, so the traces of
+        every spec the registered experiments capture must still equal a
+        value-recording run's, field for field."""
+        specs = dict.fromkeys(job.trace_spec() for job in registered_jobs())
+        for spec in specs:
+            recording = spec.capture(record_values=True).trace
+            assert spec.capture().trace == recording, spec.describe()
+
     def test_capture_default_skips_memory_traffic(self):
         """record_values=False must not write kernel outputs (that is what
         distinguishes capture from validate)."""
@@ -249,11 +268,11 @@ class TestCaptureCounting:
         assert outcome.result.to_dict() == result.to_dict()
         assert outcome.spills == spills
 
-    def test_resolved_groups_split_per_partition_for_the_pool(self, tmp_path, monkeypatch):
+    def test_resolved_groups_split_per_partition_for_the_pool(self, tmp_path):
         """A single-kernel multi-config sweep with a warm trace store must
         not serialize on one worker: resolved groups are split into
-        batched-replay partitions (per job with ``REPRO_BATCHED_REPLAY=0``),
-        while a group that still needs its capture stays whole."""
+        batched-replay partitions, while a group that still needs its
+        capture stays whole."""
         store = ResultStore(tmp_path)
         jobs = SweepSpec(
             name="split", kernels=[("csum", {"scale": 0.25})], schemes=SCHEME_NAMES
@@ -268,13 +287,6 @@ class TestCaptureCounting:
         # payload decoded once in the parent.
         assert [len(group) for _, group, _, _ in tasks] == [len(jobs) - 1]
         assert all(trace is not None and payload is None for _, _, trace, payload in tasks)
-
-        # The escape hatch restores the historical per-job split.
-        monkeypatch.setenv("REPRO_BATCHED_REPLAY", "0")
-        legacy = ParallelSweepEngine(jobs=4, store=store)
-        legacy_tasks = legacy._split_resolved_groups(legacy._resolve_groups(jobs[1:]))
-        assert [len(group) for _, group, _, _ in legacy_tasks] == [1] * (len(jobs) - 1)
-        monkeypatch.delenv("REPRO_BATCHED_REPLAY")
 
         cold = ParallelSweepEngine(jobs=4, store=ResultStore(tmp_path / "cold"))
         cold_tasks = cold._split_resolved_groups(cold._resolve_groups(jobs))
@@ -302,7 +314,7 @@ class TestCaptureCounting:
         assert engine.traces_captured == 1
         # After capture the replays fan out per batched-replay partition;
         # every scheme shares one register-file geometry here, so the group
-        # stays one batched task (one per job with REPRO_BATCHED_REPLAY=0).
+        # stays one batched task.
         assert len(resolved) == 1
         assert len(resolved[0][1]) == len(jobs)
 
@@ -345,12 +357,7 @@ class TestStagedParityAcrossExperiments:
 
     @pytest.fixture(scope="class")
     def distinct_jobs(self):
-        jobs = []
-        experiments = all_experiments()
-        assert len(experiments) == 11
-        for experiment in experiments:
-            jobs.extend(experiment.jobs())
-        return list(dict.fromkeys(jobs))
+        return registered_jobs()
 
     def test_staged_engine_matches_fused_path_bit_for_bit(
         self, distinct_jobs, tmp_path_factory
