@@ -4,9 +4,11 @@ Models the Cortex-A76 prime core of Table IV: two 128-bit Advanced SIMD
 pipes at 2.8 GHz fed by the L1/L2/LLC/DRAM hierarchy.  The model is
 throughput-based: compute time follows from the number of 128-bit vector
 micro-ops, memory time from streaming the kernel's footprint through the
-*same* cache/DRAM engine the MVE simulator uses (steady-state: the
-footprint is streamed twice and the warm pass is billed, so a working set
-that fits a given level streams at that level's bandwidth), and the two
+*same* block walk the MVE replay uses
+(:meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access`;
+steady-state: the footprint is streamed twice and the warm pass is billed,
+so a working set that fits a given level streams at that level's
+bandwidth), and the two
 overlap as in an out-of-order core.  The same energy coefficients as the
 MVE model are used so the Figure 7(b) comparison is consistent.
 """
@@ -145,17 +147,21 @@ class NeonModel:
             line_bytes,
             dtype=np.int64,
         )
-        for warm in (False, True):
-            if warm:
-                hierarchy.reset_stats()
-            cycles = hierarchy.vector_block_access(read_lines, is_write=False)
-            cycles += hierarchy.vector_block_access(write_lines, is_write=True)
-        dram_stats = hierarchy.dram.stats
+        # Cold pass: fill the hierarchy, price nothing.
+        hierarchy.block_access(read_lines, False, ())
+        hierarchy.block_access(write_lines, True, ())
+        pricing = (hierarchy.dram,)
+        (read_cycles,), read_l2, read_llc, read_dram = hierarchy.block_access(
+            read_lines, False, pricing
+        )
+        (write_cycles,), write_l2, write_llc, write_dram = hierarchy.block_access(
+            write_lines, True, pricing
+        )
         return (
-            cycles,
-            hierarchy.l2.stats.hits,
-            hierarchy.llc.stats.hits,
-            dram_stats.reads + dram_stats.writes,
+            read_cycles + write_cycles,
+            read_l2 + write_l2,
+            read_llc + write_llc,
+            read_dram + write_dram,
         )
 
     def run(self, profile: KernelProfile) -> NeonResult:

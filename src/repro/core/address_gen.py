@@ -3,10 +3,9 @@
 The MVE controller computes one byte address per SIMD lane from the base
 address(es), resolved per-dimension strides and the dimension-level mask
 (Algorithm 1 and Equation 1).  The timing simulator uses the resulting set
-of touched cache lines to drive the cache/DRAM model, and the LSQ address
-decoder in the scalar core uses the footprint (Equation 2) for memory
-disambiguation.  This is the only expansion of Algorithm 1: the functional
-machine calls :func:`element_addresses` too, when it records values.
+of touched cache lines to drive the cache/DRAM model.  This is the only
+expansion of Algorithm 1: the functional machine calls
+:func:`element_addresses` too, when it records values.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from ..isa.instructions import MemoryInstruction
 
-__all__ = ["element_addresses", "cache_line_addresses", "address_range"]
+__all__ = ["element_addresses", "cache_line_addresses"]
 
 
 def element_addresses(instruction: MemoryInstruction) -> np.ndarray:
@@ -52,7 +51,7 @@ def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -
     """Unique cache-line base addresses touched by a vector memory access.
 
     Returns a sorted, deduplicated int64 array that flows into
-    :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.vector_block_access` unchanged
+    :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access` unchanged
     -- the footprint stays an ndarray from address generation through the
     cache engine, with no Python-list round-trip.
     """
@@ -64,29 +63,3 @@ def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -
     keep[0] = True
     np.not_equal(lines[1:], lines[:-1], out=keep[1:])
     return lines[keep] * line_bytes
-
-
-def address_range(instruction: MemoryInstruction) -> tuple[int, int]:
-    """Conservative [low, high) byte range of a vector store (Equation 2).
-
-    The LSQ address decoder computes ``Base + sum(Len_i * Stride_i)`` without
-    expanding all element addresses; this mirrors that cheap computation.
-    """
-    element_bytes = instruction.dtype.bytes
-    if instruction.is_random:
-        bases = instruction.random_bases or (instruction.base_address,)
-        low = min(bases)
-        high = max(bases)
-    else:
-        low = high = instruction.base_address
-    span = 0
-    for dim, length in enumerate(instruction.shape_lengths):
-        if instruction.is_random and dim == len(instruction.shape_lengths) - 1:
-            continue
-        stride = (
-            instruction.resolved_strides[dim]
-            if dim < len(instruction.resolved_strides)
-            else 0
-        )
-        span += (length - 1) * stride * element_bytes
-    return low, high + span + element_bytes

@@ -22,9 +22,13 @@ class MachineConfig:
 
     # Scalar core (Arm Cortex-A76 prime core)
     frequency_ghz: float = 2.8
+    #: descriptive Table IV value; no timing model reads it
     issue_width: int = 4
+    #: descriptive Table IV value; no timing model reads it
     rob_entries: int = 128
     scalar_ipc: float = 2.0
+    #: descriptive Table IV value; no timing model reads it (MVE stores are
+    #: not held in a write buffer)
     write_buffer_entries: int = 16
 
     # Cache hierarchy (Table IV)

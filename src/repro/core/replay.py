@@ -14,8 +14,9 @@ The decomposition leans on three invariants of the timing models:
   ordered memory footprints and the *structural* parameters (cache geometry,
   channel/bank/row/burst layout) -- never on latencies.  Configs sharing
   those replay one hierarchy; configs differing only in DRAM *timing*
-  additionally share the row-buffer classification
-  (:meth:`~repro.memory.dram.DRAMModel.classify_batch`) and only re-price it.
+  additionally share the row-buffer classification, which the hierarchy's
+  block walk (:meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access`,
+  also the Neon baseline's) prices under every variant at once.
 * **Placement and SRAM latencies are stateless.**  Per-instruction lane/CB
   placement, compute latencies and TMU fill/drain cycles are pure functions
   of (scheme, engine geometry, instruction), so one pass per distinct
@@ -23,6 +24,11 @@ The decomposition leans on three invariants of the timing models:
 * **The core/engine timeline is cheap.**  Given per-entry durations, the
   queue-backpressure recurrence is a small scalar loop, so it runs per
   config without dominating.
+
+Only vector memory instructions walk the cache hierarchy.  Scalar blocks
+are charged in the core timeline (half a cycle and one L1 access energy per
+load or store), so neither L1/L2 coherence (Section V-C) nor write-buffer
+disambiguation of MVE stores (Equation 2) is modeled.
 
 Float accumulation order (energy sums, utilization weights, the timeline
 recurrence) follows a per-config walk of the trace, so results are
@@ -54,7 +60,7 @@ from ..isa.instructions import (
     TraceEntry,
 )
 from ..isa.registers import PhysicalRegisterFile
-from ..memory.cache import aggregate_block_cycles, dedup_lines, make_hierarchy
+from ..memory.cache import make_hierarchy
 from ..memory.dram import DRAMConfig, DRAMModel
 from ..sram.schemes import ComputeScheme, get_scheme
 from ..sram.tmu import TransposeMemoryUnit
@@ -196,118 +202,28 @@ def _run_memory_pass(
     hierarchy, then clears the statistics (the steady state of a repeatedly
     invoked library kernel)."""
     hierarchy = make_hierarchy(hierarchy_config, l2_compute_ways=l2_compute_ways)
-    lines_per_instruction = static.lines_for(hierarchy.line_bytes)
+    walks = list(zip(static.memory_instructions, static.lines_for(hierarchy.line_bytes)))
     if warm_cache:
-        for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
-            hierarchy.vector_block_access(lines, instruction.is_store)
+        for instruction, lines in walks:
+            hierarchy.block_access(lines, instruction.is_store, ())
         hierarchy.reset_stats()
 
     result = _MemoryPass()
-    for variant in dram_variants:
-        result.cycles[variant] = []
-    if len(dram_variants) == 1:
-        _record_single_variant(static, hierarchy, lines_per_instruction, result)
-    else:
-        _record_multi_variant(
-            static, hierarchy, lines_per_instruction, dram_variants, result
+    pricing = [DRAMModel(variant) for variant in dram_variants]
+    per_variant: list[list[int]] = [[] for _ in dram_variants]
+    for instruction, lines in walks:
+        cycles, l2_hits, llc_hits, dram_accesses = hierarchy.block_access(
+            lines, instruction.is_store, pricing
         )
+        for column, value in zip(per_variant, cycles):
+            column.append(value)
+        result.l2_hits.append(l2_hits)
+        result.llc_hits.append(llc_hits)
+        result.dram_accesses.append(dram_accesses)
+    result.cycles = dict(zip(dram_variants, per_variant))
     result.dram_bytes = hierarchy.dram.stats.bytes_transferred
     result.l2_hit_rate = hierarchy.l2.stats.hit_rate()
     return result
-
-
-def _record_single_variant(static, hierarchy, lines_per_instruction, result) -> None:
-    """One timing variant: drive the hierarchy's own block-access path and
-    read the stat deltas around it."""
-    cycles = result.cycles[next(iter(result.cycles))]
-    for instruction, lines in zip(static.memory_instructions, lines_per_instruction):
-        l2_before = hierarchy.l2.stats.hits
-        llc_before = hierarchy.llc.stats.hits
-        dram_before = hierarchy.dram.stats.reads + hierarchy.dram.stats.writes
-        cycles.append(hierarchy.vector_block_access(lines, instruction.is_store))
-        result.l2_hits.append(hierarchy.l2.stats.hits - l2_before)
-        result.llc_hits.append(hierarchy.llc.stats.hits - llc_before)
-        result.dram_accesses.append(
-            hierarchy.dram.stats.reads + hierarchy.dram.stats.writes - dram_before
-        )
-
-
-def _record_multi_variant(
-    static, hierarchy, lines_per_instruction, dram_variants, result
-) -> None:
-    """Several timing variants: replay cache/DRAM state once and re-price the
-    miss latencies per variant.  This is an exact unrolling of
-    :meth:`VectorCacheHierarchy.vector_block_access` with the DRAM latency
-    lookup vectorized over the variant axis."""
-    inclusive = hierarchy.config.l2.inclusive
-    mshr_entries = hierarchy.config.l2.mshr_entries
-    l2_hit_latency = hierarchy.config.l2.hit_latency
-    base_miss_latency = hierarchy.config.l2.hit_latency + hierarchy.config.llc.hit_latency
-    line_bytes = hierarchy.line_bytes
-    lines_per_cycle = hierarchy.VECTOR_LINES_PER_CYCLE
-    pricing_models = [DRAMModel(variant) for variant in dram_variants]
-
-    for instruction, raw_lines in zip(static.memory_instructions, lines_per_instruction):
-        is_write = instruction.is_store
-        lines = dedup_lines(raw_lines)
-        if lines.size == 0:
-            for variant in dram_variants:
-                result.cycles[variant].append(0)
-            result.l2_hits.append(0)
-            result.llc_hits.append(0)
-            result.dram_accesses.append(0)
-            continue
-        l2_mask = hierarchy.l2.access_batch(
-            lines, is_write, clear_presence=True, collect_evictions=inclusive
-        )
-        if inclusive:
-            evicted = hierarchy.l2.take_evictions()
-            if evicted.size:
-                hierarchy.l1d.invalidate_batch(evicted)
-        hit_count = int(l2_mask.sum())
-        miss_lines = lines[~l2_mask]
-        llc_hit_count = 0
-        dram_count = 0
-        if miss_lines.size:
-            llc_mask = hierarchy.llc.access_batch(miss_lines, is_write)
-            llc_hit_count = int(llc_mask.sum())
-            dram_lines = miss_lines[~llc_mask]
-            row_hit = None
-            if dram_lines.size:
-                row_hit = hierarchy.dram.classify_batch(dram_lines, is_write, line_bytes)
-                dram_count = int(dram_lines.size)
-            for variant, model in zip(dram_variants, pricing_models):
-                latencies = np.full(miss_lines.size, base_miss_latency, dtype=np.int64)
-                if row_hit is not None:
-                    latencies[~llc_mask] += model.latencies_from_classification(
-                        row_hit, line_bytes
-                    )
-                miss_latencies = latencies.tolist()
-                result.cycles[variant].append(
-                    aggregate_block_cycles(
-                        hit_count,
-                        miss_latencies,
-                        mshr_entries,
-                        l2_hit_latency,
-                        model.bandwidth_cycles(len(miss_latencies) * line_bytes),
-                        lines_per_cycle,
-                    )
-                )
-        else:
-            for variant, model in zip(dram_variants, pricing_models):
-                result.cycles[variant].append(
-                    aggregate_block_cycles(
-                        hit_count,
-                        [],
-                        mshr_entries,
-                        l2_hit_latency,
-                        model.bandwidth_cycles(0),
-                        lines_per_cycle,
-                    )
-                )
-        result.l2_hits.append(hit_count)
-        result.llc_hits.append(llc_hit_count)
-        result.dram_accesses.append(dram_count)
 
 
 def _memory_data_energy(
@@ -497,8 +413,9 @@ def _run_timeline(
 
 
 def _scalar_block_cycles(static: _StaticTrace, scalar_ipc: float) -> list[float]:
-    """Scalar-block durations under one issue rate (see
-    :meth:`ScalarCoreModel.scalar_block_cycles`)."""
+    """Scalar-block durations under one issue rate.  Scalar loads and stores
+    never enter the cache model: the OoO window hides most of their L1
+    latency, so each is charged a flat half cycle."""
     durations = []
     for block in static.scalar_blocks:
         cycles = block.count / scalar_ipc
@@ -528,7 +445,7 @@ def _compute_key(config: MachineConfig, scheme: ComputeScheme) -> tuple:
 def _memory_key(config: MachineConfig) -> tuple:
     hierarchy = config.hierarchy
     return (
-        hierarchy.l1d,
+        hierarchy.l1d.line_bytes,
         hierarchy.l2,
         hierarchy.llc,
         config.l2_compute_ways,

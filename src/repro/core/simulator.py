@@ -4,7 +4,9 @@ This is the reproduction's stand-in for the paper's in-house cycle-accurate
 simulator.  It consumes a compiled MVE instruction trace and models:
 
 * the scalar core issuing scalar blocks and MVE instructions in program
-  order (ROB-head issue, write-buffer backpressure),
+  order (ROB-head issue); scalar loads and stores are charged in the core
+  timeline and never enter the cache model, so L1/L2 coherence and
+  write-buffer disambiguation of MVE stores are not modeled,
 * the MVE controller instruction queue decoupling the core from the engine,
 * control blocks executing in-SRAM micro-ops with latencies from the
   configured compute scheme (bit-serial by default),

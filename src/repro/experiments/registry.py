@@ -118,15 +118,6 @@ class Experiment:
     )
     #: whether ``options.scale`` changes the job set
     uses_scale: bool = False
-    #: streaming alternative to ``assemble``: a factory returning an object
-    #: with ``on_result(job, outcome, completed, total)`` and ``result()``.
-    #: When set, :func:`run_experiment` feeds outcomes through it
-    #: incrementally (``stream_jobs``: no outcome dict, no memo growth), so
-    #: result types that fold -- frontiers, histograms, running reductions --
-    #: stay bounded-memory on 10^5-job sets
-    stream_assemble: Optional[
-        Callable[[ExperimentRunner, ExperimentOptions], Any]
-    ] = field(default=None, repr=False)
 
     def sweep_specs(self, options: Optional[ExperimentOptions] = None) -> tuple[SweepSpec, ...]:
         return tuple(self.specs(options or ExperimentOptions()))
@@ -164,9 +155,6 @@ def register_experiment(
     assemble: Callable[[ExperimentRunner, ExperimentOptions], Any],
     specs: Optional[Callable[[ExperimentOptions], tuple[SweepSpec, ...]]] = None,
     uses_scale: bool = False,
-    stream_assemble: Optional[
-        Callable[[ExperimentRunner, ExperimentOptions], Any]
-    ] = None,
 ) -> Experiment:
     """Register (or replace) one experiment; returns the registered record."""
     experiment = Experiment(
@@ -176,7 +164,6 @@ def register_experiment(
         assemble=assemble,
         specs=specs if specs is not None else (lambda options: ()),
         uses_scale=uses_scale,
-        stream_assemble=stream_assemble,
     )
     _REGISTRY[name] = experiment
     return experiment
@@ -362,22 +349,8 @@ def run_experiment(
     if cached is not None:
         return cached
     jobs = experiment.jobs(options)
-    if experiment.stream_assemble is not None:
-        # Streaming path: outcomes fold into the assembler as they arrive
-        # and are never materialized -- neither here nor in the engine memo.
-        assembler = experiment.stream_assemble(runner, options)
-
-        def tee(job, outcome, completed, total):
-            assembler.on_result(job, outcome, completed, total)
-            if on_result is not None:
-                on_result(job, outcome, completed, total)
-
-        if jobs:
-            runner.engine.stream_jobs(jobs, on_result=tee)
-        result = assembler.result()
-    else:
-        if jobs:
-            runner.engine.run_jobs(jobs, on_result=on_result)
-        result = experiment.assemble(runner, options)
+    if jobs:
+        runner.engine.run_jobs(jobs, on_result=on_result)
+    result = experiment.assemble(runner, options)
     store_cached_result(store, key, result)
     return result

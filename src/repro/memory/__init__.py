@@ -2,13 +2,7 @@
 
 from .flatmem import Allocation, FlatMemory
 from .dram import DRAMConfig, DRAMModel, DRAMStats
-from .cache import (
-    AccessResult,
-    CacheConfig,
-    CacheStats,
-    HierarchyConfig,
-    make_hierarchy,
-)
+from .cache import CacheConfig, CacheStats, HierarchyConfig, make_hierarchy
 from .vector_cache import VectorCache, VectorCacheHierarchy
 
 __all__ = [
@@ -17,7 +11,6 @@ __all__ = [
     "DRAMConfig",
     "DRAMModel",
     "DRAMStats",
-    "AccessResult",
     "CacheConfig",
     "CacheStats",
     "HierarchyConfig",

@@ -10,7 +10,7 @@ and bandwidth saturation under wide vector accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,54 +77,20 @@ class DRAMModel:
         self.stats = DRAMStats()
         self._open_rows.clear()
 
-    def _locate(self, address: int) -> tuple[int, int, int]:
-        cfg = self.config
-        row_number = address // cfg.row_size_bytes
-        channel = (address // cfg.burst_bytes) % cfg.num_channels
-        bank = row_number % cfg.num_banks
-        return channel, bank, row_number
-
-    def access(self, address: int, is_write: bool = False, size_bytes: int = 64) -> int:
-        """Access DRAM and return the latency in CPU cycles.
-
-        ``size_bytes`` accounts for multi-burst transfers of a full cache
-        line or larger vector blocks.
-        """
-        cfg = self.config
-        channel, bank, row = self._locate(address)
-        key = (channel, bank)
-        open_row = self._open_rows.get(key)
-        if open_row == row:
-            latency = cfg.row_hit_latency
-            self.stats.row_hits += 1
-        else:
-            latency = cfg.row_miss_latency
-            self.stats.row_misses += 1
-            self._open_rows[key] = row
-        bursts = max(1, (size_bytes + cfg.burst_bytes - 1) // cfg.burst_bytes)
-        latency += (bursts - 1) * cfg.t_burst
-
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-        self.stats.bytes_transferred += size_bytes
-        self.stats.busy_cycles += bursts * cfg.t_burst
-        return latency
-
     def classify_batch(
         self, addresses: np.ndarray, is_write: bool = False, size_bytes: int = 64
     ) -> np.ndarray:
         """Row-hit mask for a batch of accesses, in request order.
 
-        Performs the full state transition of :meth:`access_batch` -- the
-        open-row table and every statistic are updated exactly as a
-        per-address :meth:`access` sequence would -- but returns the boolean
-        row-buffer classification instead of latencies.  The classification
-        depends only on the structural parameters (channels, banks, row and
-        burst size), never on the timing parameters, which is what lets the
-        config-batched replay engine share one classification pass across
-        configs that differ only in DRAM timing.
+        Requests are stably grouped by (channel, bank), each compared against
+        its predecessor in the same bank (the first against the open-row
+        table), and the table is left holding each bank's last row; every
+        statistic is updated as a one-access-at-a-time walk would (the
+        per-access reference in ``tests/oracle.py`` pins this).  The
+        classification depends only on the structural parameters (channels,
+        banks, row and burst size), never on the timing parameters, which is
+        what lets one pass be priced under several timing configurations
+        (:meth:`latencies_from_classification`).
         """
         addresses = addresses.astype(np.int64, copy=False).ravel()
         n = int(addresses.size)
@@ -174,25 +140,6 @@ class DRAMModel:
         row_hit = np.empty(n, dtype=bool)
         row_hit[order] = sorted_row_hit
         return row_hit
-
-    def access_batch(
-        self, addresses: np.ndarray, is_write: bool = False, size_bytes: int = 64
-    ) -> np.ndarray:
-        """Per-access latencies for a batch of accesses, in request order.
-
-        Bit-for-bit equivalent to calling :meth:`access` once per address in
-        sequence -- including the open-row state carried between accesses --
-        but with the row-buffer classification done in array form: requests
-        are stably grouped by (channel, bank), each compared against its
-        predecessor in the same bank (the first against the open-row table),
-        and the table updated with each bank's last row (see
-        :meth:`classify_batch`, which holds that logic).
-        """
-        addresses = addresses.astype(np.int64, copy=False).ravel()
-        if addresses.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        row_hit = self.classify_batch(addresses, is_write, size_bytes)
-        return self.latencies_from_classification(row_hit, size_bytes)
 
     def latencies_from_classification(
         self, row_hit: np.ndarray, size_bytes: int = 64

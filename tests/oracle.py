@@ -3,25 +3,29 @@
 Production has one timing path (the config-batched replay of
 :mod:`repro.core.replay`) over one cache engine (the numpy
 :class:`~repro.memory.vector_cache.VectorCacheHierarchy`).  This module keeps
-the straightforward versions they were derived from, as executable
-specifications for the tests:
+independent, straightforward versions of both, as executable specifications
+for the tests:
 
-* :class:`Cache` / :class:`CacheHierarchy` -- the scalar, per-line cache
-  hierarchy: one Python object per line, one access at a time (the
-  single-line hierarchy logic is shared with production, so the two agree
-  by construction there and the parity suites pin the batched paths);
+* :class:`Cache` / :class:`DRAM` / :class:`CacheHierarchy` -- a per-line
+  L2 / LLC / DRAM hierarchy: one Python object per cache line, one access
+  at a time, one open-row lookup per DRAM access, with its own block-cycle
+  arithmetic.  It shares only the configuration types with production;
 * :class:`MVESimulator` / :func:`simulate_trace` -- the per-config
   simulator, which walks the trace one instruction at a time for one
-  configuration.
+  configuration, with its own scalar-block arithmetic.
 
-Results must match production bit for bit (``SimulationResult.to_dict()``
-equality), so any divergence is a bug in one of the two, never noise.
+Both hierarchies answer the same ``block_access(lines, is_write,
+dram_models)`` call, so the Neon baseline runs on either.  Results must
+match production bit for bit (``SimulationResult.to_dict()`` equality), so
+any divergence is a bug in one of the two, never noise.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from repro.core.config import MachineConfig, default_config
 from repro.core.controller import MVEControllerModel
 from repro.core.energy import EnergyCoefficients, EnergyModel
 from repro.core.results import SimulationResult
-from repro.core.scalar_core import ScalarCoreModel
 from repro.isa.instructions import (
     InstructionCategory,
     MemoryInstruction,
@@ -40,41 +43,37 @@ from repro.isa.instructions import (
     TraceEntry,
 )
 from repro.isa.registers import PhysicalRegisterFile
-from repro.memory.cache import CacheConfig, CacheStats, aggregate_block_cycles, dedup_lines
-from repro.memory.vector_cache import VectorCacheHierarchy
+from repro.memory.cache import CacheConfig, CacheStats, HierarchyConfig
+from repro.memory.dram import DRAMConfig, DRAMStats
 from repro.sram.schemes import ComputeScheme, get_scheme
 from repro.sram.tmu import TransposeMemoryUnit
 
-__all__ = ["Cache", "CacheHierarchy", "MVESimulator", "simulate_trace"]
+__all__ = ["Cache", "CacheHierarchy", "DRAM", "MVESimulator", "dram_latency", "simulate_trace"]
 
 
 # ---------------------------------------------------------------------- #
-#  Scalar, per-line cache hierarchy
+#  Per-line cache hierarchy
 # ---------------------------------------------------------------------- #
 
 
 class _Line:
-    __slots__ = ("tag", "valid", "dirty", "present_in_l1", "lru")
+    __slots__ = ("tag", "valid", "dirty", "lru")
 
     def __init__(self) -> None:
         self.tag = -1
         self.valid = False
         self.dirty = False
-        self.present_in_l1 = False
         self.lru = 0
 
 
 class Cache:
-    """One set-associative, write-back, LRU cache level (scalar reference)."""
+    """One set-associative, write-back, LRU cache level (per-line reference)."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStats()
         self._sets = [[_Line() for _ in range(config.ways)] for _ in range(config.num_sets)]
         self._tick = 0
-        #: line-aligned address evicted by the most recent single ``access``
-        #: (None when the access hit or filled an invalid way)
-        self.last_eviction: Optional[int] = None
 
     def reset(self) -> None:
         self.stats = CacheStats()
@@ -83,17 +82,12 @@ class Cache:
                 line.tag = -1
                 line.valid = False
                 line.dirty = False
-                line.present_in_l1 = False
                 line.lru = 0
         self._tick = 0
-        self.last_eviction = None
 
     def _index_tag(self, address: int) -> tuple[int, int]:
         line_addr = address // self.config.line_bytes
         return line_addr % self.config.num_sets, line_addr // self.config.num_sets
-
-    def _line_address(self, index: int, tag: int) -> int:
-        return (tag * self.config.num_sets + index) * self.config.line_bytes
 
     def lookup(self, address: int) -> Optional[_Line]:
         """Return the resident line for ``address`` without updating stats."""
@@ -122,7 +116,6 @@ class Cache:
         through the next level).
         """
         self._tick += 1
-        self.last_eviction = None
         index, tag = self._index_tag(address)
         cache_set = self._sets[index]
         for line in cache_set:
@@ -138,35 +131,11 @@ class Cache:
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.writebacks += 1
-            self.last_eviction = self._line_address(index, victim.tag)
         victim.tag = tag
         victim.valid = True
         victim.dirty = is_write
-        victim.present_in_l1 = False
         victim.lru = self._tick
         return False
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line holding ``address`` (inclusive back-invalidation);
-        returns True if a line was resident.  No statistics are updated."""
-        line = self.lookup(address)
-        if line is None:
-            return False
-        line.valid = False
-        line.tag = -1
-        line.dirty = False
-        line.present_in_l1 = False
-        line.lru = 0
-        return True
-
-    def mark_present_in_l1(self, address: int, present: bool = True) -> None:
-        line = self.lookup(address)
-        if line is not None:
-            line.present_in_l1 = present
-
-    def present_in_l1(self, address: int) -> bool:
-        line = self.lookup(address)
-        return bool(line and line.present_in_l1)
 
     def dirty_line_count(self) -> int:
         return sum(
@@ -177,41 +146,115 @@ class Cache:
         return sum(1 for cache_set in self._sets for line in cache_set if line.valid)
 
 
-class CacheHierarchy(VectorCacheHierarchy):
-    """The hierarchy on scalar :class:`Cache` levels, with block accesses
-    walked one line at a time through the single-line :meth:`l2_access`
-    path (which it shares with the production hierarchy)."""
+def dram_latency(config: DRAMConfig, row_hit: bool, size_bytes: int = 64) -> int:
+    """Cycles of one DRAM access under ``config``'s timing parameters."""
+    bursts = max(1, (size_bytes + config.burst_bytes - 1) // config.burst_bytes)
+    base = config.row_hit_latency if row_hit else config.row_miss_latency
+    return base + (bursts - 1) * config.t_burst
 
-    cache_class = Cache
 
-    def vector_block_access(
-        self, line_addresses: Union[np.ndarray, Iterable[int]], is_write: bool = False
-    ) -> int:
-        """Access a set of cache lines on behalf of one vector memory op.
+class DRAM:
+    """Per-access bank / row-buffer DRAM: one open row per (channel, bank)."""
 
-        Hits stream at :data:`VECTOR_LINES_PER_CYCLE`; misses overlap up to
-        the L2 MSHR count.  The returned value is the estimated cycles until
-        all lines are available at the Transpose Memory Unit's input.
-        """
-        lines = dedup_lines(line_addresses)
-        if lines.size == 0:
-            return 0
-        hit_count = 0
-        miss_latencies: list[int] = []
-        for line_addr in lines.tolist():
-            result = self.l2_access(line_addr, is_write, from_core=False)
-            if result.hit_level == "L2":
-                hit_count += 1
-            else:
-                miss_latencies.append(result.latency)
-        return aggregate_block_cycles(
-            hit_count,
-            miss_latencies,
-            self.config.l2.mshr_entries,
-            self.config.l2.hit_latency,
-            self.dram.bandwidth_cycles(len(miss_latencies) * self.line_bytes),
-            self.VECTOR_LINES_PER_CYCLE,
+    def __init__(self, config: Optional[DRAMConfig] = None):
+        self.config = config or DRAMConfig()
+        self.stats = DRAMStats()
+        self.open_rows: dict[tuple[int, int], int] = {}
+
+    def reset(self) -> None:
+        self.stats = DRAMStats()
+        self.open_rows.clear()
+
+    def access(self, address: int, is_write: bool = False, size_bytes: int = 64) -> bool:
+        """Access DRAM, leaving the address's row open; returns True on a
+        row-buffer hit (price it with :func:`dram_latency`)."""
+        cfg = self.config
+        row = address // cfg.row_size_bytes
+        key = ((address // cfg.burst_bytes) % cfg.num_channels, row % cfg.num_banks)
+        row_hit = self.open_rows.get(key) == row
+        self.open_rows[key] = row
+        if row_hit:
+            self.stats.row_hits += 1
+        else:
+            self.stats.row_misses += 1
+        if is_write:
+            self.stats.writes += 1
+        else:
+            self.stats.reads += 1
+        self.stats.bytes_transferred += size_bytes
+        bursts = max(1, (size_bytes + cfg.burst_bytes - 1) // cfg.burst_bytes)
+        self.stats.busy_cycles += bursts * cfg.t_burst
+        return row_hit
+
+
+class CacheHierarchy:
+    """Private L2 / shared LLC / DRAM on per-line :class:`Cache` levels, with
+    vector blocks walked one line at a time."""
+
+    VECTOR_LINES_PER_CYCLE = 2
+
+    def __init__(self, config: Optional[HierarchyConfig] = None, l2_compute_ways: int = 4):
+        self.config = config or HierarchyConfig()
+        l2 = self.config.l2
+        storage_ways = max(1, l2.ways - l2_compute_ways)
+        self.l2 = Cache(
+            replace(l2, size_bytes=l2.size_bytes * storage_ways // l2.ways, ways=storage_ways)
         )
+        self.llc = Cache(self.config.llc)
+        self.dram = DRAM(self.config.dram)
+        self.line_bytes = self.config.l1d.line_bytes
+
+    def reset(self) -> None:
+        self.l2.reset()
+        self.llc.reset()
+        self.dram.reset()
+
+    def reset_stats(self) -> None:
+        self.l2.stats = CacheStats()
+        self.llc.stats = CacheStats()
+        self.dram.stats = DRAMStats()
+
+    def block_access(
+        self, line_addresses: Iterable[int], is_write: bool, dram_models: Sequence
+    ) -> tuple[list[int], int, int, int]:
+        """Walk one vector op's lines (first occurrence order) through
+        L2 -> LLC -> DRAM.  Returns ``(cycles, l2_hits, llc_hits,
+        dram_accesses)``, ``cycles`` holding the block priced under each
+        model's ``config``."""
+        l2_hits = llc_hits = 0
+        # per L2 miss: None for an LLC hit, else the DRAM row-hit bit
+        misses: list[Optional[bool]] = []
+        for line in dict.fromkeys(int(address) for address in line_addresses):
+            if self.l2.access(line, is_write):
+                l2_hits += 1
+            elif self.llc.access(line, is_write):
+                llc_hits += 1
+                misses.append(None)
+            else:
+                misses.append(self.dram.access(line, is_write, self.line_bytes))
+        cycles = [self._block_cycles(l2_hits, misses, model.config) for model in dram_models]
+        return cycles, l2_hits, llc_hits, len(misses) - llc_hits
+
+    def _block_cycles(self, hits: int, misses: list[Optional[bool]], dram: DRAMConfig) -> int:
+        """Hits stream after one L2 latency; misses overlap in windows of the
+        L2's MSHR count, never faster than DRAM peak bandwidth."""
+        l2, lanes = self.config.l2, self.VECTOR_LINES_PER_CYCLE
+        cycles = 0
+        if hits:
+            cycles = l2.hit_latency + math.ceil((hits - 1) / lanes)
+        if not misses:
+            return cycles
+        base = l2.hit_latency + self.config.llc.hit_latency
+        latencies = [
+            base if row_hit is None else base + dram_latency(dram, row_hit, self.line_bytes)
+            for row_hit in misses
+        ]
+        windows = 0
+        for start in range(0, len(latencies), l2.mshr_entries):
+            window = latencies[start : start + l2.mshr_entries]
+            windows += max(window) + math.ceil((len(window) - 1) / lanes)
+        floor = math.ceil(len(misses) * self.line_bytes / dram.peak_bytes_per_cycle)
+        return cycles + max(windows, floor)
 
 
 # ---------------------------------------------------------------------- #
@@ -221,23 +264,18 @@ class CacheHierarchy(VectorCacheHierarchy):
 
 class MVESimulator:
     """End-to-end timing and energy simulator for one MVE-enabled core,
-    walking the trace one instruction at a time for one configuration.
-
-    ``hierarchy_class`` defaults to the scalar :class:`CacheHierarchy`;
-    passing the production ``VectorCacheHierarchy`` checks only the replay's
-    timing decomposition, at a fraction of the per-line cost.
-    """
+    walking the trace one instruction at a time for one configuration, over
+    the per-line :class:`CacheHierarchy`."""
 
     def __init__(
         self,
         config: Optional[MachineConfig] = None,
         scheme: Optional[ComputeScheme] = None,
         energy_coefficients: Optional[EnergyCoefficients] = None,
-        hierarchy_class: type = CacheHierarchy,
     ):
         self.config = config or default_config()
         self.scheme = scheme or get_scheme(self.config.scheme_name)
-        self.hierarchy = hierarchy_class(
+        self.hierarchy = CacheHierarchy(
             self.config.hierarchy, l2_compute_ways=self.config.l2_compute_ways
         )
         self.controller = MVEControllerModel(self.config.engine, self.scheme)
@@ -261,7 +299,6 @@ class MVESimulator:
         warm-cache behaviour of repeatedly-invoked library kernels.
         """
         config = self.config
-        scalar_core = ScalarCoreModel(config)
         energy = EnergyModel(self.energy_coefficients, config.frequency_ghz)
         if reset_state:
             self.hierarchy.reset()
@@ -291,7 +328,9 @@ class MVESimulator:
 
         for entry in trace:
             if isinstance(entry, ScalarBlock):
-                core_time += scalar_core.scalar_block_cycles(entry)
+                # Scalar loads and stores stay in the core: half a cycle
+                # each, never a cache-model access.
+                core_time += entry.count / config.scalar_ipc + (entry.loads + entry.stores) * 0.5
                 scalar_instructions += entry.count
                 energy.add_scalar(entry.count)
                 energy.add_l1_accesses(entry.loads + entry.stores)
@@ -304,7 +343,7 @@ class MVESimulator:
                 spills += 1
 
             # The core decodes/commits and issues the instruction.
-            core_time += scalar_core.vector_issue_cycles()
+            core_time += config.vector_issue_cycles
             energy.add_scalar(1)
             energy.add_controller(1)
 
@@ -350,9 +389,6 @@ class MVESimulator:
             cb_util_weight += placement.cb_utilization * duration
             util_weight_total += duration
 
-            if isinstance(instruction, MemoryInstruction) and instruction.is_store:
-                scalar_core.write_buffer.push(instruction, engine_free, core_time)
-
         total_cycles = max(core_time, engine_free)
         # Any time the control blocks are not computing or moving data is
         # idle time (waiting for the core to issue work), matching the
@@ -384,22 +420,15 @@ class MVESimulator:
         """Cycles for one vector load/store through the cache, TMU and arrays."""
         config = self.config
         hierarchy = self.hierarchy
-
-        l2_before = hierarchy.l2.stats.hits
-        llc_before = hierarchy.llc.stats.hits
-        dram_before = hierarchy.dram.stats.reads + hierarchy.dram.stats.writes
-
         memo = self._line_memo.get(id(instruction))
         if memo is None or memo[0] is not instruction:
             lines = cache_line_addresses(instruction, hierarchy.line_bytes)
             self._line_memo[id(instruction)] = (instruction, lines)
         else:
             lines = memo[1]
-        cache_cycles = hierarchy.vector_block_access(lines, instruction.is_store)
-
-        l2_hits = hierarchy.l2.stats.hits - l2_before
-        llc_hits = hierarchy.llc.stats.hits - llc_before
-        dram_accesses = hierarchy.dram.stats.reads + hierarchy.dram.stats.writes - dram_before
+        (cache_cycles,), l2_hits, llc_hits, dram_accesses = hierarchy.block_access(
+            lines, instruction.is_store, (hierarchy.dram,)
+        )
         energy.add_cache_lines(l2_hits, llc_hits, dram_accesses)
 
         active_elements = instruction.active_elements()
@@ -424,7 +453,6 @@ def simulate_trace(
     config: Optional[MachineConfig] = None,
     scheme: Optional[ComputeScheme] = None,
     warm_cache: bool = True,
-    hierarchy_class: type = CacheHierarchy,
 ) -> tuple[SimulationResult, CompiledKernel]:
     """Reference for :func:`repro.core.simulator.simulate_trace`: compile
     through the same geometry-keyed memo, then run :class:`MVESimulator`
@@ -436,7 +464,7 @@ def simulate_trace(
         array_cols=config.engine.array.cols,
     )
     compiled = compile_trace_cached(trace, register_file=register_file)
-    simulator = MVESimulator(config=config, scheme=scheme, hierarchy_class=hierarchy_class)
+    simulator = MVESimulator(config=config, scheme=scheme)
     if warm_cache:
         simulator.run(compiled.trace)
         result = simulator.run(compiled.trace, reset_state=False)

@@ -17,6 +17,9 @@ from repro.core import default_config, simulate_kernel
 from repro.intrinsics import MVEMachine
 from repro.isa import DataType, InstructionCategory, ScalarBlock
 from repro.memory import FlatMemory
+from repro.workloads import create_kernel, kernel_names
+
+from oracle import CacheHierarchy
 
 
 def make_profile(**overrides):
@@ -78,6 +81,27 @@ class TestNeonModel:
         fast = NeonModel(simd_efficiency=1.0).run(make_profile())
         slow = NeonModel(simd_efficiency=0.25).run(make_profile())
         assert slow.total_cycles > fast.total_cycles
+
+    def test_cache_walk_matches_the_per_line_reference(self):
+        """Neon streams its footprint through the production block walk;
+        the per-line reference hierarchy (whole L2, as Neon keeps it) must
+        give every registered kernel the identical result."""
+        config = default_config()
+        reference = NeonModel(
+            config, hierarchy=CacheHierarchy(config.hierarchy, l2_compute_ways=0)
+        )
+        production = NeonModel(config)
+        profiles = {}
+        for name in kernel_names():
+            kernel = create_kernel(name, scale=0.25)
+            kernel.setup()
+            profiles[name] = kernel.profile()
+        # Every kernel's footprint fits the L2 at this scale, so two larger
+        # synthetic streams cover the LLC and DRAM paths of the walk too.
+        profiles["llc-resident"] = make_profile(bytes_read=1 << 20)
+        profiles["dram-bound"] = make_profile(bytes_read=4 << 20)
+        for name, profile in profiles.items():
+            assert reference.run(profile).to_dict() == production.run(profile).to_dict(), name
 
 
 class TestGPUModel:

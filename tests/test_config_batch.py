@@ -35,7 +35,7 @@ from repro.experiments.sweep import (
     batch_partitions,
     simulate_traced_group,
 )
-from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig, VectorCacheHierarchy
+from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig
 from repro.sram.array import EngineGeometry, SramArrayGeometry
 from repro.sram.schemes import SCHEME_NAMES, get_scheme
 
@@ -140,11 +140,8 @@ class TestSimulateTraceBatchParity:
 
 class TestEngineEnvParity:
     """Acceptance: the sweep engine's replays are bit-identical to the
-    per-config oracle across the deduped job sets of all registered
-    experiments.  The oracle runs on the production cache engine here: the
-    per-line cache roughly doubles the test's cost, mostly on figure9's
-    largest SpMM, and the cache engine itself is pinned against it by the
-    golden, memory and property suites."""
+    per-config oracle, on its independent per-line cache, across the
+    deduped job sets of all registered experiments."""
 
     @pytest.fixture(scope="class")
     def trace_groups(self):
@@ -163,10 +160,7 @@ class TestEngineEnvParity:
             trace = spec.capture().trace
             for job, got in zip(jobs, simulate_traced_group(jobs, trace)):
                 want, compiled = oracle.simulate_trace(
-                    trace,
-                    config=job.config,
-                    scheme=get_scheme(job.scheme_name),
-                    hierarchy_class=VectorCacheHierarchy,
+                    trace, config=job.config, scheme=get_scheme(job.scheme_name)
                 )
                 assert got.result.to_dict() == want.to_dict(), job.describe()
                 assert got.spills == compiled.spill_count, job.describe()

@@ -1,19 +1,15 @@
 """Unit tests for the core architecture models: address generation, scalar
-core, controller, timing simulator, energy and area."""
+blocks, controller, timing simulator, energy and area."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    AddressDecoder,
     AreaModel,
     EnergyCoefficients,
     EnergyModel,
     MachineConfig,
     MVEControllerModel,
-    ScalarCoreModel,
-    WriteBuffer,
-    address_range,
     cache_line_addresses,
     default_config,
     element_addresses,
@@ -79,56 +75,26 @@ class TestAddressGeneration:
         lines = cache_line_addresses(instr, line_bytes=64)
         assert lines.size == 1
 
-    def test_address_range_covers_all_elements(self):
-        instr = make_memory_instruction()
-        low, high = address_range(instr)
-        addresses = element_addresses(instr)
-        assert low <= addresses.min()
-        assert high >= addresses.max() + instr.dtype.bytes
-
-    def test_address_range_random(self):
-        instr = make_memory_instruction(
-            is_random=True, random_bases=(0x5000, 0x9000), shape_lengths=(4, 2),
-            mask=(True, True), resolved_strides=(1, 0),
-        )
-        low, high = address_range(instr)
-        assert low == 0x5000 and high > 0x9000
-
 
 class TestScalarCore:
+    """Scalar blocks are charged in the core timeline: ``count / scalar_ipc``
+    plus half a cycle per load or store."""
+
+    @staticmethod
+    def scalar_cycles(block):
+        result, _ = simulate_kernel([block], compile_first=False, warm_cache=False)
+        return result.total_cycles
+
     def test_scalar_block_cycles_scale_with_count(self):
-        core = ScalarCoreModel(default_config())
-        short = core.scalar_block_cycles(ScalarBlock(10))
-        long = core.scalar_block_cycles(ScalarBlock(100))
+        short = self.scalar_cycles(ScalarBlock(10))
+        long = self.scalar_cycles(ScalarBlock(100))
         assert long > short
+        assert short == 10 / default_config().scalar_ipc
 
     def test_memory_ops_add_latency(self):
-        core = ScalarCoreModel(default_config())
-        plain = core.scalar_block_cycles(ScalarBlock(10))
-        with_loads = core.scalar_block_cycles(ScalarBlock(10, loads=5))
-        assert with_loads > plain
-
-    def test_write_buffer_conflict_detection(self):
-        buffer = WriteBuffer(entries=4)
-        store = make_memory_instruction(is_store=True)
-        buffer.push(store, completes_at=100.0, now=0.0)
-        low, high = AddressDecoder.store_range(store)
-        assert buffer.conflict_delay(low, low + 4, now=10.0) == pytest.approx(90.0)
-        assert buffer.conflict_delay(high + 64, high + 128, now=10.0) == 0.0
-
-    def test_write_buffer_backpressure(self):
-        buffer = WriteBuffer(entries=1)
-        store = make_memory_instruction(is_store=True)
-        buffer.push(store, completes_at=50.0, now=0.0)
-        resume = buffer.push(store, completes_at=80.0, now=10.0)
-        assert resume == pytest.approx(50.0)
-
-    def test_write_buffer_drains(self):
-        buffer = WriteBuffer(entries=2)
-        store = make_memory_instruction(is_store=True)
-        buffer.push(store, completes_at=5.0, now=0.0)
-        buffer.drain_completed(now=10.0)
-        assert buffer.occupancy == 0
+        plain = self.scalar_cycles(ScalarBlock(10))
+        with_loads = self.scalar_cycles(ScalarBlock(10, loads=5))
+        assert with_loads == plain + 5 * 0.5
 
 
 class TestControllerModel:

@@ -6,7 +6,7 @@ simulating) fewer configurations; the frontier is invariant to the order
 results arrive in (hypothesis); a search SIGKILLed mid-round resumes to
 the identical frontier with zero re-simulation; exploration rounds drain
 through the fleet coordinator with zero local simulation; and the
-streaming assemble/stream_jobs path keeps engine memory flat.
+streaming stream_jobs path keeps engine memory flat.
 
 The frontier export schema is pinned by ``tests/golden/
 explore_frontier_schema.json``; regenerate after an intentional change
@@ -22,7 +22,6 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +32,6 @@ from repro.core.cache import ResultStore
 from repro.core.cache_service import CacheServer
 from repro.core.coordinator import CoordinatorClient, JobQueue
 from repro.core.energy import EnergyBreakdown
-from repro.experiments import registry
-from repro.experiments.registry import ExperimentOptions, build_runner, run_experiment
 from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
 from repro.explore import (
     DEFAULT_OBJECTIVES,
@@ -408,66 +405,14 @@ class TestKillAndResume:
 
 
 # ---------------------------------------------------------------------- #
-#  Streaming: stream_jobs memory ceiling and the registry assemble seam
+#  Streaming: stream_jobs memory ceiling
 # ---------------------------------------------------------------------- #
 
-STREAM_NAME = "explore-stream-mini"
-
-
-@dataclass
-class StreamMiniResult:
-    cycles: dict
-
-    def to_dict(self) -> dict:
-        return {"cycles": dict(self.cycles)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamMiniResult":
-        return cls(cycles=dict(data["cycles"]))
-
-
-def _stream_specs(options):
-    return (
-        SweepSpec(
-            name=STREAM_NAME,
-            kernels=[("csum", {"scale": SCALE}), ("memcpy", {"scale": SCALE})],
-            schemes=("bit-serial", "bit-parallel"),
-        ),
-    )
-
-
-def _stream_assemble_batch(runner, options):
-    cycles = {}
-    for spec in _stream_specs(options):
-        for job in spec.jobs():
-            outcome = runner.engine.run_one(job)
-            cycles[f"{job.kernel}/{job.scheme_name}"] = outcome.result.total_cycles
-    return StreamMiniResult(cycles=cycles)
-
-
-class _StreamFolder:
-    def __init__(self):
-        self.cycles = {}
-
-    def on_result(self, job, outcome, completed, total):
-        self.cycles[f"{job.kernel}/{job.scheme_name}"] = outcome.result.total_cycles
-
-    def result(self):
-        return StreamMiniResult(cycles=self.cycles)
-
-
-@pytest.fixture
-def stream_experiment():
-    experiment = registry.register_experiment(
-        STREAM_NAME,
-        "streaming assemble test experiment",
-        StreamMiniResult,
-        _stream_assemble_batch,
-        _stream_specs,
-        stream_assemble=lambda runner, options: _StreamFolder(),
-    )
-    yield experiment
-    registry._REGISTRY.pop(STREAM_NAME, None)
+STREAM_SPEC = SweepSpec(
+    name="explore-stream-mini",
+    kernels=[("csum", {"scale": SCALE}), ("memcpy", {"scale": SCALE})],
+    schemes=("bit-serial", "bit-parallel"),
+)
 
 
 class TestStreaming:
@@ -475,7 +420,7 @@ class TestStreaming:
         """The memory ceiling the 10^5-job claim rests on: streaming keeps
         the engine's per-job memo empty (results live only in the store),
         where the collecting path memoizes every outcome."""
-        jobs = _stream_specs(None)[0].jobs()
+        jobs = STREAM_SPEC.jobs()
         streaming = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path / "s"))
         seen = []
         processed = streaming.stream_jobs(
@@ -496,26 +441,7 @@ class TestStreaming:
         def assert_persisted(job, outcome, completed, total):
             assert store.load(job.cache_key()) is not None
 
-        engine.stream_jobs(_stream_specs(None)[0].jobs(), on_result=assert_persisted)
-
-    def test_registry_streams_through_the_assemble_seam(
-        self, stream_experiment, tmp_path
-    ):
-        runner = build_runner(jobs=1, store=ResultStore(tmp_path / "cache"))
-        result = run_experiment(STREAM_NAME, runner=runner, options=ExperimentOptions())
-        # The streamed fold matches the batch assembly bit for bit...
-        reference = _stream_assemble_batch(
-            build_runner(jobs=1, store=ResultStore(tmp_path / "ref")),
-            ExperimentOptions(),
-        )
-        assert result.to_dict() == reference.to_dict()
-        # ...without materializing a single outcome in the engine memo.
-        assert len(runner.engine._memo) == 0
-        # The assembled result is cached like any other experiment's.
-        warm = build_runner(jobs=1, store=ResultStore(tmp_path / "cache"))
-        again = run_experiment(STREAM_NAME, runner=warm, options=ExperimentOptions())
-        assert again.to_dict() == result.to_dict()
-        assert warm.engine.computed == 0
+        engine.stream_jobs(STREAM_SPEC.jobs(), on_result=assert_persisted)
 
 
 # ---------------------------------------------------------------------- #

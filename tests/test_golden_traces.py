@@ -10,7 +10,7 @@ totals and the energy breakdown.  The suite guards two invariants:
 * the parallel sweep engine -- worker processes plus the persistent cache
   -- reproduces the serial numbers bit-for-bit, and
 * the reference oracle (``tests/oracle.py``: the per-config simulator over
-  the scalar, per-line cache) reproduces them bit-for-bit too.
+  the independent, per-line cache) reproduces them bit-for-bit too.
 
 Regenerate snapshots after an intentional model change with::
 
@@ -128,8 +128,8 @@ def test_parallel_engine_matches_serial_bit_for_bit(case, serial_outcomes, paral
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
 def test_scalar_cache_reference_matches_golden(case, serial_outcomes):
-    """The reference oracle -- per-config simulator on the scalar, per-line
-    cache -- reproduces the production golden numbers bit-for-bit."""
+    """The reference oracle -- per-config simulator on the independent,
+    per-line cache -- reproduces the production golden numbers bit-for-bit."""
     job = job_for(case)
     trace = job.trace_spec().capture().trace
     result, compiled = oracle.simulate_trace(

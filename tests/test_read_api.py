@@ -194,17 +194,29 @@ class TestRoundTrip:
 
 
 class TestConditionalRequests:
-    def test_etag_revalidation_answers_304_with_empty_body(self, read_server):
+    def test_etag_revalidation_answers_304_with_empty_body(self, read_server, monkeypatch):
+        backend = read_server.backend
+        loads = []
+        load = backend.load
+
+        def counting_load(key):
+            loads.append(key)
+            return load(key)
+
+        monkeypatch.setattr(backend, "load", counting_load)
         url = f"{read_server.url}/v1/experiments/tables?scale={SCALE}"
         status, headers, body = fetch(url)
         assert status == 200
+        assert loads  # a full read loads the record
         etag = headers["ETag"]
         revalidated_before = read_server.stats()["experiment_not_modified"]
 
+        loads.clear()
         status, headers, body = fetch(url, headers={"If-None-Match": etag})
         assert status == 304
         assert body == b""
         assert headers["ETag"] == etag
+        assert loads == []  # the 304 never touched the record
         after = read_server.stats()["experiment_not_modified"]
         assert after == revalidated_before + 1
 
