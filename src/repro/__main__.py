@@ -1,4 +1,4 @@
-"""``python -m repro``: the unified experiment/sweep/fleet CLI (see repro.cli)."""
+"""``python -m repro``: the unified experiment/sweep CLI (see repro.cli)."""
 
 import sys
 

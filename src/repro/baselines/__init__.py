@@ -4,7 +4,7 @@ from .profile import KernelProfile, OP_KINDS
 from .neon import NeonModel, NeonResult
 from .gpu import GPUConfig, GPUModel, GPUResult
 from .duality_cache import DualityCacheModel, to_simt_trace
-from .rvv import RVVEmitter, run_rvv_trace
+from .rvv import RVVEmitter
 
 __all__ = [
     "KernelProfile",
@@ -17,5 +17,4 @@ __all__ = [
     "DualityCacheModel",
     "to_simt_trace",
     "RVVEmitter",
-    "run_rvv_trace",
 ]

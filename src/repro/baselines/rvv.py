@@ -8,27 +8,19 @@ extra scalar address arithmetic.
 
 The per-kernel RVV lowering lives with the workloads
 (:meth:`repro.workloads.base.Kernel.run_rvv`); this module provides the
-emitter those lowerings use plus a convenience runner.
+emitter those lowerings use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional
 
-from ..core.config import MachineConfig, default_config
-from ..core.results import SimulationResult
-from ..core.simulator import simulate_kernel
 from ..intrinsics.machine import MVEMachine
 from ..intrinsics.mdv import MDV
 from ..isa.datatypes import DataType
-from ..isa.instructions import TraceEntry
-from ..sram.schemes import ComputeScheme
 
-if TYPE_CHECKING:
-    from ..core.cache import ResultStore
-
-__all__ = ["RVVEmitter", "run_rvv_trace"]
+__all__ = ["RVVEmitter"]
 
 
 class RVVEmitter:
@@ -127,47 +119,3 @@ class RVVEmitter:
     def segments_for(self, segment_length: int) -> int:
         """How many 1D segments are needed to fill the SIMD lanes."""
         return max(1, math.floor(self.machine.simd_lanes / max(1, segment_length)))
-
-
-def run_rvv_trace(
-    trace: Sequence[TraceEntry],
-    config: Optional[MachineConfig] = None,
-    scheme: Optional[ComputeScheme] = None,
-    store: Optional["ResultStore"] = None,
-) -> SimulationResult:
-    """Compile and simulate an RVV-style trace on the in-cache engine.
-
-    The simulation drives the same timing model and cache engine as the
-    MVE path.  Passing a
-    :class:`~repro.core.cache.ResultStore` answers repeated traces from the
-    persistent cache, keyed -- like every simulator job -- by the trace
-    content, the full machine configuration and the source fingerprint.
-    """
-    config = config or default_config()
-    key = None
-    if store is not None:
-        from ..core.cache import (
-            code_fingerprint,
-            config_digest,
-            load_cached_result,
-            stable_hash,
-        )
-
-        key = stable_hash(
-            {
-                "baseline": "rvv-trace",
-                "fingerprint": code_fingerprint(),
-                "trace": [repr(entry) for entry in trace],
-                "scheme": scheme.name if scheme is not None else config.scheme_name,
-                "config": config_digest(config),
-            }
-        )
-        cached = load_cached_result(store, key, SimulationResult)
-        if cached is not None:
-            return cached
-    result, _ = simulate_kernel(trace, config=config, scheme=scheme)
-    if key is not None:
-        from ..core.cache import store_cached_result
-
-        store_cached_result(store, key, result)
-    return result

@@ -1,5 +1,5 @@
 """Unified experiment CLI:
-``python -m repro {list,run,trace,explore,cache,serve,export,queue,worker}``.
+``python -m repro {list,run,trace,explore,cache,serve,export}``.
 
 Every table/figure of the paper is a registered experiment; ``run`` executes
 one end to end (sharded over worker processes, answered from the persistent
@@ -40,20 +40,10 @@ disables it).  ``cache`` shows or clears the persistent store (location:
 ``$REPRO_SWEEP_CACHE_DIR`` or ``~/.cache/repro-sweep``); ``--no-cache``
 bypasses it for one run.
 
-Multi-machine sweeps share one cache through the HTTP cache service::
+``serve`` publishes the store read-only over HTTP for result consumers::
 
-    python -m repro serve --port 8750                  # on one machine
-    python -m repro run figure7 --remote-cache http://cachehost:8750
-    REPRO_REMOTE_CACHE=http://cachehost:8750 python -m repro run figure7
+    python -m repro serve --port 8750
 
-With a remote cache configured, reads try the local directory first and
-fall through to the service (populating the local tier); writes go to
-both.  An unreachable or failing service degrades to local-only operation
-after a single warning.  ``cache`` then reports both tiers (including the
-coordinator queue, when one is active); ``cache sync`` bulk-pushes local
-entries the service is missing.
-
-The service also exposes a token-free read API for result consumers:
 ``GET /v1/experiments`` lists registered experiments with availability and
 ``GET /v1/experiments/<name>`` serves the assembled result byte-identical
 to the CLI export, with ETag/304 revalidation, ``Accept``-driven JSON/CSV
@@ -61,25 +51,11 @@ negotiation and ``offset``/``limit`` pagination.  ``export`` renders the
 same documents into a static dataset directory without simulating::
 
     python -m repro export --all --out repro-export
-
-The same service doubles as a sweep *coordinator* (fleet mode)::
-
-    python -m repro serve --port 8750 --token s3cret   # coordinator
-    python -m repro queue figure7 --coordinator http://cachehost:8750 \
-        --token s3cret
-    python -m repro worker --coordinator http://cachehost:8750 \
-        --token s3cret --drain                          # on N machines
-
-``queue`` expands an experiment into leaseable partitions; each
-``worker`` drains them through the ordinary sweep engine, publishing
-results via the shared store, so the union of the fleet's work is
-bit-identical to a single-machine run.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -221,13 +197,9 @@ def _write_export(payload: dict, fmt: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _remote_url_for(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "remote_cache", None) or ResultStore.default_remote_url()
-
-
 def _store_for(args: argparse.Namespace) -> ResultStore:
     root = Path(args.cache_dir) if args.cache_dir else ResultStore.default_dir()
-    return ResultStore(root, remote=_remote_url_for(args))
+    return ResultStore(root)
 
 
 def _progress(stream: TextIO) -> OnResult:
@@ -261,88 +233,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_remote_status(store: ResultStore) -> None:
-    """Status lines for the remote tier, when one is configured."""
-    remote = store.remote
-    if remote is None:
-        return
-    stats = remote.stats()
-    if stats is None:
-        print(f"Remote: {remote.base_url} (unreachable)")
-        return
-    auth_note = ", token auth" if stats.get("auth") else ""
-    print(
-        f"Remote: {remote.base_url} ({stats.get('entries', 0)} entries, "
-        f"{stats.get('hits_served', 0)} hits served, "
-        f"{stats.get('puts', 0)} puts accepted{auth_note})"
-    )
-    queue = stats.get("queue")
-    if isinstance(queue, dict):
-        print(
-            f"Queue:  {queue.get('pending', 0)} pending, "
-            f"{queue.get('leased', 0)} leased, "
-            f"{queue.get('completed', 0)} completed "
-            f"({queue.get('requeued', 0)} requeued), "
-            f"{queue.get('workers', 0)} active workers, "
-            f"lease TTL {queue.get('lease_ttl_s', 0)}s"
-        )
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     store = _store_for(args)
     action = getattr(args, "action", "info")
     if action == "clear":
         removed = store.clear()
         print(f"removed {removed} cached results from {store.root}")
-        if store.remote is not None:
-            print(f"note: remote tier at {store.remote.base_url} left untouched")
-    elif action == "sync":
-        return _cache_sync(store)
     else:
         print(f"Cache: {store.root} ({len(store)} entries)")
-        _print_remote_status(store)
     return 0
-
-
-def _cache_sync(store: ResultStore, chunk: int = 200) -> int:
-    """Bulk-push local entries the remote tier is missing.
-
-    One ``POST /v1/keys`` existence probe plus one ``POST /v1/entries``
-    upload per ``chunk`` keys -- warming a fresh coordinator from a laptop
-    costs a handful of round trips, not one PUT per record.
-    """
-    remote = store.remote
-    if remote is None:
-        raise SystemExit("cache sync: no remote cache configured "
-                         "(--remote-cache or $REPRO_REMOTE_CACHE)")
-    probe = getattr(remote, "contains_batch", None)
-    push = getattr(remote, "store_batch", None)
-    if probe is None or push is None:
-        raise SystemExit("cache sync: the remote tier does not support bulk transfer")
-    local = getattr(store.backend, "local", store.backend)
-    keys = sorted(local.keys()) if hasattr(local, "keys") else []
-    pushed = present = failed = 0
-    for start in range(0, len(keys), chunk):
-        batch = keys[start : start + chunk]
-        have = probe(batch)
-        missing = [key for key in batch if not have.get(key)]
-        present += len(batch) - len(missing)
-        records = {}
-        for key in missing:
-            record = local.load(key)
-            if isinstance(record, dict):
-                records[key] = record
-        stored = push(records) if records else []
-        pushed += len(stored)
-        failed += len(records) - len(stored)
-        if getattr(remote, "dead", False):
-            print(f"cache sync: remote went unreachable after {pushed} uploads")
-            return 1
-    print(
-        f"cache sync: {pushed} entries pushed to {remote.base_url} "
-        f"({present} already present, {failed} rejected, {len(keys)} local)"
-    )
-    return 0 if failed == 0 else 1
 
 
 def _trace_artifact(trace_store, spec):
@@ -507,7 +406,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             cached = (
                 args.kind == "mve" or supports_rvv
-            ) and trace_store.contains_locally(spec)
+            ) and trace_store.contains(spec)
             rows.append(
                 [
                     name,
@@ -603,103 +502,24 @@ def _print_config_batching(sweep_name: str, kernel: str, scale: float) -> None:
     print(format_table(["trace", "configs", "batched replays"], rows))
 
 
-def _token_for(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "token", None) or os.environ.get("REPRO_CACHE_TOKEN") or None
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.cache_service import CacheServer
 
     root = Path(args.cache_dir) if args.cache_dir else ResultStore.default_dir()
-    token = _token_for(args)
     try:
-        server = CacheServer(
-            (args.host, args.port),
-            root=root,
-            verbose=args.verbose,
-            token=token,
-            lease_ttl_s=args.lease_ttl,
-        )
+        server = CacheServer((args.host, args.port), root=root, verbose=args.verbose)
     except (OSError, OverflowError) as error:
         # Port in use, privileged/out-of-range port, unresolvable host, ...
         raise SystemExit(f"serve: cannot bind {args.host}:{args.port}: {error}") from None
     host, port = server.server_address[:2]
-    print(f"repro cache service listening on http://{host}:{port}")
+    print(f"repro read-only store service listening on http://{host}:{port}")
     print(f"store: {root} ({len(server.backend)} entries)")
-    print(
-        f"fleet: job queue enabled (lease TTL {server.queue.lease_ttl_s:g}s), "
-        f"auth {'on' if token else 'off (mutations open; set --token)'}"
-    )
-    print("point workers at it with --remote-cache or $REPRO_REMOTE_CACHE")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
         server.server_close()
-    return 0
-
-
-def _coordinator_url_for(args: argparse.Namespace) -> str:
-    url = getattr(args, "coordinator", None) or _remote_url_for(args)
-    if not url:
-        raise SystemExit(
-            f"{args.command}: pass --coordinator URL (or set $REPRO_REMOTE_CACHE)"
-        )
-    return url
-
-
-def _cmd_queue(args: argparse.Namespace) -> int:
-    from .core.coordinator import CoordinatorClient, CoordinatorError
-
-    url = _coordinator_url_for(args)
-    client = CoordinatorClient(url, token=_token_for(args))
-    try:
-        summary = client.enqueue(args.experiment, scale=args.scale)
-    except CoordinatorError as error:
-        raise SystemExit(f"queue: coordinator rejected the request: {error}") from None
-    if summary is None:
-        raise SystemExit(f"queue: coordinator {url} unreachable")
-    print(
-        f"queued {summary.get('queued', 0)} partitions of "
-        f"{args.experiment} ({summary.get('jobs', 0)} jobs, "
-        f"{summary.get('already_queued', 0)} already queued) on {client.base_url}"
-    )
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .core.coordinator import CoordinatorError
-    from .worker import run_worker, write_report
-
-    url = _coordinator_url_for(args)
-    try:
-        report = run_worker(
-            url,
-            cache_dir=args.cache_dir,
-            jobs=args.jobs,
-            worker_id=args.id,
-            token=_token_for(args),
-            poll_s=args.poll,
-            drain=args.drain,
-            max_partitions=args.max_partitions,
-            log=lambda message: print(message, file=sys.stderr),
-        )
-    except CoordinatorError as error:
-        raise SystemExit(f"worker: coordinator rejected the request: {error}") from None
-    if args.summary:
-        write_report(report, args.summary)
-    simulated = len(report.simulated_keys())
-    print(
-        f"worker {report.worker}: {report.acked} partitions acked "
-        f"({report.stale_acks} stale, {report.mismatched} mismatched), "
-        f"{simulated} jobs simulated"
-    )
-    if report.coordinator_lost:
-        print(f"worker {report.worker}: coordinator lost; degraded to local-only")
-        # Work already done is safe (store tiers); signal the supervisor
-        # only when this run achieved nothing at all.
-        return 1 if not report.partitions else 0
     return 0
 
 
@@ -747,11 +567,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     objectives = tuple(
         name.strip() for name in args.objectives.split(",") if name.strip()
     )
-    coordinator = None
-    if args.coordinator:
-        from .core.coordinator import CoordinatorClient
-
-        coordinator = CoordinatorClient(args.coordinator, token=_token_for(args))
     try:
         explorer = Explorer(
             space,
@@ -761,7 +576,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             seed=args.seed,
             objectives=objectives,
             batch=args.batch,
-            coordinator=coordinator,
             log=None
             if args.no_progress
             else (lambda message: print(message, file=sys.stderr)),
@@ -910,8 +724,6 @@ def _print_sweep(sweep: SweepResult, args: argparse.Namespace, store) -> None:
             f"{result.energy_nj:>12.1f} {outcome.source:>8}"
         )
     cache_note = "cache disabled" if store is None else f"cache at {store.root}"
-    if store is not None and store.remote is not None:
-        cache_note += f" + remote {store.remote.base_url}"
     print(
         f"\n{sweep.spec.name}: {len(sweep.outcomes)} jobs in {sweep.elapsed_s:.2f}s "
         f"({sweep.computed} simulated, {sweep.from_cache} from cache, "
@@ -1048,16 +860,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "parallel execution, persistent caching and JSON/CSV export.",
     )
     parser.add_argument("--cache-dir", default=None, help="override the persistent cache directory")
-    parser.add_argument(
-        "--remote-cache", default=None, metavar="URL",
-        help="shared cache service to read through / write back to "
-        "(default: $REPRO_REMOTE_CACHE; start one with `serve`)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     listp = sub.add_parser("list", help="show experiments, sweeps, kernels and cache status")
     listp.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    listp.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     run = sub.add_parser("run", help="run an experiment or a raw kernel sweep")
     run.add_argument(
@@ -1085,19 +891,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-progress", action="store_true", help="do not stream per-job progress to stderr"
     )
     run.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    run.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    cache = sub.add_parser(
-        "cache", help="show, clear or sync the persistent result cache"
-    )
+    cache = sub.add_parser("cache", help="show or clear the persistent result cache")
     cache.add_argument(
-        "action", nargs="?", choices=("info", "clear", "sync"), default="info",
-        help="info: report tiers (and the coordinator queue); "
-        "clear: delete local entries; sync: bulk-push local entries the "
-        "remote service is missing",
+        "action", nargs="?", choices=("info", "clear"), default="info",
+        help="info: report the store location and entry count; "
+        "clear: delete every entry",
     )
     cache.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    cache.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     trace = sub.add_parser(
         "trace",
@@ -1125,7 +926,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cache", action="store_true", help="capture fresh, bypassing the trace cache"
     )
     trace.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    trace.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     explorep = sub.add_parser(
         "explore",
@@ -1171,15 +971,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="worker processes (default: cores)",
     )
     explorep.add_argument(
-        "--coordinator", metavar="URL", default=None,
-        help="drain each round through this fleet coordinator's worker pool "
-        "before falling back to local simulation",
-    )
-    explorep.add_argument(
-        "--token", default=None,
-        help="coordinator auth token (default: $REPRO_CACHE_TOKEN)",
-    )
-    explorep.add_argument(
         "--export", choices=("json", "csv"), default=None,
         help="export the frontier instead of printing the human-readable view",
     )
@@ -1191,7 +982,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="do not stream per-round/per-job progress to stderr",
     )
     explorep.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    explorep.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     exportp = sub.add_parser(
         "export",
@@ -1215,85 +1005,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="dataset scale of the stored results to export (default 0.5)",
     )
     exportp.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    exportp.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve the result cache over HTTP and coordinate fleet sweeps",
-    )
+    serve = sub.add_parser("serve", help="serve the result cache read-only over HTTP")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
     serve.add_argument(
         "--port", type=int, default=8750, help="port to listen on (default: 8750; 0 = ephemeral)"
     )
     serve.add_argument("--verbose", action="store_true", help="log every request to stderr")
-    serve.add_argument(
-        "--token", default=None,
-        help="require this token on every mutating request "
-        "(default: $REPRO_CACHE_TOKEN; unset leaves mutations open)",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=float, default=60.0, metavar="SECONDS",
-        help="seconds a leased partition survives without a worker "
-        "heartbeat before it is requeued (default: 60)",
-    )
     serve.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-    queuep = sub.add_parser(
-        "queue", help="enqueue an experiment's partitions on a coordinator"
-    )
-    queuep.add_argument(
-        "experiment", help=f"experiment to enqueue ({', '.join(experiment_names())})"
-    )
-    queuep.add_argument(
-        "--coordinator", metavar="URL", default=None,
-        help="coordinator URL (default: --remote-cache / $REPRO_REMOTE_CACHE)",
-    )
-    queuep.add_argument(
-        "--scale", type=float, default=0.5,
-        help="dataset scale for scale-honouring experiments (default 0.5)",
-    )
-    queuep.add_argument(
-        "--token", default=None,
-        help="coordinator auth token (default: $REPRO_CACHE_TOKEN)",
-    )
-    queuep.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    queuep.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-    workerp = sub.add_parser(
-        "worker", help="drain leased sweep partitions from a coordinator"
-    )
-    workerp.add_argument(
-        "--coordinator", metavar="URL", default=None,
-        help="coordinator URL (default: --remote-cache / $REPRO_REMOTE_CACHE)",
-    )
-    workerp.add_argument(
-        "--jobs", type=int, default=default_job_count(),
-        help="worker processes per partition replay (default: cores)",
-    )
-    workerp.add_argument("--id", default=None, help="worker id (default: host-pid)")
-    workerp.add_argument(
-        "--token", default=None,
-        help="coordinator auth token (default: $REPRO_CACHE_TOKEN)",
-    )
-    workerp.add_argument(
-        "--poll", type=float, default=1.0, metavar="SECONDS",
-        help="idle poll interval while the queue is empty (default: 1)",
-    )
-    workerp.add_argument(
-        "--drain", action="store_true",
-        help="exit once the queue is fully drained instead of polling forever",
-    )
-    workerp.add_argument(
-        "--max-partitions", type=int, default=None, metavar="N",
-        help="stop after processing N partitions",
-    )
-    workerp.add_argument(
-        "--summary", default=None, metavar="PATH",
-        help="write a JSON report of processed partitions (and which jobs "
-        "this worker actually simulated) to PATH",
-    )
-    workerp.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    workerp.add_argument("--remote-cache", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -1308,10 +1027,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_export(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "queue":
-        return _cmd_queue(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     return _cmd_run(args)
 
 

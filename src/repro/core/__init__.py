@@ -4,7 +4,7 @@ from .address_gen import cache_line_addresses, element_addresses
 from .area import AreaModel, AreaReport, GPU_AREA_MM2, NEON_AREA_MM2, SCALAR_CORE_AREA_MM2
 from .cache import ResultStore, code_fingerprint, config_digest, stable_hash
 from .config import MachineConfig, default_config
-from .store_backend import LocalDirBackend, StoreBackend, TieredBackend
+from .store_backend import LocalDirBackend
 from .controller import InstructionPlacement, MVEControllerModel
 from .energy import EnergyBreakdown, EnergyCoefficients, EnergyModel
 from .results import SimulationResult
@@ -20,8 +20,6 @@ __all__ = [
     "SCALAR_CORE_AREA_MM2",
     "ResultStore",
     "LocalDirBackend",
-    "StoreBackend",
-    "TieredBackend",
     "code_fingerprint",
     "config_digest",
     "stable_hash",

@@ -7,18 +7,12 @@ The store exploits that by hashing all of those inputs -- plus a fingerprint
 of the simulator source tree, so any code change invalidates every entry --
 into a cache key, and keeping one small JSON record per key.
 
-Storage is pluggable (:mod:`repro.core.store_backend`): by default records
-live as files under ``$REPRO_SWEEP_CACHE_DIR`` (default
-``~/.cache/repro-sweep``), written atomically and loaded defensively -- a
-truncated or corrupted file is treated as a miss and deleted, never
-trusted.  When a remote cache service URL is configured (the ``remote=``
-argument, ``--remote-cache`` on the CLI or ``$REPRO_REMOTE_CACHE``), the
-local directory becomes the first tier of a
-:class:`~repro.core.store_backend.TieredBackend` in front of the shared
-HTTP service (``python -m repro serve``), so every machine pointing at the
-same server shares one fleet-wide cache.  The store is safe to delete
-wholesale at any time; ``python -m repro cache clear`` does exactly that
-(local tier only -- never the shared service).
+Records live as files under ``$REPRO_SWEEP_CACHE_DIR`` (default
+``~/.cache/repro-sweep``) in a :class:`~repro.core.store_backend.LocalDirBackend`,
+written atomically and loaded defensively -- a truncated or corrupted file
+is treated as a miss and deleted, never trusted.  The store is safe to
+delete wholesale at any time; ``python -m repro cache clear`` does exactly
+that.
 """
 
 from __future__ import annotations
@@ -28,15 +22,10 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .config import MachineConfig
-from .store_backend import (
-    CACHE_SCHEMA_VERSION,
-    LocalDirBackend,
-    StoreBackend,
-    TieredBackend,
-)
+from .store_backend import CACHE_SCHEMA_VERSION, LocalDirBackend
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -50,7 +39,6 @@ __all__ = [
 ]
 
 _ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
-_ENV_REMOTE_CACHE = "REPRO_REMOTE_CACHE"
 
 _code_fingerprint: Optional[str] = None
 
@@ -158,36 +146,18 @@ def store_cached_result(store: Optional["ResultStore"], key: str, result) -> Non
 
 
 class ResultStore:
-    """Schema-checked record store over a pluggable storage backend.
+    """Schema-checked record store over a :class:`LocalDirBackend`.
 
-    Records live in a :class:`LocalDirBackend` rooted at ``root``; passing
-    ``remote`` (a cache-service URL or any ready :class:`StoreBackend`)
-    stacks a :class:`TieredBackend` on top so reads fall through to -- and
-    writes replicate into -- the shared service.  The store validates the
-    schema marker and counts hits/misses; durability, atomicity and
-    network failure handling live in the backends.
+    Records live in a directory rooted at ``root``.  The store validates
+    the schema marker and counts hits/misses; durability and atomicity live
+    in the backend.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        remote: Optional[Union[str, StoreBackend]] = None,
-    ):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        backend: StoreBackend = LocalDirBackend(self.root)
-        # `is not None`, not truthiness: a StoreBackend's __len__ may
-        # probe the network, and an empty remote is still a remote.
-        if remote is not None:
-            if isinstance(remote, str):
-                from .cache_service import RemoteStore
-
-                remote = RemoteStore(remote)
-            backend = TieredBackend(backend, remote)
-        self.backend = backend
+        self.backend = LocalDirBackend(self.root)
         self.hits = 0
         self.misses = 0
-        #: tier that answered the most recent hit ("local"/"remote"), or None
-        self.last_tier: Optional[str] = None
 
     @classmethod
     def default_dir(cls) -> Path:
@@ -197,43 +167,21 @@ class ResultStore:
         return Path.home() / ".cache" / "repro-sweep"
 
     @classmethod
-    def default_remote_url(cls) -> Optional[str]:
-        return os.environ.get(_ENV_REMOTE_CACHE) or None
-
-    @classmethod
     def default(cls) -> "ResultStore":
-        return cls(cls.default_dir(), remote=cls.default_remote_url())
-
-    @property
-    def remote(self):
-        """The remote-tier backend when one is configured, else None."""
-        return getattr(self.backend, "remote", None)
+        return cls(cls.default_dir())
 
     def _path(self, key: str) -> Path:
-        # Kept as the stable address of a local entry (tests and tooling
-        # poke at files directly); matches LocalDirBackend's layout.
-        return self.root / key[:2] / f"{key}.json"
-
-    def prefetch(self, keys) -> None:
-        """Hint that ``keys`` are about to be loaded.
-
-        Backends with a batched probe (the tiered store's remote tier) use
-        it to collapse per-key miss round trips into one request; plain
-        backends ignore it.
-        """
-        hook = getattr(self.backend, "prefetch", None)
-        if hook is not None:
-            hook(list(keys))
+        # The stable address of an entry (tests and tooling poke at files
+        # directly).
+        return self.backend.path(key)
 
     def load(self, key: str) -> Optional[dict]:
         """The stored payload for ``key``, or None on miss or corruption."""
         record = self.backend.load_checked(key)
         if record is None:
             self.misses += 1
-            self.last_tier = None
             return None
         self.hits += 1
-        self.last_tier = getattr(self.backend, "last_tier", "local") or "local"
         return record
 
     def store(self, key: str, payload: dict) -> None:
@@ -244,9 +192,5 @@ class ResultStore:
         return len(self.backend)
 
     def clear(self) -> int:
-        """Delete every local entry; returns the number removed.
-
-        Never touches a remote tier: clearing one worker's directory must
-        not wipe the cache the rest of the fleet relies on.
-        """
+        """Delete every entry; returns the number removed."""
         return self.backend.clear()

@@ -1,18 +1,13 @@
-"""Shared result-cache service: the content-addressed store over HTTP.
+"""Read-only HTTP access to the content-addressed result store.
 
-One machine runs ``python -m repro serve``; every other machine (and CI
-run) points ``--remote-cache URL`` or ``$REPRO_REMOTE_CACHE`` at it and the
-fleet stops re-simulating jobs any member has already computed.  The wire
-protocol is deliberately tiny -- JSON records addressed by hex cache key,
-stdlib only on both sides:
+``python -m repro serve`` publishes one local store directory to HTTP
+readers.  The protocol is deliberately tiny -- JSON records addressed by
+hex cache key, stdlib only:
 
 ==========================  ===============================================
 ``GET  /v1/entry/K``        200 + the record, or 404 on a miss
 ``HEAD /v1/entry/K``        200 / 404 without a body
-``PUT  /v1/entry/K``        204; truncated or non-JSON bodies are rejected
-                            with 400 and never stored (uploads are atomic)
-``GET  /v1/stats``          entry count, request counters and the job-queue
-                            snapshot, as JSON
+``GET  /v1/stats``          entry count and request counters, as JSON
 ``GET  /v1/experiments``    registered experiments with per-store-key
                             availability (``?scale=`` selects the options)
 ``GET  /v1/experiments/N``  the assembled result of experiment ``N``,
@@ -21,74 +16,36 @@ stdlib only on both sides:
                             ``If-None-Match`` -> 304 revalidation,
                             ``Accept: text/csv`` (or ``?format=csv``) for
                             the row view, ``?offset=&limit=`` pagination
-``POST /v1/keys``           ``{"keys": [...]}`` -> ``{"present": {key:
-                            bool}}`` (batched existence probe)
-``POST /v1/entries``        ``{"get": [keys], "put": {key: record}}`` ->
-                            ``{"entries": {key: record-or-null}, "stored":
-                            [keys]}`` (bulk transfer, one round trip)
-``POST /v1/queue/*``        the sweep-coordinator surface
-                            (enqueue/lease/ack/nack/heartbeat); see
-                            :mod:`repro.core.coordinator`
 ==========================  ===============================================
 
-When the server is started with a token (``--token`` /
-``$REPRO_CACHE_TOKEN``), every **mutating** request -- ``PUT /v1/entry``,
-``POST /v1/entries`` bodies carrying ``put``, and all ``/v1/queue``
-operations -- must present it (``Authorization: Bearer <token>``) or is
-answered 401; tokens compare in constant time.  Reads stay open so
-status probes and read-only mirrors keep working.
-
-The server persists through a :class:`~repro.core.store_backend.LocalDirBackend`
-(atomic writes, corruption-dropping reads), so killing it mid-request can
-never publish a torn entry.  :class:`RemoteStore` is the matching client
-backend: any timeout, refused connection, 5xx or truncated response marks
-the remote **dead** after a single ``RuntimeWarning`` -- every caller
-transparently degrades to its local tier, which is exactly the no-remote
-behavior.  Going dead also starts a background re-probe thread that pings
-``/v1/stats`` every :data:`DEFAULT_REPROBE_INTERVAL_S` seconds (tunable via
-``$REPRO_REMOTE_REPROBE_S``; ``0`` disables it); if the service recovers
-mid-run the store flips live again and the worker rejoins the fleet cache
-without a restart.
+The handler defines only ``do_GET`` and ``do_HEAD``: any other method gets
+the stdlib's ``501`` with ``Connection: close``, so no request body ever
+reaches the store.  Results are written by local runs (``python -m repro
+run``) into the same directory the server reads.
 """
 
 from __future__ import annotations
 
-import hmac
 import json
-import os
 import re
 import threading
-import time
-import urllib.error
-import urllib.request
-import warnings
-from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from .coordinator import DEFAULT_LEASE_TTL_S, JobQueue
-from .store_backend import LocalDirBackend, StoreBackend
+from .store_backend import LocalDirBackend
 
 __all__ = [
     "DEFAULT_PORT",
     "CacheRequestHandler",
     "CacheServer",
-    "RemoteStore",
 ]
 
 DEFAULT_PORT = 8750
 
-#: seconds between background liveness probes after a remote goes dead
-DEFAULT_REPROBE_INTERVAL_S = 15.0
-_ENV_REPROBE = "REPRO_REMOTE_REPROBE_S"
-
 #: cache keys are SHA-256 hex digests; anything else is rejected up front
 #: (which also rules out path traversal before a key ever reaches a backend)
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-#: largest accepted PUT body; a simulation record is a few KiB
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class CacheRequestHandler(BaseHTTPRequestHandler):
@@ -96,14 +53,14 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-cache-service/1"
-    #: per-connection socket timeout: a client that stalls mid-upload must
-    #: not pin a server thread (and its fd) forever
+    #: per-connection socket timeout: a client that stalls must not pin a
+    #: server thread (and its fd) forever
     timeout = 30
 
     # ------------------------------------------------------------------ #
 
     @property
-    def backend(self) -> StoreBackend:
+    def backend(self) -> LocalDirBackend:
         return self.server.backend
 
     def log_message(self, format: str, *args) -> None:
@@ -140,22 +97,6 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
             return None
         key = self.path[len(prefix):]
         return key if _KEY_RE.match(key) else None
-
-    def _read_body(self) -> Optional[bytes]:
-        """The full request body, or None when it is unusable (no/absurd
-        Content-Length, or fewer bytes on the wire than declared -- i.e. an
-        interrupted upload, which must never reach a backend)."""
-        length = self.headers.get("Content-Length")
-        try:
-            expected = int(length)
-        except (TypeError, ValueError):
-            return None
-        if not 0 <= expected <= _MAX_BODY_BYTES:
-            return None
-        body = self.rfile.read(expected)
-        if len(body) != expected:
-            return None
-        return body
 
     # ------------------------------------------------------------------ #
 
@@ -211,10 +152,10 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
         return False
 
     def _get_experiments(self, path: str, query: str) -> None:
-        """``GET /v1/experiments[/<name>]``: the token-free read surface.
+        """``GET /v1/experiments[/<name>]``: assembled experiment results.
 
-        Registry and export modules import lazily so a pure cache/queue
-        deployment never pays for (or depends on) the experiment stack.
+        Registry and export modules import lazily so serving plain entries
+        never pays for (or depends on) the experiment stack.
         """
         from urllib.parse import parse_qs
 
@@ -353,216 +294,9 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
         self.server.count("heads")
         self._send_empty(200 if self.backend.contains(key) else 404)
 
-    def _reject(self, message: str) -> None:
-        """400 for a request whose body may still sit unread on the socket.
-
-        Dropping the connection is mandatory: answering 400 on the
-        advertised HTTP/1.1 keep-alive connection without draining the
-        declared body would desync the stream and garble every subsequent
-        request from that client.
-        """
-        self.close_connection = True
-        self.server.count("bad_requests")
-        self._send_json(400, {"error": message})
-
-    def _authorized(self) -> bool:
-        """Whether this request may mutate server state.
-
-        Constant-time comparison: a timing oracle on the token would let
-        an attacker recover it byte by byte.
-        """
-        token = self.server.token
-        if not token:
-            return True
-        header = self.headers.get("Authorization", "")
-        presented = header[len("Bearer "):] if header.startswith("Bearer ") else ""
-        return hmac.compare_digest(presented.encode("utf-8"), token.encode("utf-8"))
-
-    def _unauthorized(self) -> None:
-        """401 for a mutating request without the token.  Like
-        :meth:`_reject`, the connection drops because the request body may
-        still sit unread on the socket."""
-        self.close_connection = True
-        self.server.count("unauthorized")
-        self._send_json(401, {"error": "missing or invalid token"})
-
-    def do_PUT(self) -> None:
-        key = self._entry_key()
-        if key is None:
-            self._reject(f"bad route or key: {self.path}")
-            return
-        if not self._authorized():
-            self._unauthorized()
-            return
-        body = self._read_body()
-        record = None
-        if body is not None:
-            try:
-                record = json.loads(body)
-            except ValueError:
-                record = None
-        if not isinstance(record, dict):
-            self._reject("body must be a complete JSON object")
-            return
-        if self.backend.store(key, record):
-            self.server.count("puts")
-            self._send_empty(204)
-        else:
-            self._send_json(500, {"error": "backend write failed"})
-
-    def _read_json_body(self) -> Optional[dict]:
-        """The request body as a JSON object, or None when unusable."""
-        body = self._read_body()
-        if body is None:
-            return None
-        try:
-            record = json.loads(body)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
-    def do_POST(self) -> None:
-        if self.path == "/v1/keys":
-            self._post_keys()
-        elif self.path == "/v1/entries":
-            self._post_entries()
-        elif self.path.startswith("/v1/queue/"):
-            self._post_queue()
-        else:
-            self._reject(f"bad route: {self.path}")
-
-    def _post_keys(self) -> None:
-        payload = self._read_json_body()
-        keys = payload.get("keys") if payload is not None else None
-        if not isinstance(keys, list):
-            self._reject('body must be {"keys": [...]}')
-            return
-        present = {
-            key: bool(_KEY_RE.match(key)) and self.backend.contains(key)
-            for key in keys
-            if isinstance(key, str)
-        }
-        self._send_json(200, {"present": present})
-
-    def _post_entries(self) -> None:
-        """Bulk transfer: many GETs and/or PUTs in one round trip.
-
-        The body is fully read before the auth decision, so a 401 here is
-        keep-alive safe -- and only bodies carrying ``put`` records need
-        the token at all (bulk reads stay as open as single GETs).
-        """
-        payload = self._read_json_body()
-        if payload is None:
-            self._reject('body must be {"get": [...], "put": {...}}')
-            return
-        get_keys = payload.get("get", [])
-        puts = payload.get("put", {})
-        if not isinstance(get_keys, list) or not isinstance(puts, dict):
-            self._reject('body must be {"get": [...], "put": {...}}')
-            return
-        if puts and not self._authorized():
-            self._unauthorized()
-            return
-        entries = {}
-        for key in get_keys:
-            if isinstance(key, str) and _KEY_RE.match(key):
-                entries[key] = self.backend.load(key)
-        served = sum(1 for record in entries.values() if record is not None)
-        self.server.count("entries_served", served)
-        stored = []
-        for key, record in puts.items():
-            if (
-                isinstance(key, str)
-                and _KEY_RE.match(key)
-                and isinstance(record, dict)
-                and self.backend.store(key, record)
-            ):
-                stored.append(key)
-        self.server.count("entries_stored", len(stored))
-        self._send_json(200, {"entries": entries, "stored": stored})
-
-    def _post_queue(self) -> None:
-        """The coordinator surface; every operation mutates queue state,
-        so all of them require the token (checked before the body read --
-        hence the connection-dropping 401)."""
-        if not self._authorized():
-            self._unauthorized()
-            return
-        action = self.path[len("/v1/queue/"):]
-        payload = self._read_json_body()
-        if payload is None:
-            self._reject("body must be a JSON object")
-            return
-        queue = self.server.queue
-        if action == "enqueue":
-            space = payload.get("space")
-            if isinstance(space, dict):
-                # Exploration round: a declarative search space plus point
-                # ids instead of a registered experiment name.
-                points = payload.get("points")
-                if not isinstance(points, list):
-                    self._send_json(400, {"error": 'explore enqueue needs "points"'})
-                    return
-                try:
-                    summary = queue.enqueue_explore(space, points)
-                except (KeyError, TypeError, ValueError) as error:
-                    self._send_json(400, {"error": str(error)})
-                    return
-                self.server.count("enqueues")
-                self._send_json(200, summary)
-                return
-            experiment = payload.get("experiment")
-            if not isinstance(experiment, str):
-                self._send_json(400, {"error": 'missing "experiment"'})
-                return
-            try:
-                scale = float(payload.get("scale", 0.5))
-                summary = queue.enqueue(experiment, scale)
-            except (KeyError, TypeError, ValueError) as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            self.server.count("enqueues")
-            self._send_json(200, summary)
-            return
-        worker = payload.get("worker")
-        if not isinstance(worker, str) or not worker:
-            self._send_json(400, {"error": 'missing "worker"'})
-            return
-        if action == "lease":
-            self.server.count("leases")
-            partition, drained = queue.lease(worker)
-            self._send_json(
-                200,
-                {
-                    "partition": partition,
-                    "drained": drained,
-                    "lease_ttl_s": queue.lease_ttl_s,
-                },
-            )
-        elif action == "ack":
-            ok, reason = queue.ack(worker, payload.get("partition"))
-            if ok:
-                self.server.count("acks")
-                self._send_json(200, {"ok": True})
-            else:
-                # 409, not 400: the request was well-formed, the *lease*
-                # state no longer matches (expired, requeued, double-ack).
-                self._send_json(409, {"ok": False, "error": reason})
-        elif action == "nack":
-            requeued = queue.nack(
-                worker, payload.get("partition"), str(payload.get("reason", ""))
-            )
-            self.server.count("nacks")
-            self._send_json(200, {"requeued": requeued})
-        elif action == "heartbeat":
-            self.server.count("heartbeats")
-            self._send_json(200, {"ok": True, "leases": queue.heartbeat(worker)})
-        else:
-            self._send_json(400, {"error": f"unknown queue action {action!r}"})
-
 
 class CacheServer(ThreadingHTTPServer):
-    """Threaded HTTP front end over a :class:`LocalDirBackend`.
+    """Threaded read-only HTTP front end over a :class:`LocalDirBackend`.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`).
     Request counters are aggregated under a lock and served by
@@ -572,45 +306,19 @@ class CacheServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        root: Optional[str | Path] = None,
-        backend: Optional[StoreBackend] = None,
-        verbose: bool = False,
-        token: Optional[str] = None,
-        queue: Optional[JobQueue] = None,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    ):
-        if backend is None:
-            if root is None:
-                raise ValueError("CacheServer needs a root directory or a backend")
-            backend = LocalDirBackend(root)
-        self.backend = backend
+    def __init__(self, address: tuple[str, int], root: str | Path, verbose: bool = False):
+        self.backend = LocalDirBackend(root)
         self.verbose = verbose
-        #: shared secret gating mutating requests; None/"" leaves them open
-        self.token = token or None
-        #: the sweep-coordinator queue behind /v1/queue/*
-        self.queue = queue if queue is not None else JobQueue(lease_ttl_s=lease_ttl_s)
         self._counter_lock = threading.Lock()
         self._counters = {
             "gets": 0,
             "hits_served": 0,
             "misses": 0,
-            "puts": 0,
             "heads": 0,
             "bad_requests": 0,
-            "unauthorized": 0,
-            "entries_served": 0,
-            "entries_stored": 0,
             "experiment_gets": 0,
             "experiment_not_modified": 0,
             "experiment_misses": 0,
-            "enqueues": 0,
-            "leases": 0,
-            "acks": 0,
-            "nacks": 0,
-            "heartbeats": 0,
         }
         super().__init__(address, CacheRequestHandler)
 
@@ -619,20 +327,14 @@ class CacheServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def count(self, name: str, amount: int = 1) -> None:
+    def count(self, name: str) -> None:
         with self._counter_lock:
-            self._counters[name] += amount
+            self._counters[name] += 1
 
     def stats(self) -> dict:
         with self._counter_lock:
             counters = dict(self._counters)
-        return {
-            "entries": len(self.backend),
-            "root": str(getattr(self.backend, "root", "")),
-            "auth": self.token is not None,
-            "queue": self.queue.stats(),
-            **counters,
-        }
+        return {"entries": len(self.backend), "root": str(self.backend.root), **counters}
 
     def start_in_background(self) -> threading.Thread:
         """Run ``serve_forever`` on a daemon thread (tests, embedding)."""
@@ -643,311 +345,11 @@ class CacheServer(ThreadingHTTPServer):
         return thread
 
     def handle_error(self, request, client_address) -> None:
-        # Clients that vanish mid-request (interrupted PUTs, closed progress
-        # streams) are an expected fault mode, not a server bug.
+        # Clients that vanish mid-request are an expected fault mode, not a
+        # server bug.
         import sys
 
         exc = sys.exc_info()[1]
         if isinstance(exc, (BrokenPipeError, ConnectionResetError, TimeoutError)):
             return
         super().handle_error(request, client_address)
-
-
-class RemoteStore(StoreBackend):
-    """HTTP client backend speaking the :class:`CacheServer` protocol.
-
-    Built for hostile networks: every request carries ``timeout``, and the
-    first connectivity failure (refused connection, timeout, 5xx, truncated
-    or non-JSON response) flips the store to ``dead`` with one
-    ``RuntimeWarning`` -- after that every operation is an instant no-op
-    and the caller's local tier serves alone.  A plain 404 is an ordinary
-    miss, not a failure.
-
-    Dead is not forever: a background daemon thread re-probes
-    ``GET /v1/stats`` every ``reprobe_interval`` seconds (default
-    :data:`DEFAULT_REPROBE_INTERVAL_S`, overridable with
-    ``$REPRO_REMOTE_REPROBE_S``; ``<= 0`` disables re-probing) and flips
-    the store live again when the service answers, so a worker mid-sweep
-    rejoins a recovered cache service automatically.  A later failure goes
-    through the same one-warning death again.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 5.0,
-        reprobe_interval: Optional[float] = None,
-        token: Optional[str] = None,
-    ):
-        if "://" not in base_url:
-            base_url = f"http://{base_url}"
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        #: shared secret for servers running with --token; defaults to
-        #: $REPRO_CACHE_TOKEN so fleet workers pick it up with no plumbing
-        self.token = token if token is not None else os.environ.get("REPRO_CACHE_TOKEN")
-        self.dead = False
-        if reprobe_interval is None:
-            reprobe_interval = DEFAULT_REPROBE_INTERVAL_S
-            env = os.environ.get(_ENV_REPROBE)
-            if env:
-                try:
-                    reprobe_interval = float(env)
-                except ValueError:
-                    warnings.warn(
-                        f"ignoring {_ENV_REPROBE}={env!r}: not a number",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        self.reprobe_interval = reprobe_interval
-        self._fail_lock = threading.Lock()
-        self._reprobe_thread: Optional[threading.Thread] = None
-        #: times this store went dead and later rejoined a recovered service
-        self.rejoins = 0
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-
-    # ------------------------------------------------------------------ #
-
-    def _open(self, method: str, path: str, body: Optional[bytes] = None):
-        request = urllib.request.Request(
-            self.base_url + path, data=body, method=method
-        )
-        if body is not None:
-            request.add_header("Content-Type", "application/json")
-        if self.token:
-            request.add_header("Authorization", f"Bearer {self.token}")
-        return urllib.request.urlopen(request, timeout=self.timeout)
-
-    def _fail(self, error: Exception) -> None:
-        # Check-and-set under a lock: concurrent failing requests (threaded
-        # callers) must produce exactly one warning, not one each.
-        with self._fail_lock:
-            if self.dead:
-                return
-            self.dead = True
-        warnings.warn(
-            f"remote cache {self.base_url} unavailable "
-            f"({type(error).__name__}: {error}); "
-            "falling back to the local cache only",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self._start_reprobe()
-
-    # -- background recovery probe ------------------------------------- #
-
-    def _start_reprobe(self) -> None:
-        if self.reprobe_interval <= 0:
-            return
-        with self._fail_lock:
-            if self._reprobe_thread is not None and self._reprobe_thread.is_alive():
-                # Still probing (it re-checks `dead` under this same lock
-                # before retiring, so it cannot miss the death that brought
-                # us here).  The is_alive() guard also covers a thread that
-                # died abnormally: the slot is then stale and respawned.
-                return
-            thread = threading.Thread(
-                target=self._reprobe_loop, name="repro-cache-reprobe", daemon=True
-            )
-            self._reprobe_thread = thread
-        thread.start()
-
-    def _probe_alive(self) -> bool:
-        """One liveness check against ``/v1/stats``, ignoring ``dead``."""
-        try:
-            with self._open("GET", "/v1/stats") as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except (HTTPException, OSError, ValueError):
-            return False
-        return isinstance(payload, dict) and "entries" in payload
-
-    def _reprobe_loop(self) -> None:
-        """Ping the service while dead; flip the store live on recovery.
-
-        The thread retires once the store is live again -- but only via an
-        exit check that re-reads ``dead`` and clears the thread slot under
-        ``_fail_lock``.  A failure that lands concurrently with a rejoin
-        therefore either (a) sets ``dead`` before the exit check, which
-        keeps this thread probing, or (b) finds the slot already cleared
-        and spawns a fresh thread: the store can never end up dead with
-        nobody probing.  The rejoin itself is silent wire-wise: flipping
-        ``dead`` back is enough, because every caller re-checks the flag
-        per operation.
-        """
-        while True:
-            time.sleep(self.reprobe_interval)
-            with self._fail_lock:
-                if not self.dead:
-                    # Live (we rejoined on a previous lap, or something
-                    # external revived the store): retire this thread.
-                    self._reprobe_thread = None
-                    return
-            if self._probe_alive():
-                with self._fail_lock:
-                    self.dead = False
-                    self.rejoins += 1
-                warnings.warn(
-                    f"remote cache {self.base_url} is reachable again; rejoining",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                # Loop once more: the exit check above decides -- under the
-                # lock -- whether to retire or keep probing a re-death.
-
-    # ------------------------------------------------------------------ #
-
-    def load(self, key: str) -> Optional[dict]:
-        if self.dead:
-            return None
-        try:
-            with self._open("GET", f"/v1/entry/{key}") as response:
-                record = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                self.misses += 1
-                return None
-            self._fail(error)
-            return None
-        except (HTTPException, OSError, ValueError) as error:
-            self._fail(error)
-            return None
-        if not isinstance(record, dict):
-            # A 200 whose body is not a record means the URL points at some
-            # other JSON-speaking service; without this a misconfigured
-            # remote would silently cost a useless round trip per job.
-            self._fail(ValueError(f"entry response is not a JSON object: {record!r:.80}"))
-            return None
-        self.hits += 1
-        return record
-
-    def store(self, key: str, record: dict) -> bool:
-        if self.dead:
-            return False
-        body = json.dumps(record).encode("utf-8")
-        try:
-            with self._open("PUT", f"/v1/entry/{key}", body=body) as response:
-                status = response.status
-        except (HTTPException, OSError, ValueError) as error:
-            self._fail(error)
-            return False
-        if status != 204:
-            # The cache service acknowledges an upload with exactly 204;
-            # any other 2xx is something else answering on this port.
-            self._fail(ValueError(f"unexpected PUT status {status}"))
-            return False
-        self.puts += 1
-        return True
-
-    def contains(self, key: str) -> bool:
-        if self.dead:
-            return False
-        try:
-            with self._open("HEAD", f"/v1/entry/{key}"):
-                return True
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                return False
-            self._fail(error)
-            return False
-        except (HTTPException, OSError) as error:
-            self._fail(error)
-            return False
-
-    def load_batch(self, keys: Iterable[str]) -> dict[str, Optional[dict]]:
-        """Fetch many records in one ``POST /v1/entries`` round trip.
-
-        Returns ``key -> record`` for hits and ``key -> None`` for
-        misses; an empty dict when the store is dead or the transfer
-        failed (so callers can distinguish "no information" from "the
-        service says these are absent")."""
-        keys = list(keys)
-        if self.dead or not keys:
-            return {}
-        body = json.dumps({"get": keys}).encode("utf-8")
-        try:
-            with self._open("POST", "/v1/entries", body=body) as response:
-                entries = json.loads(response.read().decode("utf-8"))["entries"]
-        except (HTTPException, OSError, ValueError, KeyError, TypeError) as error:
-            self._fail(error)
-            return {}
-        if not isinstance(entries, dict):
-            self._fail(ValueError("entries response is not a JSON object"))
-            return {}
-        records: dict[str, Optional[dict]] = {}
-        for key in keys:
-            record = entries.get(key)
-            if isinstance(record, dict):
-                records[key] = record
-                self.hits += 1
-            else:
-                records[key] = None
-                self.misses += 1
-        return records
-
-    def store_batch(self, records: dict[str, dict]) -> list[str]:
-        """Upload many records in one round trip; the keys the service
-        accepted (empty when dead or the transfer failed)."""
-        if self.dead or not records:
-            return []
-        body = json.dumps({"put": records}).encode("utf-8")
-        try:
-            with self._open("POST", "/v1/entries", body=body) as response:
-                stored = json.loads(response.read().decode("utf-8"))["stored"]
-        except (HTTPException, OSError, ValueError, KeyError, TypeError) as error:
-            # Includes a 401 on a token-protected server: an operator
-            # problem, not a flaky network, but the remedy is the same --
-            # one warning, then local-only.
-            self._fail(error)
-            return []
-        if not isinstance(stored, list):
-            self._fail(ValueError("stored response is not a list"))
-            return []
-        accepted = [key for key in stored if isinstance(key, str)]
-        self.puts += len(accepted)
-        return accepted
-
-    def contains_batch(self, keys: Iterable[str]) -> dict[str, bool]:
-        """Which of ``keys`` the service holds, in one round trip."""
-        keys = list(keys)
-        absent = {key: False for key in keys}
-        if self.dead or not keys:
-            return absent
-        body = json.dumps({"keys": keys}).encode("utf-8")
-        try:
-            with self._open("POST", "/v1/keys", body=body) as response:
-                present = json.loads(response.read().decode("utf-8"))["present"]
-        except (HTTPException, OSError, ValueError, KeyError, TypeError) as error:
-            self._fail(error)
-            return absent
-        return {key: bool(present.get(key)) for key in keys}
-
-    def __len__(self) -> int:
-        stats = self.stats()
-        if not stats:
-            return 0
-        try:
-            return int(stats.get("entries", 0))
-        except (TypeError, ValueError):
-            return 0
-
-    def clear(self) -> int:
-        # Deliberately local-only across the stack: one worker clearing its
-        # cache must never wipe the shared service.
-        return 0
-
-    def stats(self) -> Optional[dict]:
-        """The server's ``/v1/stats`` document, or None when unreachable.
-
-        A stats probe (``python -m repro cache``) failing does not flip the
-        store dead or warn -- reporting must stay side-effect free.
-        """
-        if self.dead:
-            return None
-        try:
-            with self._open("GET", "/v1/stats") as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except (HTTPException, OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None

@@ -57,14 +57,6 @@ class EnergyBreakdown:
     def total_nj(self) -> float:
         return self.compute_nj + self.data_access_nj + self.cpu_nj + self.static_nj
 
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            compute_nj=self.compute_nj * factor,
-            data_access_nj=self.data_access_nj * factor,
-            cpu_nj=self.cpu_nj * factor,
-            static_nj=self.static_nj * factor,
-        )
-
     def to_dict(self) -> dict:
         return {
             "compute_nj": self.compute_nj,

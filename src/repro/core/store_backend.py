@@ -1,23 +1,15 @@
-"""Pluggable storage backends for the content-addressed result store.
+"""On-disk storage for the content-addressed result store.
 
-A backend moves opaque *records* -- JSON dicts carrying the cache-schema
-marker -- in and out of some medium, addressed by hex cache key.  The
-frontend (:class:`~repro.core.cache.ResultStore`) owns schema validation
-and hit/miss accounting; backends own durability, atomicity and their own
-failure modes:
+:class:`LocalDirBackend` moves opaque *records* -- JSON dicts carrying the
+cache-schema marker -- in and out of a directory, one file per hex cache
+key, sharded by key prefix and written atomically.  The frontend
+(:class:`~repro.core.cache.ResultStore`) owns hit/miss accounting; the
+read-only HTTP server (:mod:`repro.core.cache_service`) serves the same
+directory.
 
-* :class:`LocalDirBackend` -- one JSON file per key under a directory,
-  sharded by key prefix, written atomically (the historical on-disk layout,
-  refactored out of ``ResultStore`` unchanged).
-* :class:`TieredBackend` -- local tier first, remote tier second:
-  read-through (remote hits populate the local tier) and write-back
-  (stores go to both).  Combined with the HTTP
-  :class:`~repro.core.cache_service.RemoteStore` it turns any number of
-  machines into one shared cache.
-
-Backends never raise on storage trouble: a failed write degrades to a
-no-op, a corrupt or unreachable read is a miss, so the simulation pipeline
-above is oblivious to cache health.
+The backend never raises on storage trouble: a failed write degrades to a
+no-op and a corrupt read is a miss, so the simulation pipeline above is
+oblivious to cache health.
 """
 
 from __future__ import annotations
@@ -25,70 +17,19 @@ from __future__ import annotations
 import json
 import os
 import threading
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Optional
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "LocalDirBackend",
-    "StoreBackend",
-    "TieredBackend",
 ]
 
 #: bump when the record layout changes incompatibly
 CACHE_SCHEMA_VERSION = 1
 
 
-class StoreBackend(ABC):
-    """Raw record storage addressed by cache key.
-
-    ``load``/``store`` move full records (payload plus schema marker)
-    verbatim; record movement (``load``/``store``/``contains``) must be
-    safe to call from multiple threads, and every storage failure is a
-    miss / no-op, never an exception.  Per-instance bookkeeping attributes
-    (e.g. :attr:`TieredBackend.last_tier`) are best-effort and only
-    meaningful to a single-threaded reader such as the sweep engine's
-    lookup loop.
-    """
-
-    @abstractmethod
-    def load(self, key: str) -> Optional[dict]:
-        """The stored record for ``key``, or None on miss or corruption."""
-
-    @abstractmethod
-    def store(self, key: str, record: dict) -> bool:
-        """Persist ``record`` under ``key``; False if the write was lost."""
-
-    @abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` currently resolves to a record."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of stored records."""
-
-    @abstractmethod
-    def clear(self) -> int:
-        """Delete every record this backend owns; returns how many."""
-
-    def load_checked(self, key: str) -> Optional[dict]:
-        """The record for ``key`` only if it carries the current schema
-        marker; None otherwise.  The one schema gate every frontend shares
-        (:class:`~repro.core.cache.ResultStore` and the read API), so a
-        record written by an incompatible version can never leak out of any
-        door."""
-        record = self.load(key)
-        if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        return record
-
-    def stats(self) -> Optional[dict]:
-        """Aggregate backend statistics (shape is backend-specific)."""
-        return {"entries": len(self)}
-
-
-class LocalDirBackend(StoreBackend):
+class LocalDirBackend:
     """One JSON file per cache key under ``root``, sharded by key prefix.
 
     Writes are atomic (unique temp file + ``os.replace``) so concurrent
@@ -96,6 +37,8 @@ class LocalDirBackend(StoreBackend):
     directory -- can never publish a torn entry: readers see either the old
     record or the new one, and the last write wins.  Truncated or otherwise
     unparseable entries are deleted on read and reported as misses.
+    Record movement (``load``/``store``/``contains``) is safe to call from
+    multiple threads.
     """
 
     _tmp_counter = 0
@@ -109,14 +52,15 @@ class LocalDirBackend(StoreBackend):
 
     @classmethod
     def _tmp_suffix(cls) -> str:
-        # pid alone is not unique enough: server threads and concurrent
-        # sweeps in one process would collide on the same temp file.
+        # pid alone is not unique enough: concurrent sweeps in one process
+        # would collide on the same temp file.
         with cls._tmp_lock:
             cls._tmp_counter += 1
             serial = cls._tmp_counter
         return f".tmp.{os.getpid()}.{threading.get_ident()}.{serial}"
 
     def load(self, key: str) -> Optional[dict]:
+        """The stored record for ``key``, or None on miss or corruption."""
         path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -131,7 +75,19 @@ class LocalDirBackend(StoreBackend):
                     pass
             return None
 
+    def load_checked(self, key: str) -> Optional[dict]:
+        """The record for ``key`` only if it carries the current schema
+        marker; None otherwise.  The one schema gate every reader shares
+        (:class:`~repro.core.cache.ResultStore` and the read API), so a
+        record written by an incompatible version can never leak out of any
+        door."""
+        record = self.load(key)
+        if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA_VERSION:
+            return None
+        return record
+
     def store(self, key: str, record: dict) -> bool:
+        """Persist ``record`` under ``key``; False if the write was lost."""
         path = self.path(key)
         tmp = path.parent / (path.name + self._tmp_suffix())
         try:
@@ -151,19 +107,13 @@ class LocalDirBackend(StoreBackend):
     def contains(self, key: str) -> bool:
         return self.path(key).is_file()
 
-    def keys(self):
-        """Every stored cache key (the file stems under ``root``)."""
-        if not self.root.exists():
-            return
-        for path in self.root.glob("*/*.json"):
-            yield path.stem
-
     def __len__(self) -> int:
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
+        """Delete every record; returns how many."""
         removed = 0
         if not self.root.exists():
             return removed
@@ -174,122 +124,3 @@ class LocalDirBackend(StoreBackend):
             except OSError:
                 pass
         return removed
-
-    def stats(self) -> dict:
-        return {"backend": "local", "root": str(self.root), "entries": len(self)}
-
-
-class TieredBackend(StoreBackend):
-    """Local tier first, remote tier second: read-through, write-back.
-
-    A local miss consults the remote tier; a remote hit is written into the
-    local tier so the next read is local.  Stores go to both tiers, so a
-    result computed on any worker becomes visible to the whole fleet.  The
-    remote tier is allowed to fail (the HTTP client degrades itself to a
-    dead no-op after the first connectivity problem); the local tier keeps
-    working regardless, and ``clear``/``__len__`` deliberately touch only
-    the local tier -- one worker must never wipe the shared service.
-    """
-
-    def __init__(self, local: StoreBackend, remote: StoreBackend):
-        self.local = local
-        self.remote = remote
-        #: tier that answered the most recent hit ("local" or "remote");
-        #: best-effort bookkeeping for single-threaded readers (the engine)
-        self.last_tier: Optional[str] = None
-        #: keys a batched probe reported absent remotely; consulted (and
-        #: consumed) by load() to skip a guaranteed-404 round trip
-        self._remote_absent: set[str] = set()
-        #: keys a bulk prefetch pulled from the remote tier into the local
-        #: one; consulted (and consumed) by load() so the first read still
-        #: reports its true origin ("remote"), not the tier it landed in
-        self._remote_fetched: set[str] = set()
-        self._absent_lock = threading.Lock()
-
-    def prefetch(self, keys) -> None:
-        """Pull ``keys`` from the remote tier in one round trip.
-
-        Keys already local are untouched.  With a bulk-capable remote
-        (:meth:`~repro.core.cache_service.RemoteStore.load_batch`) the
-        missing records are fetched and written into the local tier up
-        front -- a warm remote sweep costs one ``POST /v1/entries``
-        instead of one GET per key -- while keys the service reports
-        absent are remembered so the next ``load`` of each skips the
-        remote round trip entirely.  Remotes with only the existence
-        probe (``contains_batch``) keep the probe-only behavior; remotes
-        with neither make this a no-op.
-        """
-        missing = [key for key in keys if not self.local.contains(key)]
-        if not missing:
-            return
-        fetch = getattr(self.remote, "load_batch", None)
-        if fetch is not None:
-            records = fetch(missing)
-            if records:
-                with self._absent_lock:
-                    for key in missing:
-                        record = records.get(key)
-                        if not isinstance(record, dict):
-                            self._remote_absent.add(key)
-                        elif record.get(
-                            "schema"
-                        ) == CACHE_SCHEMA_VERSION and self.local.store(key, record):
-                            self._remote_fetched.add(key)
-                        # Schema-mismatched or unwritable records fall
-                        # through to a plain remote load (same handling a
-                        # single-key read-through gives them).
-            # An empty dict means the remote is dead or the transfer
-            # failed: no information either way, so per-key loads decide.
-            return
-        probe = getattr(self.remote, "contains_batch", None)
-        if probe is None:
-            return
-        present = probe(missing)
-        with self._absent_lock:
-            self._remote_absent.update(key for key in missing if not present.get(key))
-
-    def load(self, key: str) -> Optional[dict]:
-        record = self.local.load(key)
-        if record is not None:
-            with self._absent_lock:
-                fetched = key in self._remote_fetched
-                self._remote_fetched.discard(key)
-            self.last_tier = "remote" if fetched else "local"
-            return record
-        with self._absent_lock:
-            skip_remote = key in self._remote_absent
-            # One skip per probe answer: the key may appear later (another
-            # worker publishing it), so the next load re-checks the wire.
-            self._remote_absent.discard(key)
-        if skip_remote:
-            self.last_tier = None
-            return None
-        record = self.remote.load(key)
-        if not isinstance(record, dict):
-            self.last_tier = None
-            return None
-        self.last_tier = "remote"
-        if record.get("schema") == CACHE_SCHEMA_VERSION:
-            # Read-through populate: next lookup of this key stays local.
-            self.local.store(key, record)
-        return record
-
-    def store(self, key: str, record: dict) -> bool:
-        stored_locally = self.local.store(key, record)
-        self.remote.store(key, record)
-        with self._absent_lock:
-            self._remote_absent.discard(key)
-            self._remote_fetched.discard(key)
-        return stored_locally
-
-    def contains(self, key: str) -> bool:
-        return self.local.contains(key) or self.remote.contains(key)
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    def clear(self) -> int:
-        return self.local.clear()
-
-    def stats(self) -> dict:
-        return {"local": self.local.stats(), "remote": self.remote.stats()}

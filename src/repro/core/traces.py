@@ -17,9 +17,8 @@ explicit artifact:
   converts to/from the compact columnar payload of
   :mod:`repro.isa.trace_io`.
 * :class:`TraceStore` is a namespace over the existing content-addressed
-  :class:`~repro.core.cache.ResultStore`; captured traces travel through
-  the same local directory and shared HTTP cache service as simulation
-  results, so one machine's capture is a hit for the whole fleet.
+  :class:`~repro.core.cache.ResultStore`; captured traces live in the same
+  directory as simulation results.
 
 Capture itself runs the functional machine with value recording off
 (:meth:`~repro.workloads.base.Kernel.capture`): the trace carries every
@@ -133,11 +132,9 @@ class TraceStore:
     """Trace-artifact namespace over the content-addressed result store.
 
     A thin facade: keys come from :meth:`TraceSpec.cache_key`, records are
-    ``{"trace": <columnar payload>, "spec": {...}}`` and travel through
-    whatever backend stack the wrapped :class:`ResultStore` carries --
-    including the tiered local+remote configuration, so captures are shared
-    fleet-wide exactly like simulation results.  ``store=None`` degrades
-    every operation to a no-op/miss (the ``--no-cache`` path).
+    ``{"trace": <columnar payload>, "spec": {...}}`` and are stored exactly
+    like simulation results.  ``store=None`` degrades every operation to a
+    no-op/miss (the ``--no-cache`` path).
     """
 
     def __init__(self, store: Optional[ResultStore]):
@@ -175,9 +172,6 @@ class TraceStore:
         if self.store is not None:
             self.save_payload(artifact.spec, artifact.to_payload())
 
-    def contains_locally(self, spec: TraceSpec) -> bool:
-        """Whether the local tier already holds this capture (no network)."""
-        if self.store is None:
-            return False
-        backend = getattr(self.store.backend, "local", self.store.backend)
-        return backend.contains(spec.cache_key())
+    def contains(self, spec: TraceSpec) -> bool:
+        """Whether the store already holds this capture (without loading it)."""
+        return self.store is not None and self.store.backend.contains(spec.cache_key())

@@ -1,9 +1,9 @@
 """Execution adapters: *how* a batch of pending jobs actually runs.
 
 :class:`~repro.experiments.sweep.ParallelSweepEngine` owns the *what* --
-memoization, the persistent store tiers, trace-group resolution, counters
--- and delegates the *where/how* of executing the jobs that survive every
-cache tier to a pluggable :class:`ExecutionAdapter`:
+memoization, the persistent store, trace-group resolution, counters -- and
+delegates the *where/how* of executing the jobs that survive every cache
+layer to a pluggable :class:`ExecutionAdapter`:
 
 * :class:`SerialAdapter` -- everything in-process, no pool ever created.
   The default for ``jobs=1`` (the interactive :class:`ExperimentRunner`).
@@ -12,14 +12,6 @@ cache tier to a pluggable :class:`ExecutionAdapter`:
   after a mid-batch ``BrokenProcessPool``).  Each task pickles its jobs
   together with the trace they replay; a pool that cannot start or dies
   twice degrades to the serial path.  The default for ``jobs > 1``.
-
-The fleet path reuses the same seam from the outside: ``python -m repro
-worker`` (:mod:`repro.worker`) leases partitions from a coordinator
-(:mod:`repro.core.coordinator`) and drains every one through a single
-long-lived engine carrying one of the adapters above -- so fleet workers
-keep one process pool across partitions, and distribution lives in the
-lease protocol, not in yet another execution code path, keeping fleet
-results bit-identical to local runs by construction.
 
 Adapters call back into engine helpers (``_resolve_groups``,
 ``_split_resolved_groups``, ``_capture_starved_groups``,

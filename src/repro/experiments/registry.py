@@ -18,10 +18,6 @@ need: it prefetches the job set through the
 progress to an optional ``on_result`` callback), answers whole assembled
 results from the persistent :class:`~repro.core.cache.ResultStore` when the
 options and source fingerprint match, and caches fresh results there.
-Because the assembled-result cache sits on the same store as the job cache,
-a tiered store (``$REPRO_REMOTE_CACHE`` / ``--remote-cache``) shares both
-layers across machines: a second machine running the same experiment
-fetches the finished result without simulating a single job.
 ``python -m repro`` exposes the registry as a CLI.
 """
 
@@ -49,7 +45,6 @@ from .sweep import (
     ParallelSweepEngine,
     SweepSpec,
     default_job_count,
-    partition_jobs,
 )
 
 __all__ = [
@@ -60,7 +55,6 @@ __all__ = [
     "build_runner",
     "experiment_catalog",
     "experiment_names",
-    "experiment_partitions",
     "experiment_store_key",
     "get_experiment",
     "load_assembled",
@@ -198,27 +192,6 @@ def get_experiment(name: str) -> Experiment:
         ) from None
 
 
-def experiment_partitions(
-    name: str, options: Optional[ExperimentOptions] = None
-) -> list[list[KernelJob]]:
-    """An experiment's job set split into the fleet's lease-sized units.
-
-    Jobs group by trace spec (so one partition replays one captured
-    trace) and then by batched-replay partition
-    (:func:`~repro.experiments.sweep.batch_partitions`: compiled-kernel
-    geometry) -- exactly the units the local pool adapter submits to its
-    workers, so a leased partition costs ~one batched replay pass.
-
-    Deterministic given the source tree: the coordinator and every
-    worker re-derive identical partitions (and identical job cache keys,
-    which embed the source fingerprint), which is how version skew
-    across a fleet is detected instead of silently simulated wrong.
-    """
-    experiment = get_experiment(name)
-    options = options or ExperimentOptions()
-    return partition_jobs(experiment.jobs(options))
-
-
 def experiment_store_key(name: str, options: Optional[ExperimentOptions] = None) -> str:
     """Where ``name``'s assembled result lives in the store, without running
     anything -- the address readers (the read API, the static exporter)
@@ -290,21 +263,14 @@ def build_runner(
     store: Optional[ResultStore] = None,
     config: Optional[MachineConfig] = None,
     default_scale: float = 0.5,
-    remote: Optional[str] = None,
     adapter: Optional[ExecutionAdapter] = None,
 ) -> ExperimentRunner:
     """An :class:`ExperimentRunner` over a parallel engine -- the standard
     stack the CLI, the benchmark session and the example scripts share.
 
-    ``remote`` (a ``python -m repro serve`` URL) without an explicit
-    ``store`` builds the default tiered store: local cache directory first,
-    shared cache service second, so simulation jobs *and* assembled
-    experiment results are shared across machines.  ``adapter`` overrides
-    how the engine executes uncached jobs (default: serial for one job
-    slot, the local process pool otherwise).
+    ``adapter`` overrides how the engine executes uncached jobs (default:
+    serial for one job slot, the local process pool otherwise).
     """
-    if store is None and remote is not None:
-        store = ResultStore(ResultStore.default_dir(), remote=remote)
     engine = ParallelSweepEngine(
         jobs=default_job_count() if jobs is None else jobs, store=store, adapter=adapter
     )

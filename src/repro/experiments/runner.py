@@ -3,11 +3,9 @@
 The runner sits on top of the :class:`ParallelSweepEngine`: every MVE/RVV
 simulation becomes a :class:`KernelJob` keyed by the *full* machine
 configuration, the scheme, the kernel and its parameters, so results are
-memoized in-process (and, when a persistent store is attached, on disk --
-or fleet-wide, when the store carries a remote cache-service tier)
+memoized in-process (and, when a persistent store is attached, on disk)
 without any risk of two different configurations aliasing the same entry.
-The baseline models (Neon/GPU) cache through the same store, so they share
-the remote tier too.
+The baseline models (Neon/GPU) cache through the same store.
 Experiments that know their job set up front call :meth:`ExperimentRunner.prefetch`
 so the engine can shard the batch across worker processes.
 """
@@ -145,8 +143,8 @@ class ExperimentRunner:
         Experiments that consume raw instruction streams (the Duality Cache
         transform of figure12a) must use this instead of calling
         ``kernel.trace_mve`` directly: the capture is answered from the
-        engine's trace memo / the persistent trace store (including the
-        shared remote tier) and is counted like any other capture.
+        engine's trace memo / the persistent trace store and is counted like
+        any other capture.
         """
         return self.engine.captured_trace(job.trace_spec())
 

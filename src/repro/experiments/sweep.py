@@ -8,9 +8,8 @@ staged, mirroring the paper's capture-once/replay-many methodology:
 * **Capture** -- jobs are grouped by :class:`~repro.core.traces.TraceSpec`
   (kernel, lowering, scale, kwargs, SIMD lanes); each distinct trace is
   captured exactly once per batch -- or loaded from the
-  :class:`~repro.core.traces.TraceStore` namespace of the persistent cache,
-  where captures are shared fleet-wide like any other result -- and fanned
-  out to every machine configuration in the group.
+  :class:`~repro.core.traces.TraceStore` namespace of the persistent cache
+  -- and fanned out to every machine configuration in the group.
 * **Replay** -- each job replays the shared trace through the timing model;
   configurations with the same register-file geometry also share the
   compiled (scheduled + register-allocated) kernel via
@@ -21,9 +20,7 @@ The engine also
 * deduplicates jobs and answers repeats from an in-process memo,
 * answers previously-simulated jobs from the persistent, content-addressed
   :class:`~repro.core.cache.ResultStore` (keyed by the full machine config
-  and a source-tree fingerprint, so results can never go stale) -- including
-  its remote tier when the store is pointed at a shared cache service
-  (``python -m repro serve``), and
+  and a source-tree fingerprint, so results can never go stale), and
 * shards the remaining work across a ``ProcessPoolExecutor`` -- simulation
   is pure Python + numpy, so process-level parallelism is the only way to
   use more than one core.  Capture work is pinned to one worker per trace
@@ -71,7 +68,6 @@ __all__ = [
     "LocalPoolAdapter",
     "SerialAdapter",
     "batch_partitions",
-    "partition_jobs",
     "execute_job",
     "execute_trace_group",
     "simulate_traced_group",
@@ -160,8 +156,7 @@ class JobOutcome:
 
     result: SimulationResult
     spills: int = 0
-    #: "computed", "memo" (in-process), "disk" (local store tier) or
-    #: "remote" (answered by the shared cache service)
+    #: "computed", "memo" (in-process) or "disk" (the persistent store)
     source: str = "computed"
 
 
@@ -186,21 +181,6 @@ def batch_partitions(jobs: Sequence[KernelJob]) -> list[list[KernelJob]]:
     for job in jobs:
         groups.setdefault(replay_group_key(job.config), []).append(job)
     return list(groups.values())
-
-
-def partition_jobs(jobs: Sequence[KernelJob]) -> list[list[KernelJob]]:
-    """Any job set split into the fleet's lease-sized units: first by trace
-    spec (one partition replays one captured trace), then by batched-replay
-    partition (:func:`batch_partitions`).  Deterministic given the source
-    tree -- the coordinator and every worker derive identical partitions,
-    whether the jobs came from an experiment or an exploration round."""
-    groups: dict[TraceSpec, list[KernelJob]] = {}
-    for job in jobs:
-        groups.setdefault(job.trace_spec(), []).append(job)
-    partitions: list[list[KernelJob]] = []
-    for group in groups.values():
-        partitions.extend(batch_partitions(group))
-    return partitions
 
 
 def simulate_traced_group(
@@ -288,9 +268,7 @@ class ParallelSweepEngine:
     (the default for the interactive :class:`ExperimentRunner`) selects
     the in-process :class:`SerialAdapter` -- no pool is ever created --
     and higher counts the :class:`LocalPoolAdapter`; an explicit
-    ``adapter`` overrides both.  The fleet worker
-    (``python -m repro worker``) drains coordinator-leased partitions
-    through this same engine, so every execution path shares one
+    ``adapter`` overrides both.  Both adapters share this engine's
     cache/counter/trace-resolution implementation.
     """
 
@@ -428,12 +406,11 @@ class ParallelSweepEngine:
         payload = self.store.load(job.cache_key())
         if payload is None:
             return None
-        source = "remote" if getattr(self.store, "last_tier", None) == "remote" else "disk"
         try:
             return JobOutcome(
                 result=SimulationResult.from_dict(payload["result"]),
                 spills=int(payload["spills"]),
-                source=source,
+                source="disk",
             )
         except (KeyError, TypeError, ValueError):
             return None
@@ -455,12 +432,6 @@ class ParallelSweepEngine:
         groups: dict[TraceSpec, list[KernelJob]] = {}
         for job in pending:
             groups.setdefault(job.trace_spec(), []).append(job)
-        if self.store is not None:
-            unknown = [spec for spec in groups if spec not in self._trace_memo]
-            if len(unknown) > 1:
-                # Same batched remote probe the job lookup uses: one round
-                # trip instead of a guaranteed-404 GET per cold trace.
-                self.store.prefetch(spec.cache_key() for spec in unknown)
         tasks = []
         for spec, group in groups.items():
             trace = self._memoized_trace(spec)
@@ -617,14 +588,6 @@ class ParallelSweepEngine:
             completed += 1
             if on_result is not None:
                 on_result(job, outcome, completed, total)
-
-        if self.store is not None:
-            unmemoized = [job for job in distinct if job not in self._memo]
-            if len(unmemoized) > 1:
-                # One batched existence probe against a remote cache tier
-                # instead of a guaranteed-404 GET per cold job (no-op for
-                # purely local stores, and not worth a round trip for one).
-                self.store.prefetch(job.cache_key() for job in unmemoized)
 
         pending: list[KernelJob] = []
         for job in distinct:

@@ -12,11 +12,6 @@ One :class:`Explorer` round is
 3. **checkpoint** -- the updated :class:`SearchState` is written back to
    the store.
 
-With a ``coordinator`` (``python -m repro serve``), step 2 first enqueues
-the round's jobs as fleet partitions and polls the shared store until the
-workers have drained them -- the engine then answers everything from the
-remote tier; any coordinator fault just degrades to simulating locally.
-
 Warm-store answers count as *evaluated* but not *simulated*; the run
 summary reports both against the space size, which is how "finds the
 frontier while simulating measurably fewer configs" is made a checkable
@@ -27,12 +22,10 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from ..core.cache import ResultStore
-from ..core.coordinator import CoordinatorClient
 from ..experiments.sweep import KernelJob, OnResult, ParallelSweepEngine
 from .pareto import DEFAULT_OBJECTIVES, FrontierPoint, ParetoFrontier, metrics_from_outcome
 from .space import SearchSpace
@@ -55,9 +48,6 @@ class ExploreSummary:
     #: warm rerun reports 0 here)
     simulated_this_run: int
     elapsed_s: float
-    #: fleet-drain rounds that hit ``fleet_timeout_s`` during this call and
-    #: fell back to local simulation
-    fleet_timeouts: int = 0
 
     @property
     def evaluated(self) -> int:
@@ -70,15 +60,12 @@ class ExploreSummary:
     def describe(self) -> str:
         state = self.state
         status = "converged" if state.done else "budget exhausted (resumable)"
-        fleet_note = (
-            f" | {self.fleet_timeouts} fleet timeouts" if self.fleet_timeouts else ""
-        )
         return (
             f"frontier {self.frontier_size} points | evaluated {self.evaluated}"
             f"/{self.space_size} configs ({state.simulated_total} simulated ever, "
             f"{self.space_size - self.evaluated} never simulated) | "
             f"{self.simulated_this_run} simulated this run | "
-            f"{len(state.rounds)} rounds, {status} | {self.elapsed_s:.1f}s{fleet_note}"
+            f"{len(state.rounds)} rounds, {status} | {self.elapsed_s:.1f}s"
         )
 
 
@@ -95,9 +82,6 @@ class Explorer:
         seed: int = 0,
         objectives: tuple[str, ...] = DEFAULT_OBJECTIVES,
         batch: int = DEFAULT_BATCH,
-        coordinator: Optional[Union[str, CoordinatorClient]] = None,
-        fleet_poll_s: float = 0.5,
-        fleet_timeout_s: float = 600.0,
         log: Optional[Callable[[str], None]] = None,
     ):
         self.space = space
@@ -107,16 +91,6 @@ class Explorer:
         self.objectives = tuple(objectives)
         ParetoFrontier(self.objectives)  # validate objective names eagerly
         self.batch = max(1, int(batch))
-        if isinstance(coordinator, str):
-            coordinator = CoordinatorClient(coordinator)
-        self.coordinator = coordinator
-        self.fleet_poll_s = fleet_poll_s
-        self.fleet_timeout_s = fleet_timeout_s
-        #: fleet-drain rounds that expired without the workers answering
-        #: every key (lifetime of this Explorer; per-run deltas go into
-        #: :attr:`ExploreSummary.fleet_timeouts`)
-        self.fleet_timeouts = 0
-        self._fleet_timeout_warned = False
         self.log = log or (lambda message: None)
 
     # -- state ----------------------------------------------------------- #
@@ -151,7 +125,6 @@ class Explorer:
         ``max_rounds`` rounds -- whichever first.  Resumes any checkpoint
         for (space, seed, strategy, objectives) transparently."""
         started = time.perf_counter()
-        fleet_timeouts_before = self.fleet_timeouts
         state = self.load_state() or self._fresh_state()
         frontier = ParetoFrontier(self.objectives)
         for member in state.frontier:
@@ -176,8 +149,6 @@ class Explorer:
             proposals = proposals[:remaining_budget]
             jobs = self.space.jobs(proposals)
             point_of = dict(zip(jobs, proposals))
-            if self.coordinator is not None:
-                self._drain_via_fleet(proposals, jobs)
             computed_before = self.engine.computed
             changed = False
 
@@ -224,60 +195,7 @@ class Explorer:
             space_size=self.space.size,
             simulated_this_run=simulated_this_run,
             elapsed_s=time.perf_counter() - started,
-            fleet_timeouts=self.fleet_timeouts - fleet_timeouts_before,
         )
-
-    # -- fleet round draining -------------------------------------------- #
-
-    def _drain_via_fleet(self, points: list[int], jobs: list[KernelJob]) -> None:
-        """Enqueue the round on the coordinator, then wait until the shared
-        store answers every job (or the queue drains, or the coordinator
-        dies) -- after which the engine's normal store lookup path takes
-        over.  Purely best-effort: any fault falls back to local
-        simulation, never to a wrong result."""
-        client = self.coordinator
-        answer = client.enqueue_explore(self.space.to_dict(), points)
-        if answer is None:
-            return
-        self.log(
-            f"fleet: {answer.get('queued', 0)} partitions queued "
-            f"({answer.get('already_queued', 0)} already in flight)"
-        )
-        remote = self.store.remote if self.store is not None else None
-        if remote is None or not hasattr(remote, "contains_batch"):
-            return
-        keys = [job.cache_key() for job in jobs]
-        deadline = time.monotonic() + self.fleet_timeout_s
-        while True:
-            present = remote.contains_batch(keys)
-            if all(present.get(key) for key in keys):
-                return
-            stats = remote.stats() if hasattr(remote, "stats") else None
-            queue = (stats or {}).get("queue") or {}
-            if stats is not None and not queue.get("pending") and not queue.get("leased"):
-                # Queue fully drained but keys still missing (e.g. skewed
-                # workers nacked everything): simulate the rest locally.
-                return
-            if time.monotonic() >= deadline:
-                missing = sum(1 for key in keys if not present.get(key))
-                self.fleet_timeouts += 1
-                self.log(
-                    f"fleet: drain timed out after {self.fleet_timeout_s:g}s "
-                    f"({missing}/{len(keys)} keys unanswered); simulating locally"
-                )
-                if not self._fleet_timeout_warned:
-                    # One warning per Explorer (the PR 4 contract): every
-                    # further timeout is counted, not repeated.
-                    self._fleet_timeout_warned = True
-                    warnings.warn(
-                        f"fleet drain for {self.space.kernel} timed out after "
-                        f"{self.fleet_timeout_s:g}s; falling back to local "
-                        "simulation (see ExploreSummary.fleet_timeouts)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                return
-            time.sleep(self.fleet_poll_s)
 
 
 def exhaustive_frontier(

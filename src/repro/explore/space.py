@@ -5,8 +5,7 @@ list of named :class:`Axis` objects, each a finite ordered set of primitive
 values (ints, floats, or names).  Points are addressed by a single integer
 id in mixed-radix order (first axis most significant), so a space is fully
 described by a small JSON dict -- which is what lets search state live in
-the content-addressed :class:`~repro.core.cache.ResultStore` and lets a
-fleet coordinator ship whole exploration rounds over the wire without ever
+the content-addressed :class:`~repro.core.cache.ResultStore` without ever
 serializing a :class:`~repro.core.config.MachineConfig`.
 
 Every point compiles down to the existing sweep machinery: ``job(point)``
@@ -15,13 +14,13 @@ single :class:`~repro.experiments.sweep.KernelJob`, and ``sweep_specs()``
 compiles the whole grid into per-config SweepSpecs whose union is exactly
 the point set -- so exploration jobs hash to the same cache keys an
 equivalent hand-written sweep would, and every downstream stage (trace
-store, batched replay, fleet partitions) works unchanged.
+store, batched replay, the worker pool) works unchanged.
 
 Axes are interpreted by a fixed registry of appliers over the *default*
-configuration; values stay primitive on the wire (DRAM variants are named
-presets, not serialized timing structs) so a skewed peer can never inject
-an unkeyed machine configuration -- the job cache keys, which embed the
-source fingerprint, remain the only trust anchor.
+configuration; values stay primitive in the stored state (DRAM variants
+are named presets, not serialized timing structs) so a checkpoint can never
+carry an unkeyed machine configuration -- the job cache keys, which embed
+the source fingerprint, remain the only trust anchor.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ per completed round.
 
 State lives in the same :class:`~repro.core.cache.ResultStore` as job
 results and traces, under a key that hashes the space, the search knobs
-(seed/strategy/objectives) and the source fingerprint -- so it shares the
-remote tier (``--remote-cache``) and can never be replayed against code it
-does not match.  The *budget* is deliberately not part of the key:
+(seed/strategy/objectives) and the source fingerprint -- so it can never be
+replayed against code it does not match.  The *budget* is deliberately not part of the key:
 resuming a finished-early search with a bigger budget continues from the
 checkpoint instead of starting over.
 
@@ -46,7 +45,7 @@ class RoundRecord(SerializableResult):
 
     index: int
     proposed: int
-    #: fresh simulations this round (vs points answered by the store tiers)
+    #: fresh simulations this round (vs points answered by the store)
     simulated: int
     frontier_size: int
     frontier_changed: bool

@@ -103,21 +103,6 @@ class MVEMachine:
         self.trace: list[TraceEntry] = []
         self._next_register = 0
 
-    @classmethod
-    def for_capture(
-        cls, memory: Optional[FlatMemory] = None, simd_lanes: int = 8192
-    ) -> "MVEMachine":
-        """A machine configured for the staged pipeline's capture phase.
-
-        Value recording is off: every intrinsic still emits its full
-        timing-relevant instruction (base address, strides, masks, resolved
-        random bases), but no element addresses are expanded and no payload
-        data is read from or written to flat memory, so capture is cheap and
-        the recorded trace is identical to the value-recording one (pinned
-        by the regression suite).
-        """
-        return cls(memory, simd_lanes=simd_lanes, record_values=False)
-
     # ------------------------------------------------------------------ #
     # bookkeeping helpers
     # ------------------------------------------------------------------ #

@@ -7,9 +7,8 @@ large and slow, so the codec here turns a trace into a handful of parallel
 numpy columns (fixed-width fields) plus CSR-style ``values``/``offsets``
 pairs (variable-length tuple fields), packs the columns with
 :func:`numpy.savez_compressed` and wraps the compressed bytes in a small
-base64 JSON envelope.  The envelope is what travels through the
-content-addressed result store -- including its HTTP remote tier, which only
-speaks JSON records.
+base64 JSON envelope.  The envelope is what the content-addressed result
+store keeps, since the store only holds JSON records.
 
 The round trip is exact: ``decode_trace(encode_trace(trace)) == trace``
 entry for entry (dataclass equality), including empty-vs-populated masks,

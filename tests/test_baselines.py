@@ -195,40 +195,3 @@ class TestRVVEmitter:
         emitter = RVVEmitter(machine)
         assert emitter.segments_for(1024) == 8
         assert emitter.segments_for(10000) == 1
-
-
-class TestRunRVVTrace:
-    def _trace(self):
-        memory = FlatMemory()
-        machine = MVEMachine(memory)
-        data = memory.allocate_array(np.arange(256, dtype=np.int32), DataType.INT32)
-        out = memory.allocate(DataType.INT32, 256)
-        emitter = RVVEmitter(machine)
-        emitter.set_vector_length(256)
-        value = emitter.load_1d(DataType.INT32, data.address)
-        emitter.store_1d(machine.vadd(value, value), out.address)
-        return machine.trace
-
-    def test_result_store_round_trip_is_bit_exact(self, tmp_path):
-        from repro.baselines.rvv import run_rvv_trace
-        from repro.core.cache import ResultStore
-
-        trace = self._trace()
-        plain = run_rvv_trace(trace)
-        store = ResultStore(tmp_path / "rvv-cache")
-        computed = run_rvv_trace(trace, store=store)
-        assert store.misses >= 1 and len(store) == 1
-        cached = run_rvv_trace(trace, store=store)
-        assert store.hits >= 1
-        assert cached.to_dict() == computed.to_dict() == plain.to_dict()
-
-    def test_different_scheme_misses_the_cache(self, tmp_path):
-        from repro.baselines.rvv import run_rvv_trace
-        from repro.core.cache import ResultStore
-        from repro.sram.schemes import get_scheme
-
-        trace = self._trace()
-        store = ResultStore(tmp_path / "rvv-cache")
-        run_rvv_trace(trace, store=store)
-        run_rvv_trace(trace, scheme=get_scheme("bit-parallel"), store=store)
-        assert len(store) == 2

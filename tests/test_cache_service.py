@@ -1,56 +1,26 @@
-"""Fault-injection, parity and concurrency tests for the shared cache service.
+"""Local store safety and the read-only protocol of ``repro serve``.
 
-The contract under test: a sweep pointed at a remote cache is *never worse*
-than a local-only sweep.  A healthy server shares results across machines
-(zero re-simulation, bit-identical payloads); a dead, flaky, hanging or
-lying server costs exactly one warning and the run completes locally with
-identical output; interrupted uploads and concurrent writers can never
-publish a torn entry in either tier.
+The store is written only by local runs: concurrent writers sharing one
+directory can never publish a torn entry, and the default store follows
+``$REPRO_SWEEP_CACHE_DIR``.  The server answers GET and HEAD over that
+directory, counts what it served, and refuses every other method with a
+``501`` that closes the connection before any request body can reach the
+store.
 """
 
 import json
 import socket
-import threading
-import time
 import urllib.error
 import urllib.request
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore
-from repro.core.cache_service import CacheServer, RemoteStore
-from repro.core.store_backend import LocalDirBackend, TieredBackend
-from repro.experiments.registry import ExperimentOptions, build_runner, run_experiment
-from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
-
-SPEC = SweepSpec(
-    name="svc-mini",
-    kernels=[("csum", {"scale": 0.25}), ("memcpy", {"scale": 0.25})],
-)
+from repro.core.cache_service import CacheServer
 
 KEY_A = "ab" * 32
 KEY_B = "cd" * 32
-
-
-def outcome_dicts(outcomes):
-    """Canonical JSON text per job: the bit-for-bit comparison currency."""
-    return {
-        job: json.dumps(
-            {"result": outcome.result.to_dict(), "spills": outcome.spills},
-            sort_keys=True,
-        )
-        for job, outcome in outcomes.items()
-    }
-
-
-@pytest.fixture(scope="module")
-def expected():
-    """The no-remote ground truth for SPEC, computed once."""
-    outcomes = ParallelSweepEngine(jobs=1, store=None).run_jobs(SPEC.jobs())
-    return outcome_dicts(outcomes)
 
 
 @pytest.fixture
@@ -62,544 +32,146 @@ def server(tmp_path):
     srv.server_close()
 
 
-def single_remote_warning(caught):
-    messages = [
-        str(w.message) for w in caught
-        if issubclass(w.category, RuntimeWarning) and "remote cache" in str(w.message)
-    ]
-    assert len(messages) == 1, messages
-    return messages[0]
+def request(server, method, path):
+    """(status, body) of one request, without raising on 4xx."""
+    req = urllib.request.Request(server.url + path, method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=5) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, error.read()
+
+
+def server_stats(server):
+    status, body = request(server, "GET", "/v1/stats")
+    assert status == 200
+    return json.loads(body)
+
+
+def send_with_pipelined_get(server, method, path, body):
+    """Send one request carrying ``body`` with a GET pipelined behind it on
+    the same connection, read to EOF, and return the status line, the
+    lower-cased headers and every byte after the first response head."""
+    host, port = server.server_address[:2]
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode()
+    pipelined = f"GET /v1/stats HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(head + body + pipelined)
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    response_head, _, rest = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = response_head.split(b"\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(b":") for line in header_lines)
+    }
+    return status_line, headers, rest
 
 
 # ---------------------------------------------------------------------- #
-#  Protocol round trips
+#  The read protocol
 # ---------------------------------------------------------------------- #
 
 
 class TestProtocol:
-    def test_put_get_head_roundtrip(self, server):
-        remote = RemoteStore(server.url)
-        record = {"schema": CACHE_SCHEMA_VERSION, "result": {"total_cycles": 7.0}}
-        assert not remote.contains(KEY_A)
-        assert remote.load(KEY_A) is None  # 404 is a miss, not a failure
-        assert not remote.dead
-        assert remote.store(KEY_A, record)
-        assert remote.contains(KEY_A)
-        assert remote.load(KEY_A) == record
+    def test_get_head_roundtrip(self, server):
+        assert request(server, "GET", f"/v1/entry/{KEY_A}")[0] == 404
+        assert request(server, "HEAD", f"/v1/entry/{KEY_A}") == (404, b"")
+        ResultStore(server.backend.root).store(KEY_A, {"result": {"total_cycles": 7.0}})
+        status, body = request(server, "GET", f"/v1/entry/{KEY_A}")
+        assert status == 200
+        assert json.loads(body) == {
+            "schema": CACHE_SCHEMA_VERSION,
+            "result": {"total_cycles": 7.0},
+        }
+        assert request(server, "HEAD", f"/v1/entry/{KEY_A}") == (200, b"")
 
     def test_stats_counts_requests_and_entries(self, server):
-        remote = RemoteStore(server.url)
-        remote.store(KEY_A, {"schema": CACHE_SCHEMA_VERSION, "result": {}})
-        remote.load(KEY_A)
-        remote.load(KEY_B)
-        stats = remote.stats()
+        ResultStore(server.backend.root).store(KEY_A, {"result": {}})
+        request(server, "GET", f"/v1/entry/{KEY_A}")
+        request(server, "GET", f"/v1/entry/{KEY_B}")
+        stats = server_stats(server)
         assert stats["entries"] == 1
-        assert stats["puts"] == 1
+        assert stats["gets"] == 2
         assert stats["hits_served"] == 1
         assert stats["misses"] == 1
-        assert len(remote) == 1
 
-    def test_batched_key_probe(self, server):
-        remote = RemoteStore(server.url)
-        remote.store(KEY_A, {"schema": CACHE_SCHEMA_VERSION, "result": {}})
-        present = remote.contains_batch([KEY_A, KEY_B, "not-a-key"])
-        assert present == {KEY_A: True, KEY_B: False, "not-a-key": False}
-
-    def test_malformed_keys_and_bodies_are_rejected(self, server):
-        def status(method, path, body=None):
-            request = urllib.request.Request(server.url + path, data=body, method=method)
-            try:
-                with urllib.request.urlopen(request, timeout=5) as response:
-                    return response.status
-            except urllib.error.HTTPError as error:
-                return error.code
-
-        assert status("GET", "/v1/entry/../../etc/passwd") == 400
-        assert status("GET", "/v1/entry/ZZ" + "0" * 62) == 400
-        assert status("PUT", f"/v1/entry/{KEY_A}", body=b"{not json") == 400
-        assert status("PUT", f"/v1/entry/{KEY_A}", body=b'["not", "an", "object"]') == 400
-        assert status("POST", "/v1/keys", body=b'{"keys": "nope"}') == 400
-        assert status("GET", "/v1/unknown") == 400
-        # None of the rejected requests stored anything.
-        assert len(server.backend) == 0
+    def test_malformed_keys_and_routes_are_rejected(self, server):
+        for path in (
+            "/v1/entry/../../etc/passwd",
+            "/v1/entry/ZZ" + "0" * 62,
+            "/v1/unknown",
+        ):
+            assert request(server, "GET", path)[0] == 400, path
+        stats = server_stats(server)
+        assert stats["bad_requests"] == 3
+        assert stats["gets"] == 0
 
     def test_rejected_put_closes_the_keepalive_connection(self, server):
-        """A 400 that leaves body bytes unread must drop the connection;
-        keeping it alive would desync the stream and misparse the stale
-        body as the next request."""
-        host, port = server.server_address[:2]
-        body = b'{"schema": 1, "result": {}}'
-        request = (
-            f"PUT /v1/entry/not-a-valid-key HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode() + body
-        with socket.create_connection((host, port), timeout=5) as sock:
-            sock.sendall(request)
-            sock.settimeout(5)
-            data = b""
-            while True:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                data += chunk
-        assert data.startswith(b"HTTP/1.1 400")
-        # Exactly one response then EOF: the body was never parsed as a
-        # follow-up request on the (dropped) keep-alive connection.
-        assert data.count(b"HTTP/1.1") == 1
+        """The stdlib answers a PUT once, with ``501`` and ``Connection:
+        close``, and drops the connection: the record body is never parsed,
+        neither as an entry nor as a follow-up request, and the GET
+        pipelined behind it is never answered."""
+        record = {"schema": CACHE_SCHEMA_VERSION, "result": {"total_cycles": 1.0}}
+        status_line, headers, rest = send_with_pipelined_get(
+            server, "PUT", f"/v1/entry/{KEY_A}", json.dumps(record).encode()
+        )
+        assert status_line.startswith(b"HTTP/1.1 501"), status_line
+        assert headers[b"connection"].lower() == b"close"
+        # Exactly one response, then EOF.
+        assert len(rest) == int(headers[b"content-length"])
+        assert request(server, "GET", f"/v1/entry/{KEY_A}")[0] == 404
+        assert server_stats(server)["gets"] == 1
 
-    def test_interrupted_put_is_never_stored(self, server):
-        """A client that dies mid-upload (fewer body bytes than its
-        Content-Length) must not corrupt the server tier."""
-        host, port = server.server_address[:2]
-        payload = b'{"schema": 1, "result": {"total_cycles": 1.0}}'
-        head = (
-            f"PUT /v1/entry/{KEY_A} HTTP/1.1\r\n"
-            f"Host: {host}\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n\r\n"
+
+class TestReadOnly:
+    #: the bulk-write, key-probe and queue routes the server used to accept
+    MUTATIONS = (
+        ("POST", "/v1/entries"),
+        ("POST", "/v1/keys"),
+        ("POST", "/v1/queue/lease"),
+    )
+
+    def test_write_requests_get_one_501_and_close(self, server):
+        """Every POST route is refused like a PUT: one ``501``, then EOF,
+        with the body unparsed and nothing stored."""
+        body = json.dumps(
+            {
+                "keys": [KEY_A],
+                "put": {KEY_A: {"schema": CACHE_SCHEMA_VERSION, "result": {}}},
+                "worker": "w",
+            }
         ).encode()
-        with socket.create_connection((host, port), timeout=5) as sock:
-            sock.sendall(head + payload[: len(payload) // 2])
-        # Give the handler thread a moment to observe the dropped connection.
-        deadline = time.monotonic() + 5
-        while server.backend.contains(KEY_A) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not server.backend.contains(KEY_A)
-        # The server keeps serving healthy clients afterwards.
-        remote = RemoteStore(server.url)
-        assert remote.store(KEY_A, json.loads(payload))
-        assert remote.load(KEY_A)["result"] == {"total_cycles": 1.0}
+        entries = len(server.backend)
+        for method, path in self.MUTATIONS:
+            status_line, headers, rest = send_with_pipelined_get(
+                server, method, path, body
+            )
+            assert status_line.startswith(b"HTTP/1.1 501"), (method, path, status_line)
+            assert headers[b"connection"].lower() == b"close", (method, path)
+            # Exactly one response, then EOF.
+            assert len(rest) == int(headers[b"content-length"]), (method, path)
+        assert len(server.backend) == entries
+        assert server_stats(server)["gets"] == 0
 
 
 # ---------------------------------------------------------------------- #
-#  Tiered store semantics
+#  The default store
 # ---------------------------------------------------------------------- #
 
 
-class TestTieredStore:
-    def test_write_back_and_read_through(self, server, tmp_path):
-        writer = ResultStore(tmp_path / "writer", remote=server.url)
-        writer.store(KEY_A, {"result": {"x": 1}})
-        # Write-back: both tiers hold the record.
-        assert writer._path(KEY_A).exists()
-        assert server.backend.contains(KEY_A)
-
-        # A different machine (fresh local dir) reads through the service...
-        reader = ResultStore(tmp_path / "reader", remote=server.url)
-        assert reader.load(KEY_A)["result"] == {"x": 1}
-        assert reader.last_tier == "remote"
-        # ...and the read-through populated its local tier.
-        assert reader._path(KEY_A).exists()
-        assert reader.load(KEY_A)["result"] == {"x": 1}
-        assert reader.last_tier == "local"
-
-    def test_last_write_wins_across_tiers(self, server, tmp_path):
-        store = ResultStore(tmp_path / "w", remote=server.url)
-        store.store(KEY_A, {"result": "old"})
-        store.store(KEY_A, {"result": "new"})
-        assert store.load(KEY_A)["result"] == "new"
-        fresh = ResultStore(tmp_path / "fresh", remote=server.url)
-        assert fresh.load(KEY_A)["result"] == "new"
-
-    def test_garbage_remote_record_does_not_poison_local_tier(self, tmp_path, server):
-        """A service serving schema-mismatched records is a miss, and the
-        junk is not replicated into the local directory."""
-        server.backend.store(KEY_A, {"schema": CACHE_SCHEMA_VERSION + 1, "result": {}})
-        store = ResultStore(tmp_path / "local", remote=server.url)
-        assert store.load(KEY_A) is None
-        assert not store._path(KEY_A).exists()
-
-    def test_wrong_service_on_the_port_trips_the_fallback(self, tmp_path):
-        """A URL pointing at some other JSON-speaking HTTP service must
-        degrade like any other fault -- one warning, then local-only --
-        not silently cost a useless round trip per job."""
-
-        class _OtherServiceHandler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                body = b'["some", "other", "api"]'
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, format, *args):
-                pass
-
-        srv = ThreadingHTTPServer(("127.0.0.1", 0), _OtherServiceHandler)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-        try:
-            remote = RemoteStore(f"http://127.0.0.1:{srv.server_address[1]}")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert remote.load(KEY_A) is None
-                assert not remote.store(KEY_A, {"schema": 1, "result": {}})
-            assert remote.dead
-            single_remote_warning(caught)
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_remote_env_var_wires_the_default_store(self, server, tmp_path, monkeypatch):
+class TestDefaultStore:
+    def test_cache_dir_env_var_wires_the_default_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "env-local"))
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
         store = ResultStore.default()
         assert store.root == tmp_path / "env-local"
-        assert isinstance(store.backend, TieredBackend)
-        assert store.remote.base_url == server.url
-
-    def test_build_runner_accepts_remote_url(self, server, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "runner-local"))
-        runner = build_runner(jobs=1, remote=server.url)
-        assert runner.engine.store.remote.base_url == server.url
-
-
-# ---------------------------------------------------------------------- #
-#  Cross-machine sharing (the acceptance criterion, in miniature)
-# ---------------------------------------------------------------------- #
-
-
-class TestCrossMachineSharing:
-    def test_second_engine_simulates_nothing_and_matches_bitwise(
-        self, server, tmp_path, expected
-    ):
-        first = ParallelSweepEngine(
-            jobs=1, store=ResultStore(tmp_path / "machine-a", remote=server.url)
-        )
-        run_a = first.run_jobs(SPEC.jobs())
-        assert first.computed == len(SPEC.jobs())
-        assert outcome_dicts(run_a) == expected
-
-        second = ParallelSweepEngine(
-            jobs=1, store=ResultStore(tmp_path / "machine-b", remote=server.url)
-        )
-        run_b = second.run_jobs(SPEC.jobs())
-        assert second.computed == 0
-        assert {o.source for o in run_b.values()} == {"remote"}
-        assert outcome_dicts(run_b) == expected
-
-    def test_assembled_experiment_result_is_shared(self, server, tmp_path):
-        """The registry's assembled-result cache rides the same tiers: the
-        second machine fetches the finished figure without running one job."""
-        options = ExperimentOptions(scale=0.1)
-        runner_a = build_runner(
-            jobs=1, store=ResultStore(tmp_path / "a", remote=server.url), default_scale=0.1
-        )
-        result_a = run_experiment("figure8", runner=runner_a, options=options)
-        assert runner_a.engine.computed > 0
-
-        runner_b = build_runner(
-            jobs=1, store=ResultStore(tmp_path / "b", remote=server.url), default_scale=0.1
-        )
-        result_b = run_experiment("figure8", runner=runner_b, options=options)
-        assert runner_b.engine.computed == 0
-        assert json.dumps(result_b.to_dict(), sort_keys=True) == json.dumps(
-            result_a.to_dict(), sort_keys=True
-        )
-
-
-class TestBatchedPrefetch:
-    def test_cold_sweep_collapses_misses_into_one_probe(self, server, tmp_path):
-        """A cold sweep must not pay a guaranteed-404 GET per job: the
-        engine batch-probes the remote tier once and skips the misses."""
-        engine = ParallelSweepEngine(
-            jobs=1, store=ResultStore(tmp_path / "a", remote=server.url)
-        )
-        engine.run_jobs(SPEC.jobs())
-        stats = server.stats()
-        assert stats["gets"] == 0 and stats["misses"] == 0
-        # Every simulation result plus every capture-stage trace artifact
-        # is published to the shared tier.
-        assert stats["puts"] == len(SPEC.jobs()) + engine.traces_captured
-        assert engine.traces_captured == 2
-
-    def test_probe_does_not_hide_warm_remote_entries(self, server, tmp_path, expected):
-        ParallelSweepEngine(
-            jobs=1, store=ResultStore(tmp_path / "a", remote=server.url)
-        ).run_jobs(SPEC.jobs())
-        second = ParallelSweepEngine(
-            jobs=1, store=ResultStore(tmp_path / "b", remote=server.url)
-        )
-        outcomes = second.run_jobs(SPEC.jobs())
-        assert second.computed == 0
-        assert {o.source for o in outcomes.values()} == {"remote"}
-        assert outcome_dicts(outcomes) == expected
-
-    def test_absent_marker_is_consumed_after_one_skip(self, server, tmp_path):
-        """A probe answer is a snapshot, not a verdict: after one skipped
-        lookup the next load re-checks the wire, so results published by
-        another worker after the probe are still found."""
-        reader = ResultStore(tmp_path / "reader", remote=server.url)
-        reader.prefetch([KEY_A])
-        ResultStore(tmp_path / "writer", remote=server.url).store(
-            KEY_A, {"result": {"x": 1}}
-        )
-        assert reader.load(KEY_A) is None  # stale probe answer, skipped GET
-        assert reader.load(KEY_A)["result"] == {"x": 1}  # re-checked
-
-    def test_prefetch_is_a_noop_for_local_stores(self, tmp_path):
-        store = ResultStore(tmp_path / "local-only")
-        store.prefetch([KEY_A, KEY_B])  # must not raise or change behavior
-        assert store.load(KEY_A) is None
-
-
-# ---------------------------------------------------------------------- #
-#  Fault injection: the remote tier misbehaves, the sweep must not care
-# ---------------------------------------------------------------------- #
-
-
-class _FaultyHandler(BaseHTTPRequestHandler):
-    """Responds per the owning server's failure mode, for every route."""
-
-    def _respond(self):
-        mode = self.server.mode
-        if mode == "hang":
-            time.sleep(self.server.hang_s)
-            mode = "error"
-        if mode == "error":
-            self.send_response(500)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-        elif mode == "truncate":
-            body = b'{"schema": 1, "result": {"total_cycles"'
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            # Promise more bytes than will ever arrive, then hang up.
-            self.send_header("Content-Length", str(len(body) + 512))
-            self.end_headers()
-            self.wfile.write(body)
-            self.close_connection = True
-
-    do_GET = do_PUT = do_HEAD = do_POST = _respond
-
-    def log_message(self, format, *args):
-        pass
-
-
-class _FaultyServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, mode, hang_s=0.5):
-        self.mode = mode
-        self.hang_s = hang_s
-        super().__init__(("127.0.0.1", 0), _FaultyHandler)
-
-    def handle_error(self, request, client_address):
-        pass  # dropped client connections are the point of the exercise
-
-
-@pytest.fixture
-def faulty_server(request):
-    srv = _FaultyServer(mode=request.param)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-
-
-class TestFaultInjection:
-    def _run_with_remote(self, tmp_path, remote, expected):
-        """One sweep through a tiered store; asserts the single-warning
-        degradation contract and bit-identical local fallback."""
-        store = ResultStore(tmp_path / "local", remote=remote)
-        engine = ParallelSweepEngine(jobs=1, store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = engine.run_jobs(SPEC.jobs())
-        message = single_remote_warning(caught)
-        assert "falling back to the local cache only" in message
-        assert outcome_dicts(outcomes) == expected
-        # The local tier is intact and fully populated despite the remote.
-        rerun = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path / "local"))
-        replay = rerun.run_jobs(SPEC.jobs())
-        assert rerun.computed == 0
-        assert {o.source for o in replay.values()} == {"disk"}
-        assert outcome_dicts(replay) == expected
-
-    def test_refused_connection_falls_back_locally(self, tmp_path, expected):
-        # Bind-then-close guarantees a dead port.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        self._run_with_remote(tmp_path, f"http://127.0.0.1:{port}", expected)
-
-    @pytest.mark.parametrize("faulty_server", ["error"], indirect=True)
-    def test_internal_errors_fall_back_locally(self, tmp_path, faulty_server, expected):
-        self._run_with_remote(tmp_path, faulty_server_url(faulty_server), expected)
-
-    @pytest.mark.parametrize("faulty_server", ["truncate"], indirect=True)
-    def test_truncated_responses_fall_back_locally(self, tmp_path, faulty_server, expected):
-        self._run_with_remote(tmp_path, faulty_server_url(faulty_server), expected)
-
-    @pytest.mark.parametrize("faulty_server", ["hang"], indirect=True)
-    def test_timeouts_fall_back_locally(self, tmp_path, faulty_server, expected):
-        remote = RemoteStore(faulty_server_url(faulty_server), timeout=0.1)
-        self._run_with_remote(tmp_path, remote, expected)
-
-    def test_server_killed_mid_sweep(self, tmp_path, expected):
-        """The server dies between jobs; the sweep finishes locally with one
-        warning and identical results, and nothing in either tier is torn."""
-        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
-        srv.start_in_background()
-        store = ResultStore(tmp_path / "local", remote=srv.url)
-        engine = ParallelSweepEngine(jobs=1, store=store)
-        killed = []
-
-        def kill_server_after_first_result(job, outcome, completed, total):
-            if not killed:
-                srv.shutdown()
-                srv.server_close()
-                killed.append(job)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = engine.run_jobs(SPEC.jobs(), on_result=kill_server_after_first_result)
-        single_remote_warning(caught)
-        assert outcome_dicts(outcomes) == expected
-        # The first job -- its capture-stage trace artifact and its result
-        # -- made it to the server before the kill, atomically.
-        server_backend = LocalDirBackend(tmp_path / "server")
-        assert len(server_backend) == 2
-        for entry in (tmp_path / "server").glob("*/*.json"):
-            assert json.loads(entry.read_text())["schema"] == CACHE_SCHEMA_VERSION
-        # The local tier holds every result uncorrupted.
-        replay = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path / "local"))
-        assert outcome_dicts(replay.run_jobs(SPEC.jobs())) == expected
-        assert replay.computed == 0
-
-    def test_dead_remote_stops_costing_requests(self, tmp_path):
-        """After the first failure every remote operation is an instant
-        no-op: a hanging server must not add its timeout to every job."""
-        srv = _FaultyServer(mode="hang", hang_s=0.3)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            remote = RemoteStore(faulty_server_url(srv), timeout=0.1)
-            store = ResultStore(tmp_path / "local", remote=remote)
-            with warnings.catch_warnings(record=True):
-                warnings.simplefilter("always")
-                store.load(KEY_A)  # pays the timeout, flips dead
-            assert remote.dead
-            start = time.perf_counter()
-            for index in range(50):
-                store.store(f"{index:02x}" + "0" * 62, {"result": {}})
-                store.load(f"{index:02x}" + "0" * 62)
-            assert time.perf_counter() - start < 2.0
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-
-def faulty_server_url(srv) -> str:
-    host, port = srv.server_address[:2]
-    return f"http://{host}:{port}"
-
-
-# ---------------------------------------------------------------------- #
-#  Background re-probe: dead is not forever
-# ---------------------------------------------------------------------- #
-
-
-class TestBackgroundReprobe:
-    def _wait_for_rejoin(self, remote, timeout_s=5.0):
-        deadline = time.time() + timeout_s
-        while remote.dead and time.time() < deadline:
-            time.sleep(0.02)
-        assert not remote.dead, "store never rejoined the recovered service"
-
-    def test_store_rejoins_recovered_service(self, tmp_path):
-        """Kill the service, watch the store die with one warning, restart
-        the service on the same port, and assert the background probe flips
-        the store live again and requests flow end to end."""
-        record = {"schema": CACHE_SCHEMA_VERSION, "result": {"x": 1}}
-        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
-        srv.start_in_background()
-        port = srv.server_address[1]
-        remote = RemoteStore(srv.url, timeout=2.0, reprobe_interval=0.05)
-        assert remote.store(KEY_A, record)
-        srv.shutdown()
-        srv.server_close()
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert remote.load(KEY_B) is None
-            assert remote.dead
-            srv2 = CacheServer(("127.0.0.1", port), root=tmp_path / "server")
-            srv2.start_in_background()
-            try:
-                self._wait_for_rejoin(remote)
-                assert remote.rejoins == 1
-                # live again in both directions
-                assert remote.load(KEY_A) == record
-                assert remote.store(KEY_B, record)
-                assert remote.contains(KEY_B)
-            finally:
-                srv2.shutdown()
-                srv2.server_close()
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning) and "remote cache" in str(w.message)
-        ]
-        assert len(messages) == 2, messages
-        assert "falling back" in messages[0]
-        assert "rejoining" in messages[1]
-
-    def test_sweep_worker_rejoins_service_that_recovers_mid_run(self, tmp_path, expected):
-        """Engine-level fault injection: a worker degrades to local-only,
-        the service comes back, and later sweep batches publish to -- and
-        are answered by -- the shared tier again without a restart."""
-        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
-        srv.start_in_background()
-        port = srv.server_address[1]
-        srv.shutdown()
-        srv.server_close()
-
-        remote = RemoteStore(f"http://127.0.0.1:{port}", timeout=1.0, reprobe_interval=0.05)
-        store = ResultStore(tmp_path / "local", remote=remote)
-        engine = ParallelSweepEngine(jobs=1, store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcomes = engine.run_jobs(SPEC.jobs())
-            assert remote.dead
-            assert outcome_dicts(outcomes) == expected
-
-            # The service recovers; the background probe rejoins the fleet.
-            srv2 = CacheServer(("127.0.0.1", port), root=tmp_path / "server")
-            srv2.start_in_background()
-            try:
-                self._wait_for_rejoin(remote)
-                late_jobs = SweepSpec(
-                    name="late", kernels=[("adler32", {"scale": 0.25})]
-                ).jobs()
-                engine.run_jobs(late_jobs)
-                # The post-recovery batch reached the shared tier: result
-                # plus capture-stage trace artifact.
-                server_backend = LocalDirBackend(tmp_path / "server")
-                assert server_backend.contains(late_jobs[0].cache_key())
-                assert server_backend.contains(late_jobs[0].trace_spec().cache_key())
-                # ...and a fresh machine is answered entirely remotely.
-                other = ParallelSweepEngine(
-                    jobs=1, store=ResultStore(tmp_path / "other", remote=srv2.url)
-                )
-                replayed = other.run_jobs(late_jobs)
-                assert other.computed == 0
-                assert replayed[late_jobs[0]].source == "remote"
-            finally:
-                srv2.shutdown()
-                srv2.server_close()
-
-    def test_zero_interval_disables_reprobing(self, tmp_path):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        remote = RemoteStore(f"http://127.0.0.1:{port}", timeout=0.5, reprobe_interval=0)
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            assert remote.load(KEY_A) is None
-        assert remote.dead
-        assert remote._reprobe_thread is None
+        assert store.backend.root == tmp_path / "env-local"
 
 
 # ---------------------------------------------------------------------- #
@@ -611,17 +183,17 @@ class TestConcurrentWriters:
     N_WRITERS = 8
     PER_WRITER = 12
 
-    def test_no_torn_entries_under_contention(self, server, tmp_path):
-        """N threads hammer one server and one shared local directory with
-        PUTs to the same and disjoint keys; every surviving entry must be a
-        complete record that some writer actually wrote."""
-        shared_local = tmp_path / "shared-local"
+    def test_no_torn_entries_under_contention(self, tmp_path):
+        """N threads store into one shared directory, to the same and to
+        disjoint keys; every surviving entry must be a complete record that
+        some writer actually wrote."""
+        shared = tmp_path / "shared"
         contended = "ff" * 32
         errors = []
 
         def writer(thread_id):
             try:
-                store = ResultStore(shared_local, remote=RemoteStore(server.url))
+                store = ResultStore(shared)
                 for i in range(self.PER_WRITER):
                     disjoint = f"{thread_id:02x}{i:02x}" + "0" * 60
                     store.store(disjoint, {"result": {"writer": thread_id, "i": i}})
@@ -633,97 +205,37 @@ class TestConcurrentWriters:
             list(pool.map(writer, range(self.N_WRITERS)))
         assert errors == []
 
-        # Every disjoint key reads back exactly what its writer stored, from
-        # the shared local dir, from the server, and via a fresh machine.
-        local_reader = ResultStore(shared_local)
-        fresh_machine = ResultStore(tmp_path / "fresh", remote=RemoteStore(server.url))
+        # Every disjoint key reads back exactly what its writer stored.
+        reader = ResultStore(shared)
         for thread_id in range(self.N_WRITERS):
             for i in range(self.PER_WRITER):
                 key = f"{thread_id:02x}{i:02x}" + "0" * 60
-                want = {"writer": thread_id, "i": i}
-                assert local_reader.load(key)["result"] == want
-                assert server.backend.load(key)["result"] == want
-                assert fresh_machine.load(key)["result"] == want
+                assert reader.load(key)["result"] == {"writer": thread_id, "i": i}
 
-        # The contended key holds one complete write in both tiers (atomic
-        # replace: torn/interleaved JSON would fail to parse or validate).
-        for record in (local_reader.load(contended), server.backend.load(contended)):
-            assert record["schema"] == CACHE_SCHEMA_VERSION
-            assert set(record["result"]) == {"writer", "i"}
-            assert 0 <= record["result"]["writer"] < self.N_WRITERS
+        # The contended key holds one complete write (atomic replace:
+        # torn/interleaved JSON would fail to parse or validate).
+        record = reader.load(contended)
+        assert record["schema"] == CACHE_SCHEMA_VERSION
+        assert set(record["result"]) == {"writer", "i"}
+        assert 0 <= record["result"]["writer"] < self.N_WRITERS
 
-        # Sequential writes after the storm: last write wins everywhere.
-        finalist = ResultStore(shared_local, remote=RemoteStore(server.url))
+        # Sequential writes after the storm: the last write wins.
+        finalist = ResultStore(shared)
         finalist.store(contended, {"result": "penultimate"})
         finalist.store(contended, {"result": "final"})
-        assert ResultStore(shared_local).load(contended)["result"] == "final"
-        assert server.backend.load(contended)["result"] == "final"
+        assert ResultStore(shared).load(contended)["result"] == "final"
 
-    def test_no_temp_file_droppings(self, server, tmp_path):
+    def test_no_temp_file_droppings(self, tmp_path):
         """Atomic-write temp files never survive a completed store, even
         with many threads writing the same shard concurrently."""
-        shared_local = tmp_path / "shared-local"
+        shared = tmp_path / "shared"
 
         def writer(thread_id):
-            store = ResultStore(shared_local, remote=RemoteStore(server.url))
+            store = ResultStore(shared)
             for i in range(self.PER_WRITER):
                 store.store("ee" * 32, {"result": thread_id * 1000 + i})
 
         with ThreadPoolExecutor(max_workers=self.N_WRITERS) as pool:
             list(pool.map(writer, range(self.N_WRITERS)))
-        leftovers = [p for p in shared_local.rglob("*") if ".tmp." in p.name]
-        leftovers += [p for p in (tmp_path / "server").rglob("*") if ".tmp." in p.name]
-        assert leftovers == []
-
-
-# ---------------------------------------------------------------------- #
-#  CLI integration
-# ---------------------------------------------------------------------- #
-
-
-class TestCacheServiceCli:
-    def test_run_shares_results_between_fresh_cache_dirs(self, server, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        base = ["run", "--kernels", "csum", "--scale", "0.25", "--jobs", "1",
-                "--remote-cache", server.url]
-        assert cli_main(["--cache-dir", str(tmp_path / "a")] + base) == 0
-        out_a = capsys.readouterr().out
-        assert "1 simulated" in out_a and f"remote {server.url}" in out_a
-
-        assert cli_main(["--cache-dir", str(tmp_path / "b")] + base) == 0
-        out_b = capsys.readouterr().out
-        assert "0 simulated" in out_b and "remote" in out_b
-
-    def test_cache_reports_remote_tier_stats(self, server, tmp_path, capsys, monkeypatch):
-        """Regression for the `repro cache` satellite: with REPRO_REMOTE_CACHE
-        set the subcommand reports the service, not just the local dir."""
-        from repro.cli import main as cli_main
-
-        remote = RemoteStore(server.url)
-        remote.store(KEY_A, {"schema": CACHE_SCHEMA_VERSION, "result": {}})
-        remote.load(KEY_A)
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
-        assert cli_main(["--cache-dir", str(tmp_path / "local"), "cache"]) == 0
-        out = capsys.readouterr().out
-        assert f"Remote: {server.url}" in out
-        assert "1 entries" in out and "1 hits served" in out
-
-    def test_cache_reports_unreachable_remote(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main as cli_main
-
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", "http://127.0.0.1:1")
-        assert cli_main(["--cache-dir", str(tmp_path / "local"), "cache"]) == 0
-        assert "(unreachable)" in capsys.readouterr().out
-
-    def test_cache_clear_leaves_remote_untouched(self, server, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        store = ResultStore(tmp_path / "local", remote=server.url)
-        store.store(KEY_A, {"result": {}})
-        argv = ["--cache-dir", str(tmp_path / "local"),
-                "--remote-cache", server.url, "cache", "clear"]
-        assert cli_main(argv) == 0
-        out = capsys.readouterr().out
-        assert "removed 1" in out and "left untouched" in out
-        assert server.backend.contains(KEY_A)
+        assert [p for p in shared.rglob("*") if ".tmp." in p.name] == []
+        assert ResultStore(shared).load("ee" * 32)["schema"] == CACHE_SCHEMA_VERSION

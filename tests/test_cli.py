@@ -322,10 +322,7 @@ class TestDeprecatedSweepShim:
 def _update_schema_goldens() -> None:
     import tempfile
 
-    # Hermetic like the pytest run (see conftest.py): regeneration must not
-    # publish reduced-scale results to a real cache service or pollute the
-    # developer's default cache directory.
-    os.environ.pop("REPRO_REMOTE_CACHE", None)
+    # Regeneration must not pollute the developer's default cache directory.
     cache_dir = tempfile.mkdtemp(prefix="repro-schema-cache-")
     for name in experiment_names():
         out_path = os.path.join(tempfile.mkdtemp(), f"{name}.json")

@@ -1,12 +1,11 @@
-"""Design-space explorer tests: spaces, frontiers, resume, fleet, CLI.
+"""Design-space explorer tests: spaces, frontiers, resume, CLI.
 
 The contract under test: an adaptive search finds the *exact* Pareto
 frontier of the exhaustive grid while evaluating (and above all
 simulating) fewer configurations; the frontier is invariant to the order
 results arrive in (hypothesis); a search SIGKILLed mid-round resumes to
-the identical frontier with zero re-simulation; exploration rounds drain
-through the fleet coordinator with zero local simulation; and the
-streaming stream_jobs path keeps engine memory flat.
+the identical frontier with zero re-simulation; and the streaming
+stream_jobs path keeps engine memory flat.
 
 The frontier export schema is pinned by ``tests/golden/
 explore_frontier_schema.json``; regenerate after an intentional change
@@ -21,7 +20,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import explore_export_payload, main as cli_main, schema_outline
 from repro.core.area import AreaReport
 from repro.core.cache import ResultStore
-from repro.core.cache_service import CacheServer
-from repro.core.coordinator import CoordinatorClient, JobQueue
 from repro.core.energy import EnergyBreakdown
 from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
 from repro.explore import (
@@ -45,7 +41,6 @@ from repro.explore import (
     exhaustive_frontier,
     get_strategy,
 )
-from repro.worker import resolve_partition_jobs, run_worker
 
 settings.register_profile("repro", deadline=None, max_examples=50)
 settings.load_profile("repro")
@@ -71,7 +66,7 @@ def small_space(scale: float = SCALE) -> SearchSpace:
 
 
 def tiny_space(scale: float = SCALE) -> SearchSpace:
-    """8 points, cheap enough for the fleet round trip."""
+    """8 points, for tests that only need a small distinct space."""
     return SearchSpace(
         kernel="csum",
         scale=scale,
@@ -376,7 +371,6 @@ class TestKillAndResume:
             + os.pathsep
             + env.get("PYTHONPATH", "")
         )
-        env.pop("REPRO_REMOTE_CACHE", None)
         completed = subprocess.run(
             [
                 sys.executable,
@@ -442,151 +436,6 @@ class TestStreaming:
             assert store.load(job.cache_key()) is not None
 
         engine.stream_jobs(STREAM_SPEC.jobs(), on_result=assert_persisted)
-
-
-# ---------------------------------------------------------------------- #
-#  Fleet: exploration rounds as coordinator partitions
-# ---------------------------------------------------------------------- #
-
-
-class TestFleetExplore:
-    def test_resolve_explore_partition_validates_like_experiments(self):
-        space = tiny_space()
-        queue = JobQueue(lease_ttl_s=60.0)
-        points = list(range(space.size))
-        summary = queue.enqueue_explore(space.to_dict(), points)
-        assert summary["experiment"] == "explore"
-        assert summary["jobs"] == space.size
-        assert summary["queued"] == summary["partitions"] >= 1
-
-        partition, _ = queue.lease("w1")
-        assert partition["experiment"] == "explore"
-        jobs = resolve_partition_jobs(partition)
-        assert jobs is not None
-        assert [job.cache_key() for job in jobs] == partition["keys"]
-        assert [space.job(p).cache_key() for p in partition["points"]] == partition[
-            "keys"
-        ]
-
-        # Version skew / tampering nacks instead of simulating wrong work.
-        assert resolve_partition_jobs({**partition, "keys": ["00" * 32]}) is None
-        assert (
-            resolve_partition_jobs({**partition, "points": partition["points"][:-1]})
-            is None
-        )
-        assert resolve_partition_jobs({**partition, "points": "0,1"}) is None
-        bad_space = {**partition, "space": {"kernel": "nope", "axes": []}}
-        assert resolve_partition_jobs(bad_space) is None
-
-    def test_enqueue_explore_is_idempotent_while_queued(self):
-        space = tiny_space()
-        queue = JobQueue(lease_ttl_s=60.0)
-        first = queue.enqueue_explore(space.to_dict(), [0, 1])
-        again = queue.enqueue_explore(space.to_dict(), [0, 1])
-        assert again["queued"] == 0
-        assert again["already_queued"] == first["queued"]
-
-    def test_fleet_drains_exploration_and_searcher_simulates_nothing(self, tmp_path):
-        space = tiny_space()
-        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
-        srv.start_in_background()
-        try:
-            client = CoordinatorClient(srv.url, worker_id="enqueuer")
-            summary = client.enqueue_explore(
-                space.to_dict(), list(range(space.size))
-            )
-            assert summary["jobs"] == space.size
-
-            report = run_worker(
-                srv.url,
-                cache_dir=str(tmp_path / "worker"),
-                worker_id="worker",
-                drain=True,
-                poll_s=0.05,
-            )
-            assert report.mismatched == 0
-            assert report.acked == summary["partitions"]
-            assert len(report.simulated_keys()) == space.size
-
-            # The searcher rides the fleet's results: every point answered
-            # from the shared tier, zero local simulation.
-            searcher_store = ResultStore(tmp_path / "searcher", remote=srv.url)
-            explorer = Explorer(
-                space,
-                store=searcher_store,
-                jobs=1,
-                strategy="exhaustive",
-                seed=SEED,
-                coordinator=CoordinatorClient(srv.url, worker_id="searcher"),
-            )
-            result = explorer.run(budget=space.size)
-            assert len(result.state.evaluated) == space.size
-            assert explorer.engine.computed == 0
-            assert result.simulated_this_run == 0
-
-            local = Explorer(
-                space,
-                store=ResultStore(tmp_path / "local"),
-                jobs=1,
-                strategy="exhaustive",
-                seed=SEED,
-            ).run(budget=space.size)
-            assert frontier_dicts(result.state.frontier) == frontier_dicts(
-                local.state.frontier
-            )
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_fleet_drain_timeout_warns_once_and_counts(self, tmp_path):
-        """Regression: the drain loop used to fall out of its deadline
-        silently -- the caller simulated everything locally with no
-        indication the fleet never answered.  Now each timed-out round
-        increments ``fleet_timeouts`` and the first one warns (the PR 4
-        one-warning contract)."""
-        space = tiny_space()
-        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
-        srv.start_in_background()
-        try:
-            explorer = Explorer(
-                space,
-                store=ResultStore(tmp_path / "searcher", remote=srv.url),
-                jobs=1,
-                # "random" honors the batch cap ("exhaustive" proposes the
-                # whole grid in one round): 4 of 8 points per round -> two
-                # rounds -> two drain timeouts.
-                strategy="random",
-                seed=SEED,
-                batch=space.size // 2,
-                coordinator=CoordinatorClient(srv.url, worker_id="searcher"),
-                fleet_poll_s=0.02,
-                fleet_timeout_s=0.1,
-            )
-            # Partitions are enqueued but no worker ever leases them, so
-            # every round's drain poll must expire.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                summary = explorer.run(budget=space.size)
-            timeout_warnings = [
-                w for w in caught if "fleet drain" in str(w.message)
-            ]
-            assert len(timeout_warnings) == 1  # once per Explorer, not per round
-            assert summary.fleet_timeouts == 2
-            assert explorer.fleet_timeouts == 2
-            assert "2 fleet timeouts" in summary.describe()
-            # The fallback still finishes the search locally.
-            assert len(summary.state.evaluated) == space.size
-            assert summary.simulated_this_run == space.size
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_fleet_summary_reports_zero_timeouts_on_healthy_drain(self, tmp_path):
-        space = tiny_space()
-        store = ResultStore(tmp_path / "cache")
-        summary = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
-        assert summary.fleet_timeouts == 0
-        assert "fleet timeouts" not in summary.describe()
 
 
 # ---------------------------------------------------------------------- #
@@ -763,7 +612,6 @@ def _axis_free_outline(outline):
 def _update_schema_golden() -> None:
     import tempfile
 
-    os.environ.pop("REPRO_REMOTE_CACHE", None)
     cache_dir = tempfile.mkdtemp(prefix="repro-explore-schema-")
     out_path = os.path.join(tempfile.mkdtemp(), "frontier.json")
     argv = explore_argv(

@@ -6,9 +6,9 @@ store must leave through every door -- ``python -m repro run --export``,
 exporter (``python -m repro export``) -- as the *same bytes*.  On top of
 that: content-addressed ``ETag`` revalidation (a matching
 ``If-None-Match`` answers 304 without loading the record), offset/limit
-pagination sharing one header across pages, read routes that stay
-token-free on an authed server, and a ThreadingHTTPServer that sustains
-thousands of concurrent keep-alive reads.
+pagination sharing one header across pages, and a ThreadingHTTPServer that
+answers thousands of concurrent keep-alive reads with exactly one record
+load per full read.
 
 The warm store is shared with ``tests/test_cli.py``'s schema-golden suite
 (same fixed session directory), so the 11 reduced-scale experiment runs
@@ -19,7 +19,6 @@ import http.client
 import json
 import os
 import threading
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -75,7 +74,7 @@ def warm_store_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def read_server(warm_store_dir):
-    """A CacheServer fronting the warm store (reads only in these tests)."""
+    """A CacheServer fronting the warm store."""
     srv = CacheServer(("127.0.0.1", 0), root=warm_store_dir)
     srv.start_in_background()
     yield srv
@@ -344,21 +343,21 @@ class TestMisses:
 
 
 # ---------------------------------------------------------------------- #
-#  Auth: the read surface stays open on a token-protected server
+#  Access: reads need no credentials, mutations are refused outright
 # ---------------------------------------------------------------------- #
 
 
 class TestReadRoutesStayTokenFree:
     def test_reads_open_mutations_gated(self, tmp_path):
-        srv = CacheServer(
-            ("127.0.0.1", 0), root=tmp_path / "server", token="read-api-secret"
-        )
+        """The server takes no token: any client may read, and the old
+        write and queue routes answer ``501`` whatever the client sends."""
+        srv = CacheServer(("127.0.0.1", 0), root=tmp_path / "server")
         srv.start_in_background()
         try:
             status, _, _ = fetch(f"{srv.url}/v1/experiments")
-            assert status == 200  # catalog: no token needed
+            assert status == 200  # catalog: open to every client
             status, _, _ = fetch(f"{srv.url}/v1/experiments/tables")
-            assert status == 404  # cold miss, not a 401
+            assert status == 404  # cold miss, not an auth error
 
             body = json.dumps({"schema": 1, "result": {}}).encode()
             for method, route in (
@@ -366,18 +365,23 @@ class TestReadRoutesStayTokenFree:
                 ("POST", "/v1/queue/enqueue"),
             ):
                 request = urllib.request.Request(
-                    srv.url + route, data=body, method=method
+                    srv.url + route,
+                    data=body,
+                    method=method,
+                    headers={"Authorization": "Bearer read-api-secret"},
                 )
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(request)
-                assert excinfo.value.code == 401
+                    urllib.request.urlopen(request, timeout=5)
+                with excinfo.value:
+                    assert excinfo.value.code == 501, (method, route)
+            assert len(srv.backend) == 0
         finally:
             srv.shutdown()
             srv.server_close()
 
 
 # ---------------------------------------------------------------------- #
-#  Concurrency: thousands of keep-alive reads, bounded latency
+#  Concurrency: thousands of keep-alive reads, one record load per full read
 # ---------------------------------------------------------------------- #
 
 
@@ -385,67 +389,79 @@ class TestConcurrentReads:
     THREADS = 16
     REQUESTS_EACH = 128  # 2048 requests total
 
-    def test_server_sustains_concurrent_keep_alive_readers(self, read_server):
+    def test_server_sustains_concurrent_keep_alive_readers(self, read_server, monkeypatch):
         host, port = read_server.server_address[:2]
         path = f"/v1/experiments/tables?scale={SCALE}"
         _, headers, _ = fetch(f"{read_server.url}{path}")
         etag = headers["ETag"]
 
-        latencies = []
+        backend = read_server.backend
+        loads = []
+        load = backend.load
+
+        def counting_load(key):
+            loads.append(key)
+            return load(key)
+
+        monkeypatch.setattr(backend, "load", counting_load)
+        before = read_server.stats()
         failures = []
         lock = threading.Lock()
 
+        def conditional(worker_index, index):
+            # Mostly revalidations (the warm-CDN shape this API is for),
+            # with a full read every 8th request.
+            return (index + worker_index) % 8 != 0
+
         def reader(worker_index):
             connection = http.client.HTTPConnection(host, port, timeout=30)
-            local_latencies = []
             try:
                 for index in range(self.REQUESTS_EACH):
-                    # Mostly revalidations (the warm-CDN shape this API is
-                    # for), with a full read every 8th request.
-                    conditional = (index + worker_index) % 8 != 0
-                    request_headers = (
-                        {"If-None-Match": etag} if conditional else {}
-                    )
-                    started = time.perf_counter()
+                    revalidate = conditional(worker_index, index)
+                    request_headers = {"If-None-Match": etag} if revalidate else {}
                     connection.request("GET", path, headers=request_headers)
                     response = connection.getresponse()
                     body = response.read()
-                    local_latencies.append(time.perf_counter() - started)
-                    if conditional and (response.status != 304 or body):
+                    if revalidate and (response.status != 304 or body):
                         raise AssertionError(
                             f"expected empty 304, got {response.status} "
                             f"({len(body)} bytes)"
                         )
-                    if not conditional and response.status != 200:
+                    if not revalidate and response.status != 200:
                         raise AssertionError(f"expected 200, got {response.status}")
             except Exception as error:  # noqa: BLE001 - collected for the report
                 with lock:
                     failures.append(f"reader {worker_index}: {error!r}")
             finally:
                 connection.close()
-                with lock:
-                    latencies.extend(local_latencies)
 
         threads = [
             threading.Thread(target=reader, args=(index,), name=f"reader-{index}")
             for index in range(self.THREADS)
         ]
-        elapsed = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
-        elapsed = time.perf_counter() - elapsed
-
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
-        assert len(latencies) == self.THREADS * self.REQUESTS_EACH
-        mean = sum(latencies) / len(latencies)
-        worst = max(latencies)
-        # Deliberately loose bounds: this is a "no pathological serialization
-        # or per-request store parse" gate, not a microbenchmark.
-        assert mean < 0.25, f"mean latency {mean * 1000:.1f}ms"
-        assert worst < 10.0, f"worst latency {worst:.2f}s"
-        assert elapsed < 90.0, f"2048 reads took {elapsed:.1f}s"
+
+        total = self.THREADS * self.REQUESTS_EACH
+        full_reads = sum(
+            not conditional(worker_index, index)
+            for worker_index in range(self.THREADS)
+            for index in range(self.REQUESTS_EACH)
+        )
+        assert full_reads == 256
+        # One record load per unconditional read; a 304 never loads.
+        assert len(loads) == full_reads
+        assert set(loads) == {experiment_store_key("tables", ExperimentOptions(scale=SCALE))}
+        after = read_server.stats()
+        assert after["experiment_gets"] - before["experiment_gets"] == full_reads
+        assert (
+            after["experiment_not_modified"] - before["experiment_not_modified"]
+            == total - full_reads
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -553,7 +569,6 @@ def _update_manifest_schema_golden() -> None:
     """
     import tempfile
 
-    os.environ.pop("REPRO_REMOTE_CACHE", None)
     cache_dir = tempfile.mkdtemp(prefix="repro-manifest-cache-")
     site = os.path.join(tempfile.mkdtemp(), "site")
     assert cli_main(["--cache-dir", cache_dir, "run", "tables",
