@@ -94,7 +94,7 @@ from .experiments.sweep import (
 from .experiments.tables import format_table, table3_libraries
 from .explore import AXIS_NAMES, STRATEGY_NAMES
 from .sram.schemes import SCHEME_NAMES, get_scheme
-from .workloads import kernel_names
+from .workloads import kernel_names, rvv_kernel_names
 
 __all__ = [
     "EXPORT_SCHEMA_VERSION",
@@ -244,30 +244,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_artifact(trace_store, spec):
-    """Load ``spec``'s artifact from the trace cache, capturing (and
-    caching) on a miss -- the columnar encode happens exactly once per
-    capture and never on a cache hit.  Returns (artifact, payload, source).
-    """
-    from .core.traces import TraceArtifact
-
-    payload = trace_store.load_payload(spec)
-    if payload is not None:
-        try:
-            return TraceArtifact.from_payload(spec, payload), payload, "cache"
-        except (KeyError, TypeError, ValueError):
-            pass  # corrupt entry: recapture below
-    start = time.perf_counter()
-    try:
-        artifact = spec.capture()
-    except NotImplementedError:
+def _require_lowering(spec) -> None:
+    """Exit with one line when ``spec`` asks for a lowering its kernel lacks."""
+    if spec.kind == "rvv" and spec.kernel not in rvv_kernel_names():
         raise SystemExit(
-            f"trace: {spec.kernel} has no {spec.kind} lowering"
-        ) from None
-    elapsed_s = time.perf_counter() - start
-    payload = artifact.to_payload()
-    trace_store.save_payload(spec, payload)
-    return artifact, payload, f"captured in {elapsed_s:.2f}s"
+            f"trace: {spec.kernel} has no rvv lowering; "
+            f"kernels with one: {', '.join(rvv_kernel_names())}"
+        )
+
+
+def _resolved_trace(engine: ParallelSweepEngine, spec):
+    """``spec``'s trace through the engine's resolver (memo, store, then
+    capture), plus where it came from."""
+    captures = engine.traces_captured
+    start = time.perf_counter()
+    trace = engine.captured_trace(spec)
+    if engine.traces_captured == captures:
+        return trace, "cache"
+    return trace, f"captured in {time.perf_counter() - start:.2f}s"
 
 
 def _against_spec(base, text: str):
@@ -306,13 +300,17 @@ def _against_spec(base, text: str):
         raise SystemExit(
             f"trace diff: --against scale must be a number and lanes an integer"
         ) from None
-    return TraceSpec(kernel=kernel, kind=kind, scale=scale, simd_lanes=lanes)
+    against = TraceSpec(kernel=kernel, kind=kind, scale=scale, simd_lanes=lanes)
+    _require_lowering(against)
+    return against
 
 
-def _print_trace_diff(spec, artifact, source, against, other, other_source) -> None:
+def _print_trace_diff(spec, trace, source, against, other, other_source) -> None:
     """Side-by-side dynamic-instruction-mix comparison of two traces."""
-    base_stats, other_stats = artifact.stats(), other.stats()
-    print(f"base:    {spec.describe()}: {len(artifact)} trace entries [{source}]")
+    from .intrinsics.machine import TraceStats
+
+    base_stats, other_stats = TraceStats(trace), TraceStats(other)
+    print(f"base:    {spec.describe()}: {len(trace)} trace entries [{source}]")
     print(f"against: {against.describe()}: {len(other)} trace entries [{other_source}]")
 
     def ratio(a: int, b: int) -> str:
@@ -380,32 +378,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """``trace {list,capture,stats,diff}``: the capture stage without the
     timing simulator.
 
-    Captures go through the same :class:`TraceStore` namespace the sweep
-    engine uses, so a ``trace capture`` warms the cache for later sweeps and
-    a sweep's capture makes ``trace stats`` instant.  ``diff`` compares the
-    dynamic instruction mix of two captures of the same extraction (base
-    spec vs ``--against`` overrides).
+    Traces resolve through the sweep engine's own resolver
+    (:meth:`ParallelSweepEngine.captured_trace`) over the same store, so a
+    ``trace capture`` warms the cache for later sweeps, a sweep's capture
+    makes ``trace stats`` instant, and every capture is counted and
+    persisted exactly as in a sweep.  ``diff`` compares the dynamic
+    instruction mix of two captures of the same extraction (base spec vs
+    ``--against`` overrides).
     """
     from .core.config import default_config
     from .core.traces import TraceSpec, TraceStore
-    from .isa.trace_io import trace_payload_bytes
+    from .intrinsics.machine import TraceStats
+    from .isa.trace_io import encode_trace, trace_payload_bytes
     from .workloads import get_kernel_class
-    from .workloads.base import Kernel
 
     store = None if args.no_cache else _store_for(args)
-    trace_store = TraceStore(store)
     lanes = args.lanes if args.lanes else default_config().simd_lanes
 
     if args.action == "list":
+        trace_store = TraceStore(store)
+        with_rvv = set(rvv_kernel_names())
         rows = []
         for name in kernel_names():
             cls = get_kernel_class(name)
-            supports_rvv = cls.run_rvv is not Kernel.run_rvv
             spec = TraceSpec(
                 kernel=name, kind=args.kind, scale=args.scale, simd_lanes=lanes
             )
             cached = (
-                args.kind == "mve" or supports_rvv
+                args.kind == "mve" or name in with_rvv
             ) and trace_store.contains(spec)
             rows.append(
                 [
@@ -413,7 +413,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     cls.library,
                     cls.dims,
                     cls.dtype.name,
-                    "yes" if supports_rvv else "",
+                    "yes" if name in with_rvv else "",
                     "yes" if cached else "",
                 ]
             )
@@ -430,6 +430,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spec = TraceSpec(
         kernel=args.kernel, kind=args.kind, scale=args.scale, simd_lanes=lanes
     )
+    _require_lowering(spec)
+    engine = ParallelSweepEngine(store=store)
 
     if args.action == "diff":
         if not args.against:
@@ -438,19 +440,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 "(keys: kernel, kind, scale, lanes)"
             )
         against = _against_spec(spec, args.against)
-        artifact, _, source = _trace_artifact(trace_store, spec)
-        other, _, other_source = _trace_artifact(trace_store, against)
-        _print_trace_diff(spec, artifact, source, against, other, other_source)
+        trace, source = _resolved_trace(engine, spec)
+        other, other_source = _resolved_trace(engine, against)
+        _print_trace_diff(spec, trace, source, against, other, other_source)
         return 0
 
-    artifact, payload, source = _trace_artifact(trace_store, spec)
-    print(f"{spec.describe()}: {len(artifact)} trace entries [{source}]")
+    trace, source = _resolved_trace(engine, spec)
+    print(f"{spec.describe()}: {len(trace)} trace entries [{source}]")
     print(f"key: {spec.cache_key()}")
     if args.action == "capture":
-        print(f"payload: {trace_payload_bytes(payload['trace'])} bytes (columnar npz)")
+        # The size of the columnar record the store holds for this trace.
+        print(f"payload: {trace_payload_bytes(encode_trace(trace))} bytes (columnar npz)")
         return 0
 
-    stats = artifact.stats()
+    stats = TraceStats(trace)
     mix = stats.as_dict()
     print("\nDynamic instruction mix:")
     print(
@@ -691,6 +694,12 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     bad_kinds = sorted(set(kinds) - {"mve", "rvv"})
     if bad_kinds:
         raise SystemExit(f"unknown kinds: {', '.join(bad_kinds)} (choose from mve, rvv)")
+    without_rvv = sorted(set(requested) - set(rvv_kernel_names())) if "rvv" in kinds else []
+    if without_rvv:
+        raise SystemExit(
+            f"no RVV lowering for {', '.join(without_rvv)}; "
+            f"kernels with one: {', '.join(rvv_kernel_names())}"
+        )
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     for scheme in schemes:
         try:

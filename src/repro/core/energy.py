@@ -86,18 +86,7 @@ class EnergyModel:
     def reset(self) -> None:
         self.breakdown = EnergyBreakdown()
 
-    # -- in-cache engine -------------------------------------------------- #
-
-    def add_sram_compute(self, sram_cycles: float, active_lanes: int, energy_factor: float = 1.0) -> None:
-        self.breakdown.compute_nj += (
-            sram_cycles * active_lanes * self.c.sram_cycle_per_lane_pj * energy_factor / 1000.0
-        )
-
-    def add_controller(self, instructions: int) -> None:
-        self.breakdown.compute_nj += instructions * self.c.controller_instruction_pj / 1000.0
-
-    def add_tmu(self, elements: int) -> None:
-        self.breakdown.data_access_nj += elements * self.c.tmu_element_pj / 1000.0
+    # -- memory hierarchy ------------------------------------------------- #
 
     def add_cache_lines(self, l2_lines: int, llc_lines: int = 0, dram_lines: int = 0) -> None:
         self.breakdown.data_access_nj += (

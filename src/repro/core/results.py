@@ -103,34 +103,3 @@ class SimulationResult:
             "compute": self.compute_cycles / total,
             "data_access": self.data_access_cycles / total,
         }
-
-    def merged_with(self, other: "SimulationResult") -> "SimulationResult":
-        """Combine results of independently-simulated kernel invocations."""
-        merged = SimulationResult(
-            total_cycles=self.total_cycles + other.total_cycles,
-            idle_cycles=self.idle_cycles + other.idle_cycles,
-            compute_cycles=self.compute_cycles + other.compute_cycles,
-            data_access_cycles=self.data_access_cycles + other.data_access_cycles,
-            scalar_instructions=self.scalar_instructions + other.scalar_instructions,
-            spill_instructions=self.spill_instructions + other.spill_instructions,
-            frequency_ghz=self.frequency_ghz,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-        )
-        merged.vector_instructions = dict(self.vector_instructions)
-        for key, value in other.vector_instructions.items():
-            merged.vector_instructions[key] = merged.vector_instructions.get(key, 0) + value
-        total_cycles = max(merged.total_cycles, 1e-12)
-        merged.lane_utilization = (
-            self.lane_utilization * self.total_cycles + other.lane_utilization * other.total_cycles
-        ) / total_cycles
-        merged.cb_utilization = (
-            self.cb_utilization * self.total_cycles + other.cb_utilization * other.total_cycles
-        ) / total_cycles
-        merged.energy = EnergyBreakdown(
-            compute_nj=self.energy.compute_nj + other.energy.compute_nj,
-            data_access_nj=self.energy.data_access_nj + other.energy.data_access_nj,
-            cpu_nj=self.energy.cpu_nj + other.energy.cpu_nj,
-            static_nj=self.energy.static_nj + other.energy.static_nj,
-        )
-        merged.l2_hit_rate = (self.l2_hit_rate + other.l2_hit_rate) / 2.0
-        return merged

@@ -18,7 +18,9 @@ explicit artifact:
   :mod:`repro.isa.trace_io`.
 * :class:`TraceStore` is a namespace over the existing content-addressed
   :class:`~repro.core.cache.ResultStore`; captured traces live in the same
-  directory as simulation results.
+  directory as simulation results.  Only the sweep engine's trace resolver
+  (:meth:`~repro.experiments.sweep.ParallelSweepEngine.captured_trace`)
+  reads it back, so every store hit and capture is counted in one place.
 
 Capture itself runs the functional machine with value recording off
 (:meth:`~repro.workloads.base.Kernel.capture`): the trace carries every
@@ -110,15 +112,6 @@ class TraceArtifact:
     spec: TraceSpec
     trace: list[TraceEntry] = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.trace)
-
-    def stats(self):
-        """Dynamic instruction statistics (``TraceStats``) for this trace."""
-        from ..intrinsics.machine import TraceStats  # deferred: import cycle
-
-        return TraceStats(self.trace)
-
     def to_payload(self) -> dict:
         """The JSON-safe record body persisted in the store."""
         return {"trace": encode_trace(self.trace), "spec": self.spec.to_dict()}
@@ -140,8 +133,8 @@ class TraceStore:
     def __init__(self, store: Optional[ResultStore]):
         self.store = store
 
-    def load_payload(self, spec: TraceSpec) -> Optional[dict]:
-        """The raw record body for ``spec``, or None on miss/corruption."""
+    def load(self, spec: TraceSpec) -> Optional[TraceArtifact]:
+        """The decoded artifact for ``spec``, or None on miss/corruption."""
         if self.store is None:
             return None
         record = self.store.load(spec.cache_key())
@@ -150,15 +143,8 @@ class TraceStore:
         payload = record.get("trace")
         if not isinstance(payload, dict) or "npz_b64" not in payload:
             return None
-        return {"trace": payload, "spec": record.get("spec", {})}
-
-    def load(self, spec: TraceSpec) -> Optional[TraceArtifact]:
-        """The decoded artifact for ``spec``, or None on miss/corruption."""
-        payload = self.load_payload(spec)
-        if payload is None:
-            return None
         try:
-            return TraceArtifact.from_payload(spec, payload)
+            return TraceArtifact.from_payload(spec, record)
         except (KeyError, ValueError, TypeError):
             return None
 

@@ -16,7 +16,7 @@ from .registry import (
     register_experiment,
     run_experiment,
 )
-from .runner import ExperimentRunner, KernelRun
+from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import (
     JobOutcome,
@@ -65,7 +65,6 @@ __all__ = [
     "register_experiment",
     "run_experiment",
     "ExperimentRunner",
-    "KernelRun",
     "SerializableResult",
     "JobOutcome",
     "KernelJob",

@@ -1,139 +1,79 @@
-"""Execution adapters: *how* a batch of pending jobs actually runs.
+"""The persistent local process pool behind ``ParallelSweepEngine(jobs > 1)``.
 
 :class:`~repro.experiments.sweep.ParallelSweepEngine` owns the *what* --
-memoization, the persistent store, trace-group resolution, counters -- and
-delegates the *where/how* of executing the jobs that survive every cache
-layer to a pluggable :class:`ExecutionAdapter`:
+memoization, the persistent store, trace resolution, counters -- and, for
+``jobs > 1``, hands its uncached trace groups to a :class:`LocalPoolAdapter`:
+a ``ProcessPoolExecutor`` created on first use, kept for the engine's
+lifetime and recreated once after a mid-batch ``BrokenProcessPool``.
 
-* :class:`SerialAdapter` -- everything in-process, no pool ever created.
-  The default for ``jobs=1`` (the interactive :class:`ExperimentRunner`).
-* :class:`LocalPoolAdapter` -- a **persistent** ``ProcessPoolExecutor``
-  (created on first use, kept for the engine's lifetime, recreated once
-  after a mid-batch ``BrokenProcessPool``).  Each task pickles its jobs
-  together with the trace they replay; a pool that cannot start or dies
-  twice degrades to the serial path.  The default for ``jobs > 1``.
-
-Adapters call back into engine helpers (``_resolve_groups``,
-``_split_resolved_groups``, ``_capture_starved_groups``,
-``_run_group_serial``) rather than owning copies: those helpers maintain
-engine state (trace memo, capture/store-hit/batched-replay counters) that
-must stay consistent no matter which adapter ran the jobs.  Engines call
-:meth:`ExecutionAdapter.close` (via ``engine.close()`` / ``__del__``) to
-release whatever the adapter holds.
+Every group is resolved in the parent before anything is submitted, through
+the engine's memo-then-store lookup.  A group whose trace is in hand splits
+into one task per batched-replay partition and pickles the trace with it; a
+cold group ships whole and captures in its worker, which returns the
+encoded capture for the engine to count and persist.  A batch of one task,
+a pool that cannot start or one that dies twice runs its leftovers
+in-process through :meth:`ParallelSweepEngine.captured_trace` -- never
+failing the sweep.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
-__all__ = [
-    "ExecutionAdapter",
-    "LocalPoolAdapter",
-    "SerialAdapter",
-]
+__all__ = ["LocalPoolAdapter"]
 
 
-class ExecutionAdapter(ABC):
-    """Strategy for executing one batch of uncached jobs.
+class LocalPoolAdapter:
+    """Shard trace groups across a persistent local process pool (see the
+    module docstring)."""
 
-    ``execute`` receives the engine (for its resolution helpers, counters
-    and store), the pending job list, and an ``emit(job, outcome)``
-    callback that must be invoked exactly once per job as its result
-    becomes available -- the engine layers persistence and progress
-    streaming on top of it.
-    """
-
-    #: worker processes this adapter runs jobs on
-    jobs: int = 1
-    name: str = "base"
-
-    @abstractmethod
-    def execute(self, engine, pending: list, emit: Callable) -> None:
-        """Run every job in ``pending``, emitting each outcome once."""
-
-    def close(self) -> None:
-        """Release long-lived resources (pools); default: nothing held."""
-
-
-class SerialAdapter(ExecutionAdapter):
-    """Run every trace group in-process, in submission order."""
-
-    name = "serial"
-
-    def execute(self, engine, pending: list, emit: Callable) -> None:
-        for spec, group, trace, payload in engine._resolve_groups(pending):
-            engine._run_group_serial(spec, group, trace, payload, emit)
-
-
-class LocalPoolAdapter(ExecutionAdapter):
-    """Shard trace groups across a persistent local process pool.
-
-    Simulation is pure Python + numpy, so process-level parallelism is
-    the only way to use more than one core.  Capture work is pinned to
-    one worker per trace group (keeping every capture single-shot even
-    under a pool); replays of already-resolved traces are split per
-    batched-replay partition before submission, and each task pickles
-    its partition's jobs together with the resolved trace.  The pool
-    outlives the batch, so follow-up batches skip the worker start-up.
-    A pool that cannot start (fork blocked) degrades to the serial path;
-    one that dies mid-batch is recreated once and, failing that, the
-    leftovers run serially -- never failing the sweep.
-    """
-
-    name = "local-pool"
-
-    def __init__(self, jobs: Optional[int] = None):
-        from .sweep import default_job_count
-
-        self.jobs = max(1, default_job_count() if jobs is None else jobs)
-        self._pool: Optional[ProcessPoolExecutor] = None
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     # -- pool lifetime ------------------------------------------------- #
 
     def _ensure_pool(self, engine) -> Optional[ProcessPoolExecutor]:
         """The live pool, creating it on first use (None: cannot start)."""
-        if self._pool is not None:
-            engine._count_pool_reuse()
-            return self._pool
+        if self._executor is not None:
+            engine.pool_reuses += 1
+            return self._executor
         try:
             import multiprocessing
 
             context = None
             if "fork" in multiprocessing.get_all_start_methods():
                 context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
+            self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs, mp_context=context
             )
         except OSError:
             # Restricted environments (fork blocked by seccomp/cgroups):
-            # degrade to the serial path rather than failing the sweep.
-            self._pool = None
-        return self._pool
+            # degrade to the in-process path rather than failing the sweep.
+            self._executor = None
+        return self._executor
 
     def close(self) -> None:
         """Shut the persistent pool down (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
     # -- batch execution ----------------------------------------------- #
 
     def _submit(self, pool, task):
-        """Submit one (spec, group, trace, payload) task to the pool."""
+        """Submit one (spec, jobs, trace) task to the pool."""
         from .sweep import execute_trace_group
 
-        _, group, trace, payload = task
-        return pool.submit(execute_trace_group, group, payload, trace)
+        _, group, trace = task
+        return pool.submit(execute_trace_group, group, trace)
 
     def _drain_once(self, engine, pool, tasks, remaining, emit) -> bool:
         """Submit every remaining task and consume completions.  Returns
-        True when the pool broke mid-batch (caller recreates and retries,
-        then degrades to serial)."""
-        from ..isa.trace_io import decode_trace
-
+        True when the pool broke mid-batch (the caller recreates it once,
+        then runs the leftovers in-process)."""
         broken = False
         futures: dict = {}
         try:
@@ -143,30 +83,16 @@ class LocalPoolAdapter(ExecutionAdapter):
             broken = True
         for future in as_completed(futures):
             index = futures[future]
-            spec, group, task_trace, task_payload = tasks[index]
+            spec, group, _ = tasks[index]
             try:
-                outcomes, captured = future.result()
+                outcomes, payload = future.result()
             except (OSError, BrokenProcessPool):
                 # Workers killed mid-batch: leave this task for the retry
-                # pool (or the serial pass).
+                # pool (or the in-process pass).
                 broken = True
                 continue
-            if captured is not None:
-                engine._count_capture(spec)
-                engine._trace_store.save_payload(spec, captured)
-                if engine.store is None:
-                    # No store to answer later lookups: memoize the
-                    # decoded trace so captured_trace() and follow-up
-                    # batches never recapture.
-                    try:
-                        engine._memo_trace(spec, decode_trace(captured["trace"]))
-                    except (KeyError, TypeError, ValueError):
-                        pass
-            elif task_trace is None and task_payload is not None:
-                # The worker replayed a stored payload: that is the store
-                # hit (counted here, post-decode; the per-spec set keeps
-                # repeats idempotent).
-                engine._count_store_hit(spec)
+            if payload is not None:
+                engine._record_worker_capture(spec, payload)
             engine._count_batched_replays(group)
             remaining.discard(index)
             # emit runs outside the except scopes above so a
@@ -177,25 +103,20 @@ class LocalPoolAdapter(ExecutionAdapter):
                 emit(job, outcome)
         return broken
 
-    def execute(self, engine, pending: list, emit: Callable) -> None:
+    def execute(self, engine, groups: dict, emit: Callable) -> None:
+        """Run every ``{spec: jobs}`` group, calling ``emit(job, outcome)``
+        once per job in completion order."""
         from .sweep import batch_partitions
 
-        tasks = engine._resolve_groups(pending)
-        if self.jobs > 1:
-            # Will splitting alone feed the pool?  Resolved groups yield one
-            # task per batched-replay partition; capture-needed groups stay
-            # whole.
-            projected = sum(
-                1 if trace is None and payload is None else len(batch_partitions(group))
-                for _, group, trace, payload in tasks
-            )
-            if projected < min(self.jobs, len(pending)):
-                # Too few tasks to feed the pool: capture the cold groups
-                # up front (cheap) so their replays parallelize too.
-                tasks = engine._capture_starved_groups(tasks)
-            tasks = engine._split_resolved_groups(tasks)
+        tasks = []
+        for spec, group in groups.items():
+            trace = engine._stored_trace(spec)
+            if trace is None:
+                tasks.append((spec, group, None))
+            else:
+                tasks.extend((spec, partition, trace) for partition in batch_partitions(group))
         remaining = set(range(len(tasks)))
-        if self.jobs > 1 and len(tasks) > 1:
+        if len(tasks) > 1:
             # Two attempts: the live (or fresh) pool, then -- if it broke
             # mid-batch -- one recreated pool for the leftovers.
             for _ in range(2):
@@ -207,6 +128,8 @@ class LocalPoolAdapter(ExecutionAdapter):
                 if not self._drain_once(engine, pool, tasks, remaining, emit):
                     break
                 self.close()
-        for index, (spec, group, trace, payload) in enumerate(tasks):
-            if index in remaining:
-                engine._run_group_serial(spec, group, trace, payload, emit)
+        for index in sorted(remaining):
+            spec, group, trace = tasks[index]
+            if trace is None:
+                trace = engine.captured_trace(spec)
+            engine._replay_group(group, trace, emit)

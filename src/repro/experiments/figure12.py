@@ -17,6 +17,7 @@ from ..baselines.neon import NeonModel
 from ..baselines.profile import KernelProfile
 from ..compiler.pipeline import compile_trace
 from ..core.config import MachineConfig, default_config
+from ..core.replay import register_file_for
 from ..core.simulator import simulate_kernel
 from ..intrinsics.machine import MVEMachine
 from ..isa.datatypes import DataType
@@ -160,7 +161,8 @@ def run_figure12a(
         # timing run replayed (engine trace memo / store), instead of
         # re-running the functional machine through kernel.trace_mve.
         trace = runner.captured_trace(runner.job(name, "mve", **params))
-        compiled = compile_trace(trace)
+        # Allocate for the runner's register file, as the MVE run did.
+        compiled = compile_trace(trace, register_file=register_file_for(runner.config))
         dc_result = DualityCacheModel(config=runner.config).run(compiled.trace)
         rows.append(
             DualityCacheComparison(

@@ -37,7 +37,6 @@ from ..core.cache import (
     store_cached_result,
 )
 from ..core.config import MachineConfig, default_config
-from .adapters import ExecutionAdapter
 from .runner import ExperimentRunner
 from .sweep import (
     KernelJob,
@@ -263,16 +262,15 @@ def build_runner(
     store: Optional[ResultStore] = None,
     config: Optional[MachineConfig] = None,
     default_scale: float = 0.5,
-    adapter: Optional[ExecutionAdapter] = None,
 ) -> ExperimentRunner:
-    """An :class:`ExperimentRunner` over a parallel engine -- the standard
+    """An :class:`ExperimentRunner` over a sweep engine -- the standard
     stack the CLI, the benchmark session and the example scripts share.
 
-    ``adapter`` overrides how the engine executes uncached jobs (default:
-    serial for one job slot, the local process pool otherwise).
+    ``jobs`` defaults to :func:`default_job_count`; one job slot runs
+    in-process, more use the engine's persistent local process pool.
     """
     engine = ParallelSweepEngine(
-        jobs=default_job_count() if jobs is None else jobs, store=store, adapter=adapter
+        jobs=default_job_count() if jobs is None else jobs, store=store
     )
     return ExperimentRunner(config=config, default_scale=default_scale, engine=engine)
 

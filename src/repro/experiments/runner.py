@@ -5,21 +5,21 @@ simulation becomes a :class:`KernelJob` keyed by the *full* machine
 configuration, the scheme, the kernel and its parameters, so results are
 memoized in-process (and, when a persistent store is attached, on disk)
 without any risk of two different configurations aliasing the same entry.
-The baseline models (Neon/GPU) cache through the same store.
-Experiments that know their job set up front call :meth:`ExperimentRunner.prefetch`
-so the engine can shard the batch across worker processes.
+``run_mve``/``run_rvv`` return the engine's
+:class:`~repro.experiments.sweep.JobOutcome` (result, spills, source), and
+the baseline models (Neon/GPU) cache through the same store.  Experiments
+that know their job set up front call :meth:`ExperimentRunner.prefetch` so
+a pooled engine can shard the batch across worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..baselines.gpu import GPUModel, GPUResult
 from ..baselines.neon import NeonModel, NeonResult
 from ..baselines.profile import KernelProfile
 from ..core.cache import (
-    ResultStore,
     code_fingerprint,
     config_digest,
     load_cached_result,
@@ -27,35 +27,10 @@ from ..core.cache import (
     store_cached_result,
 )
 from ..core.config import MachineConfig, default_config
-from ..core.results import SimulationResult
 from ..workloads.base import Kernel
-from .sweep import KernelJob, ParallelSweepEngine
+from .sweep import JobOutcome, KernelJob, ParallelSweepEngine
 
-__all__ = ["KernelRun", "ExperimentRunner"]
-
-
-@dataclass
-class KernelRun:
-    """One kernel simulated on one configuration.
-
-    The kernel object is materialized lazily: most consumers only read
-    ``result``, and on a warm cache executing every kernel's functional
-    model up front would dominate the runtime of an otherwise
-    simulation-free run.
-    """
-
-    _kernel: Union[Kernel, Callable[[], Kernel]] = field(repr=False)
-    result: SimulationResult = field(default_factory=SimulationResult)
-    spills: int = 0
-
-    @property
-    def kernel(self) -> Kernel:
-        """The kernel instance, with its lowering executed (built on first
-        access, so outputs in its flat memory are populated as if it had
-        just been traced)."""
-        if callable(self._kernel):
-            self._kernel = self._kernel()
-        return self._kernel
+__all__ = ["ExperimentRunner"]
 
 
 class ExperimentRunner:
@@ -66,17 +41,11 @@ class ExperimentRunner:
         config: Optional[MachineConfig] = None,
         default_scale: float = 0.5,
         engine: Optional[ParallelSweepEngine] = None,
-        jobs: int = 1,
-        store: Optional[ResultStore] = None,
-        adapter=None,
     ):
         self.config = config or default_config()
         self.default_scale = default_scale
-        self.engine = engine or ParallelSweepEngine(
-            jobs=jobs, store=store, adapter=adapter
-        )
+        self.engine = engine if engine is not None else ParallelSweepEngine()
         self._kernel_cache: dict = {}
-        self._traced: set = set()
         #: baseline results by cache key, mirroring the engine's job memo so
         #: repeated run_neon/run_gpu calls never re-read the persistent store
         self._baseline_memo: dict = {}
@@ -92,20 +61,6 @@ class ExperimentRunner:
             kernel.setup()
             self._kernel_cache[key] = kernel
         return self._kernel_cache[key]
-
-    def _get_traced_kernel(self, job: KernelJob) -> Kernel:
-        """The job's kernel with its lowering executed on the functional
-        machine, so post-run state (``output()``, memory buffers) is
-        populated exactly as on the pre-engine serial path."""
-        kernel = self._get_kernel(job.kernel, job.scale, **dict(job.kwargs))
-        trace_key = (job.kernel, job.scale, job.kwargs, job.kind, job.config.simd_lanes)
-        if trace_key not in self._traced:
-            if job.kind == "rvv":
-                kernel.trace_rvv(simd_lanes=job.config.simd_lanes)
-            else:
-                kernel.trace_mve(simd_lanes=job.config.simd_lanes)
-            self._traced.add(trace_key)
-        return kernel
 
     def job(
         self,
@@ -127,14 +82,6 @@ class ExperimentRunner:
             kwargs=tuple(sorted(kernel_kwargs.items())),
             scheme_name=scheme_name,
             config=config,
-        )
-
-    def _run(self, job: KernelJob) -> KernelRun:
-        outcome = self.engine.run_one(job)
-        return KernelRun(
-            lambda: self._get_traced_kernel(job),
-            result=outcome.result,
-            spills=outcome.spills,
         )
 
     def captured_trace(self, job: KernelJob):
@@ -164,9 +111,9 @@ class ExperimentRunner:
         config: Optional[MachineConfig] = None,
         scheme_name: Optional[str] = None,
         **kernel_kwargs,
-    ) -> KernelRun:
+    ) -> JobOutcome:
         """Simulate the MVE implementation of a kernel."""
-        return self._run(
+        return self.engine.run_one(
             self.job(name, "mve", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
         )
 
@@ -177,9 +124,9 @@ class ExperimentRunner:
         config: Optional[MachineConfig] = None,
         scheme_name: Optional[str] = None,
         **kernel_kwargs,
-    ) -> KernelRun:
+    ) -> JobOutcome:
         """Simulate the 1D (RVV) lowering of a kernel on the same engine."""
-        return self._run(
+        return self.engine.run_one(
             self.job(name, "rvv", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
         )
 

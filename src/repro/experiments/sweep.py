@@ -10,6 +10,8 @@ staged, mirroring the paper's capture-once/replay-many methodology:
   captured exactly once per batch -- or loaded from the
   :class:`~repro.core.traces.TraceStore` namespace of the persistent cache
   -- and fanned out to every machine configuration in the group.
+  :meth:`ParallelSweepEngine.captured_trace` (memo, then store, then
+  capture) is the one resolver every in-process lookup goes through.
 * **Replay** -- each job replays the shared trace through the timing model;
   configurations with the same register-file geometry also share the
   compiled (scheduled + register-allocated) kernel via
@@ -21,14 +23,15 @@ The engine also
 * answers previously-simulated jobs from the persistent, content-addressed
   :class:`~repro.core.cache.ResultStore` (keyed by the full machine config
   and a source-tree fingerprint, so results can never go stale), and
-* shards the remaining work across a ``ProcessPoolExecutor`` -- simulation
-  is pure Python + numpy, so process-level parallelism is the only way to
-  use more than one core.  Capture work is pinned to one worker per trace
-  group (keeping every capture single-shot even under a pool); replays of
-  already-resolved traces are split per batched-replay partition
-  (:func:`batch_partitions`): configs sharing a compiled kernel replay
-  together through :func:`~repro.core.replay.simulate_trace_batch`, so a
-  K-config scheme/cache/DRAM axis costs ~1 decomposed replay instead of K.
+* with ``jobs > 1``, shards the remaining work across a persistent process
+  pool -- simulation is pure Python + numpy, so process-level parallelism
+  is the only way to use more than one core.  A group whose trace is not
+  in hand yet ships whole and captures in its worker (keeping every
+  capture single-shot); a group whose trace is in hand splits per
+  batched-replay partition (:func:`batch_partitions`): configs sharing a
+  compiled kernel replay together through
+  :func:`~repro.core.replay.simulate_trace_batch`, so a K-config
+  scheme/cache/DRAM axis costs ~1 decomposed replay instead of K.
 
 ``python -m repro`` exposes the same engine as a batch CLI; the
 :class:`~repro.experiments.runner.ExperimentRunner` sits on top of it so the
@@ -51,11 +54,11 @@ from ..core.config import MachineConfig, default_config
 from ..core.replay import replay_group_key, simulate_trace_batch
 from ..core.results import SimulationResult
 from ..core.simulator import simulate_trace
-from ..core.traces import TraceArtifact, TraceSpec, TraceStore
+from ..core.traces import TraceSpec, TraceStore
 from ..isa.instructions import TraceEntry
 from ..isa.trace_io import decode_trace
 from ..sram.schemes import get_scheme
-from .adapters import ExecutionAdapter, LocalPoolAdapter, SerialAdapter
+from .adapters import LocalPoolAdapter
 
 __all__ = [
     "KernelJob",
@@ -64,9 +67,7 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "ParallelSweepEngine",
-    "ExecutionAdapter",
     "LocalPoolAdapter",
-    "SerialAdapter",
     "batch_partitions",
     "execute_job",
     "execute_trace_group",
@@ -202,85 +203,48 @@ def simulate_traced_group(
     ]
 
 
-def _resolve_group_trace(
-    spec: TraceSpec,
-    payload: Optional[dict],
-    trace: Optional[list[TraceEntry]],
-) -> tuple[list[TraceEntry], Optional["TraceArtifact"]]:
-    """One group's trace from whatever source is at hand.
-
-    Preference order: an already-decoded ``trace``, then a stored
-    ``payload`` (a corrupt one degrades to recapture rather than failing
-    the group), then a fresh capture.  Returns the trace plus the
-    freshly-captured artifact when capture ran (None on reuse) so the
-    caller can persist and count it -- encoding is the caller's decision,
-    so storeless paths never pay for a payload they would discard.
-    Single source of truth for the decode-else-capture contract shared by
-    the serial and pool paths.
-    """
-    if trace is not None:
-        return trace, None
-    if payload is not None:
-        try:
-            return decode_trace(payload["trace"]), None
-        except (KeyError, TypeError, ValueError):
-            pass
-    artifact = spec.capture()
-    return artifact.trace, artifact
-
-
 def execute_trace_group(
-    jobs: Sequence[KernelJob],
-    payload: Optional[dict] = None,
-    trace: Optional[list[TraceEntry]] = None,
+    jobs: Sequence[KernelJob], trace: Optional[list[TraceEntry]] = None
 ) -> tuple[list[JobOutcome], Optional[dict]]:
-    """Capture (or decode) one shared trace, then replay it for every job.
+    """Replay one shared trace for every job, capturing it first when
+    ``trace`` is None.
 
-    All jobs must share one :meth:`KernelJob.trace_spec`.  ``payload`` is a
-    stored trace record body (decoded here, in the worker, so the parent
-    never pays for traces it only forwards); ``trace`` short-circuits with
-    an already-decoded entry list.  Returns the outcomes in job order plus
-    the freshly-captured payload when capture ran (None on reuse), so the
-    parent can persist it.
+    All jobs must share one :meth:`KernelJob.trace_spec`.  Returns the
+    outcomes in job order plus the encoded payload of a fresh capture
+    (None when ``trace`` was given), so the parent can count and persist it.
 
     Module-level so worker processes can import it by qualified name.
     """
-    trace, artifact = _resolve_group_trace(jobs[0].trace_spec(), payload, trace)
-    captured = artifact.to_payload() if artifact is not None else None
-    return simulate_traced_group(jobs, trace), captured
+    payload = None
+    if trace is None:
+        artifact = jobs[0].trace_spec().capture()
+        trace, payload = artifact.trace, artifact.to_payload()
+    return simulate_traced_group(jobs, trace), payload
 
 
 def execute_job(job: KernelJob) -> JobOutcome:
-    """Capture the job's lowering and simulate it (the fused path, now a
-    one-job staged run with no persistence and therefore no encode).
+    """Capture the job's lowering and simulate it, with no store and
+    therefore no encode.
 
     Module-level so worker processes can import it by qualified name.
     """
-    trace, _ = _resolve_group_trace(job.trace_spec(), None, None)
-    return simulate_traced_job(job, trace)
+    return simulate_traced_job(job, job.trace_spec().capture().trace)
 
 
 class ParallelSweepEngine:
     """Executes :class:`KernelJob` batches with memoization and sharding.
 
-    *How* the surviving jobs run is delegated to a pluggable
-    :class:`~repro.experiments.adapters.ExecutionAdapter`: ``jobs=1``
-    (the default for the interactive :class:`ExperimentRunner`) selects
-    the in-process :class:`SerialAdapter` -- no pool is ever created --
-    and higher counts the :class:`LocalPoolAdapter`; an explicit
-    ``adapter`` overrides both.  Both adapters share this engine's
-    cache/counter/trace-resolution implementation.
+    ``jobs=1`` (the default for the interactive :class:`ExperimentRunner`)
+    runs every trace group in-process and never creates a pool; higher
+    counts hand the groups to a persistent
+    :class:`~repro.experiments.adapters.LocalPoolAdapter`.  Both paths
+    look traces up the way :meth:`captured_trace` does (memo, then store)
+    and share this engine's memo, store and counters; a cold group captures
+    in-process on the loop and in its worker on the pool.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        store: Optional[ResultStore] = None,
-        adapter: Optional[ExecutionAdapter] = None,
-    ):
-        if adapter is None:
-            adapter = SerialAdapter() if max(1, jobs) == 1 else LocalPoolAdapter(jobs)
-        self.adapter = adapter
+    def __init__(self, jobs: int = 1, store: Optional[ResultStore] = None):
+        self.pool = LocalPoolAdapter(jobs) if jobs > 1 else None
         self.store = store
         self.computed = 0
         self._memo: dict[KernelJob, JobOutcome] = {}
@@ -295,8 +259,8 @@ class ParallelSweepEngine:
         self.trace_captures: dict[TraceSpec, int] = {}
         #: distinct specs answered by the persistent store instead of
         #: captured; a set (not an event counter) so the count stays "one per
-        #: warm trace" no matter how many chunks, workers or repeat lookups
-        #: touch the same payload
+        #: warm trace" no matter how many partitions, workers or repeat
+        #: lookups touch the same record
         self._trace_store_hit_specs: set[TraceSpec] = set()
         #: multi-config batched replay passes performed (one per partition
         #: of :func:`batch_partitions` with at least two jobs)
@@ -324,23 +288,16 @@ class ParallelSweepEngine:
 
     # ------------------------------------------------------------------ #
 
-    def _count_capture(self, spec: TraceSpec) -> None:
-        self.trace_captures[spec] = self.trace_captures.get(spec, 0) + 1
-
-    def _count_pool_reuse(self) -> None:
-        self.pool_reuses += 1
-
     def close(self) -> None:
-        """Release adapter-held resources (the persistent worker pool).
+        """Release the persistent worker pool, if any.
 
         Idempotent; also invoked by ``__del__`` and ``__exit__`` so
         engines used as locals or context managers cannot strand worker
         processes.  A closed engine stays usable -- the next parallel
         batch simply recreates the pool.
         """
-        close = getattr(self.adapter, "close", None)
-        if close is not None:
-            close()
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> "ParallelSweepEngine":
         return self
@@ -353,9 +310,6 @@ class ParallelSweepEngine:
             self.close()
         except Exception:
             pass  # interpreter teardown: modules may already be gone
-
-    def _count_store_hit(self, spec: TraceSpec) -> None:
-        self._trace_store_hit_specs.add(spec)
 
     def _count_batched_replays(self, group: Sequence[KernelJob]) -> None:
         """Record the batched replay passes a group's execution performed
@@ -372,33 +326,63 @@ class ParallelSweepEngine:
         while len(self._trace_memo) > self._TRACE_MEMO_CAPACITY:
             self._trace_memo.popitem(last=False)
 
-    def _memoized_trace(self, spec: TraceSpec) -> Optional[list[TraceEntry]]:
+    def _stored_trace(self, spec: TraceSpec) -> Optional[list[TraceEntry]]:
+        """The trace for ``spec`` from the memo or the persistent store, or
+        None; never captures.
+
+        The only reader of the trace tier.  A store hit is counted once the
+        record decodes: a corrupt record is a miss (and recaptures), never
+        a hit plus a capture.
+        """
         trace = self._trace_memo.get(spec)
         if trace is not None:
             self._trace_memo.move_to_end(spec)
-        return trace
+            return trace
+        artifact = self._trace_store.load(spec)
+        if artifact is None:
+            return None
+        self._trace_store_hit_specs.add(spec)
+        self._memo_trace(spec, artifact.trace)
+        return artifact.trace
 
     def captured_trace(self, spec: TraceSpec) -> list[TraceEntry]:
         """The captured trace for ``spec``: memo, then store, then capture.
 
-        The capture-stage analogue of :meth:`run_jobs`'s per-job lookup;
-        experiments that need the raw instruction stream (figure12's
-        Duality Cache transform, ``repro trace``) go through here so they
-        share captures with the timing pipeline instead of re-running the
-        functional machine.
+        Every in-process trace lookup goes through here -- the serial loop,
+        the pool's in-process leftovers, figure12's Duality Cache transform
+        and ``repro trace`` -- so they all share captures with the timing
+        pipeline and every capture is counted and persisted once.
         """
-        trace = self._memoized_trace(spec)
+        trace = self._stored_trace(spec)
         if trace is None:
-            artifact = self._trace_store.load(spec)
-            if artifact is not None:
-                self._count_store_hit(spec)
-            else:
-                artifact = spec.capture()
-                self._count_capture(spec)
-                self._trace_store.save(artifact)
+            artifact = spec.capture()
+            self.trace_captures[spec] = self.trace_captures.get(spec, 0) + 1
+            self._trace_store.save(artifact)
             trace = artifact.trace
             self._memo_trace(spec, trace)
         return trace
+
+    def _record_worker_capture(self, spec: TraceSpec, payload: dict) -> None:
+        """Book a capture a pool worker ran: count it and persist its
+        payload, or -- with no store to answer later lookups -- memoize the
+        decoded trace so :meth:`captured_trace` and follow-up batches never
+        recapture."""
+        self.trace_captures[spec] = self.trace_captures.get(spec, 0) + 1
+        if self.store is not None:
+            self._trace_store.save_payload(spec, payload)
+        else:
+            self._memo_trace(spec, decode_trace(payload["trace"]))
+
+    def _replay_group(
+        self,
+        group: Sequence[KernelJob],
+        trace: list[TraceEntry],
+        emit: Callable[[KernelJob, JobOutcome], None],
+    ) -> None:
+        """Replay one resolved trace in-process for every job of ``group``."""
+        self._count_batched_replays(group)
+        for job, outcome in zip(group, simulate_traced_group(group, trace)):
+            emit(job, outcome)
 
     def _from_store(self, job: KernelJob) -> Optional[JobOutcome]:
         if self.store is None:
@@ -423,121 +407,6 @@ class ParallelSweepEngine:
             {"result": outcome.result.to_dict(), "spills": outcome.spills},
         )
 
-    def _resolve_groups(
-        self, pending: list[KernelJob]
-    ) -> list[tuple[TraceSpec, list[KernelJob], Optional[list[TraceEntry]], Optional[dict]]]:
-        """Group uncached jobs by trace spec and resolve each group's trace
-        source up front: the in-process trace memo, a stored payload, or
-        None (the group must capture)."""
-        groups: dict[TraceSpec, list[KernelJob]] = {}
-        for job in pending:
-            groups.setdefault(job.trace_spec(), []).append(job)
-        tasks = []
-        for spec, group in groups.items():
-            trace = self._memoized_trace(spec)
-            payload = None
-            if trace is None:
-                # A store hit is only counted once the payload actually
-                # decodes (split/serial/worker paths below): a corrupt
-                # record recaptures and must not read as hit + capture.
-                payload = self._trace_store.load_payload(spec)
-            tasks.append((spec, group, trace, payload))
-        return tasks
-
-    def _run_group_serial(
-        self,
-        spec: TraceSpec,
-        group: list[KernelJob],
-        trace: Optional[list[TraceEntry]],
-        payload: Optional[dict],
-        emit: Callable[[KernelJob, JobOutcome], None],
-    ) -> None:
-        """Capture/decode one group's trace in-process and replay it."""
-        had_payload = trace is None and payload is not None
-        trace, artifact = _resolve_group_trace(spec, payload, trace)
-        if artifact is not None:
-            self._count_capture(spec)
-            self._trace_store.save(artifact)
-        elif had_payload:
-            self._count_store_hit(spec)
-        self._memo_trace(spec, trace)
-        self._count_batched_replays(group)
-        for job, outcome in zip(group, simulate_traced_group(group, trace)):
-            emit(job, outcome)
-
-    def _split_resolved_groups(self, tasks):
-        """Split multi-job groups whose trace is already in hand so a worker
-        pool can parallelize the replays of a single-kernel multi-config
-        sweep.
-
-        The split unit is a :func:`batch_partitions` partition: one
-        partition is ~one decomposed replay pass, so finer chunks would only
-        re-run shared passes in separate workers.  Groups that still need
-        their capture stay whole --
-        splitting them would break the capture-once-per-batch invariant.
-        Stored payloads are decoded here (once, in the parent) rather than
-        per task in the workers -- single-job groups included, so no task
-        ever re-decodes an envelope the parent already resolved; a corrupt
-        payload leaves its group whole so it degrades to a single
-        recapture."""
-        split = []
-        for spec, group, trace, payload in tasks:
-            if trace is None and payload is not None:
-                try:
-                    trace = decode_trace(payload["trace"])
-                except (KeyError, TypeError, ValueError):
-                    payload = None  # corrupt: let the group recapture once
-                else:
-                    payload = None
-                    self._count_store_hit(spec)
-                    self._memo_trace(spec, trace)
-            if trace is None or len(group) == 1:
-                split.append((spec, group, trace, payload))
-            else:
-                split.extend(
-                    (spec, partition, trace, None)
-                    for partition in batch_partitions(group)
-                )
-        return split
-
-    def _capture_starved_groups(self, tasks):
-        """Capture multi-job cold groups in the parent when they would
-        starve the pool.
-
-        Capture is the cheap stage; replay dominates.  When there are
-        fewer tasks than workers (e.g. a cold single-kernel multi-config
-        sweep: one group, one task), running each cold group's capture
-        here -- still exactly once per spec -- turns it into a resolved
-        group whose replays can then fan out per job."""
-        resolved = []
-        for spec, group, trace, payload in tasks:
-            if trace is None and payload is None and len(group) > 1:
-                artifact = spec.capture()
-                self._count_capture(spec)
-                self._trace_store.save(artifact)
-                self._memo_trace(spec, artifact.trace)
-                trace = artifact.trace
-            resolved.append((spec, group, trace, payload))
-        return resolved
-
-    def _execute_streaming(
-        self,
-        pending: list[KernelJob],
-        emit: Callable[[KernelJob, JobOutcome], None],
-    ) -> None:
-        """Execute ``pending`` in trace groups, calling ``emit(job, outcome)``
-        for each job as soon as its result is available (group-completion
-        order when a worker pool is used, submission order serially).
-
-        The trace group is the unit of capture: each group captures (or
-        loads) its trace once and replays it for every member job, so a
-        multi-config sweep runs the functional machine once per distinct
-        trace even when sharded across worker processes.  The adapter owns
-        the parallelism strategy (pool sharding, partition splitting,
-        broken-pool degradation); see :mod:`repro.experiments.adapters`.
-        """
-        self.adapter.execute(self, pending, emit)
-
     def run_jobs(
         self,
         jobs: Sequence[KernelJob],
@@ -551,45 +420,22 @@ class ParallelSweepEngine:
         out of submission order on the parallel path).  Computed results are
         persisted to the store *before* their callback fires, so partial
         sweep progress survives an interrupted batch.
-        """
-        return self._run_jobs(jobs, on_result, collect=True)
 
-    def stream_jobs(
-        self,
-        jobs: Sequence[KernelJob],
-        on_result: Optional[OnResult] = None,
-    ) -> int:
-        """:meth:`run_jobs` without materializing anything: outcomes flow
-        through ``on_result`` only, and neither the returned dict nor the
-        in-process memo is populated -- peak memory is one in-flight
-        partition, independent of batch size, which is what makes
-        10^5-job explorations and streaming assemblers safe.  Persistence
-        is unchanged (results still hit the store before each callback);
-        returns the number of distinct jobs processed.
+        Uncached jobs run in trace groups, the unit of capture: each group
+        captures (or loads) its trace once and replays it for every member
+        job, so a multi-config sweep runs the functional machine once per
+        distinct trace even when sharded across worker processes.
         """
-        distinct = self._run_jobs(jobs, on_result, collect=False)
-        return len(distinct)
-
-    def _run_jobs(
-        self,
-        jobs: Sequence[KernelJob],
-        on_result: Optional[OnResult],
-        collect: bool,
-    ) -> Any:
         distinct = list(dict.fromkeys(jobs))
         total = len(distinct)
         outcomes: dict[KernelJob, JobOutcome] = {}
-        completed = 0
 
         def emit(job: KernelJob, outcome: JobOutcome) -> None:
-            nonlocal completed
-            if collect:
-                outcomes[job] = outcome
-            completed += 1
+            outcomes[job] = outcome
             if on_result is not None:
-                on_result(job, outcome, completed, total)
+                on_result(job, outcome, len(outcomes), total)
 
-        pending: list[KernelJob] = []
+        groups: dict[TraceSpec, list[KernelJob]] = {}
         for job in distinct:
             memo = self._memo.get(job)
             if memo is not None:
@@ -597,23 +443,22 @@ class ParallelSweepEngine:
                 continue
             stored = self._from_store(job)
             if stored is not None:
-                if collect:
-                    self._memo[job] = stored
+                self._memo[job] = stored
                 emit(job, stored)
                 continue
-            pending.append(job)
+            groups.setdefault(job.trace_spec(), []).append(job)
 
         def record(job: KernelJob, outcome: JobOutcome) -> None:
             self.computed += 1
-            if collect:
-                self._memo[job] = outcome
+            self._memo[job] = outcome
             self._to_store(job, outcome)
             emit(job, outcome)
 
-        if pending:
-            self._execute_streaming(pending, record)
-        if not collect:
-            return distinct
+        if groups and self.pool is not None:
+            self.pool.execute(self, groups, record)
+        else:
+            for spec, group in groups.items():
+                self._replay_group(group, self.captured_trace(spec), record)
         # Return in the caller's job order regardless of completion order.
         return {job: outcomes[job] for job in distinct}
 

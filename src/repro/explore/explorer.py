@@ -4,10 +4,10 @@ One :class:`Explorer` round is
 
 1. **propose** -- the strategy names the next point ids (deterministic:
    the round RNG derives from the search seed and round index),
-2. **evaluate** -- the points compile to :class:`KernelJob` s and stream
-   through the sweep engine (``stream_jobs``: results persist to the
-   store *before* each callback and nothing is materialized, so a round
-   is kill-safe and 10^5-point-safe), each arrival folding into the
+2. **evaluate** -- the points compile to :class:`KernelJob` s and run
+   through the sweep engine's ``run_jobs`` (results persist to the store
+   *before* each callback, so a round is kill-safe; the engine memoizes
+   one outcome per evaluated point), each arrival folding into the
    :class:`~repro.explore.pareto.ParetoFrontier` incrementally, and
 3. **checkpoint** -- the updated :class:`SearchState` is written back to
    the store.
@@ -168,7 +168,7 @@ class Explorer:
                 if on_result is not None:
                     on_result(job, outcome, completed, total)
 
-            self.engine.stream_jobs(jobs, on_result=fold)
+            self.engine.run_jobs(jobs, on_result=fold)
             simulated = self.engine.computed - computed_before
             simulated_this_run += simulated
             state.frontier = frontier.points

@@ -200,11 +200,16 @@ class SearchSpace:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axes: {names}")
-        from ..workloads import kernel_names
+        from ..workloads import kernel_names, rvv_kernel_names
 
         if self.kernel not in kernel_names():
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; known: {', '.join(kernel_names())}"
+            )
+        if self.kind == "rvv" and self.kernel not in rvv_kernel_names():
+            raise ValueError(
+                f"{self.kernel} has no RVV lowering; "
+                f"kernels with one: {', '.join(rvv_kernel_names())}"
             )
 
     # -- point addressing ----------------------------------------------- #

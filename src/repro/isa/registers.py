@@ -81,17 +81,6 @@ class VectorShape:
             multiplier *= length
         return lane
 
-    def unflatten_lane(self, lane: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flatten_index`."""
-        if not 0 <= lane < self.total_elements:
-            raise IndexError(f"lane {lane} out of range for shape {self.lengths}")
-        indices = []
-        remaining = lane
-        for length in self.lengths:
-            indices.append(remaining % length)
-            remaining //= length
-        return tuple(indices)
-
 
 @dataclass(frozen=True)
 class PhysicalRegisterFile:

@@ -14,6 +14,7 @@ from .registry import (
     library_info,
     library_names,
     register,
+    rvv_kernel_names,
 )
 
 # Importing the library modules populates the registry.
@@ -59,5 +60,6 @@ __all__ = [
     "library_info",
     "library_names",
     "register",
+    "rvv_kernel_names",
     "SELECTED_KERNELS",
 ]

@@ -14,6 +14,7 @@ from .base import Kernel
 __all__ = [
     "register",
     "kernel_names",
+    "rvv_kernel_names",
     "get_kernel_class",
     "create_kernel",
     "kernels_in_library",
@@ -55,6 +56,11 @@ def register(cls: Type[Kernel]) -> Type[Kernel]:
 
 def kernel_names() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def rvv_kernel_names() -> list[str]:
+    """Kernels with a 1D (RVV) lowering: the only ones an ``rvv`` job can run."""
+    return sorted(name for name, cls in _REGISTRY.items() if cls.run_rvv is not Kernel.run_rvv)
 
 
 def get_kernel_class(name: str) -> Type[Kernel]:

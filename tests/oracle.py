@@ -12,7 +12,10 @@ for the tests:
   arithmetic.  It shares only the configuration types with production;
 * :class:`MVESimulator` / :func:`simulate_trace` -- the per-config
   simulator, which walks the trace one instruction at a time for one
-  configuration, with its own scalar-block arithmetic.
+  configuration, with its own scalar-block arithmetic.  It books energy
+  per event through :class:`EngineEnergyModel`, which adds the in-cache
+  engine's SRAM-compute, controller and TMU charges that production replay
+  prices in bulk.
 
 Both hierarchies answer the same ``block_access(lines, is_write,
 dram_models)`` call, so the Neon baseline runs on either.  Results must
@@ -48,7 +51,15 @@ from repro.memory.dram import DRAMConfig, DRAMStats
 from repro.sram.schemes import ComputeScheme, get_scheme
 from repro.sram.tmu import TransposeMemoryUnit
 
-__all__ = ["Cache", "CacheHierarchy", "DRAM", "MVESimulator", "dram_latency", "simulate_trace"]
+__all__ = [
+    "Cache",
+    "CacheHierarchy",
+    "DRAM",
+    "EngineEnergyModel",
+    "MVESimulator",
+    "dram_latency",
+    "simulate_trace",
+]
 
 
 # ---------------------------------------------------------------------- #
@@ -262,6 +273,22 @@ class CacheHierarchy:
 # ---------------------------------------------------------------------- #
 
 
+class EngineEnergyModel(EnergyModel):
+    """Production's event accumulator plus the in-cache engine's per-event
+    charges, which only this one-instruction-at-a-time reference books."""
+
+    def add_sram_compute(self, sram_cycles: float, active_lanes: int, energy_factor: float = 1.0) -> None:
+        self.breakdown.compute_nj += (
+            sram_cycles * active_lanes * self.c.sram_cycle_per_lane_pj * energy_factor / 1000.0
+        )
+
+    def add_controller(self, instructions: int) -> None:
+        self.breakdown.compute_nj += instructions * self.c.controller_instruction_pj / 1000.0
+
+    def add_tmu(self, elements: int) -> None:
+        self.breakdown.data_access_nj += elements * self.c.tmu_element_pj / 1000.0
+
+
 class MVESimulator:
     """End-to-end timing and energy simulator for one MVE-enabled core,
     walking the trace one instruction at a time for one configuration, over
@@ -299,7 +326,7 @@ class MVESimulator:
         warm-cache behaviour of repeatedly-invoked library kernels.
         """
         config = self.config
-        energy = EnergyModel(self.energy_coefficients, config.frequency_ghz)
+        energy = EngineEnergyModel(self.energy_coefficients, config.frequency_ghz)
         if reset_state:
             self.hierarchy.reset()
         else:
@@ -416,7 +443,7 @@ class MVESimulator:
 
     # ------------------------------------------------------------------ #
 
-    def _memory_duration(self, instruction: MemoryInstruction, placement, energy: EnergyModel) -> float:
+    def _memory_duration(self, instruction: MemoryInstruction, placement, energy: EngineEnergyModel) -> float:
         """Cycles for one vector load/store through the cache, TMU and arrays."""
         config = self.config
         hierarchy = self.hierarchy

@@ -14,6 +14,7 @@ import pytest
 from repro.cli import main as cli_main, named_sweep, named_sweep_names, schema_outline
 from repro.experiments.registry import experiment_names
 from repro.experiments.tables import TablesResult
+from repro.workloads import rvv_kernel_names
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -130,6 +131,20 @@ class TestRunSweepCommand:
                 "--scale", "0.25", "--jobs", "1", "--no-progress"]
         assert cli_main(argv) == 0
         assert "[1/1]" not in capsys.readouterr().err
+
+    def test_kernel_without_rvv_lowering_is_rejected_up_front(self, tmp_path):
+        """--kinds rvv on a kernel with no RVV lowering exits with one line
+        naming it and the kernels that have one, before anything runs."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache_dir), "run", "--kernels", "memcpy",
+                "--kinds", "rvv", "--scale", "0.25", "--jobs", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "memcpy" in message and "RVV lowering" in message
+        assert ", ".join(rvv_kernel_names()) in message
+        assert not any(cache_dir.glob("*/*.json"))
 
 
 class TestExportLineTerminators:

@@ -26,7 +26,7 @@ from repro.isa import (
 from repro.memory import FlatMemory
 from repro.sram import BitParallelScheme, BitSerialScheme, get_scheme
 
-from oracle import MVESimulator
+from oracle import EngineEnergyModel, MVESimulator
 
 
 def make_memory_instruction(**overrides):
@@ -223,13 +223,6 @@ class TestSimulator:
         result, _ = simulate_kernel(self.small_trace())
         assert result.time_ms == pytest.approx(result.time_us / 1000.0)
 
-    def test_merged_results(self):
-        a, _ = simulate_kernel(self.small_trace(n=512))
-        b, _ = simulate_kernel(self.small_trace(n=1024))
-        merged = a.merged_with(b)
-        assert merged.total_cycles == pytest.approx(a.total_cycles + b.total_cycles)
-        assert merged.energy_nj == pytest.approx(a.energy_nj + b.energy_nj)
-
     def test_simulator_reuse_with_reset(self):
         simulator = MVESimulator()
         trace = self.small_trace()
@@ -243,7 +236,7 @@ class TestSimulator:
 
 class TestEnergyModel:
     def test_sram_energy_scales_with_lanes(self):
-        model = EnergyModel()
+        model = EngineEnergyModel()
         model.add_sram_compute(100, 1000)
         small = model.breakdown.compute_nj
         model.reset()
@@ -264,7 +257,7 @@ class TestEnergyModel:
         assert model.breakdown.static_nj > short
 
     def test_total_is_sum_of_parts(self):
-        model = EnergyModel()
+        model = EngineEnergyModel()
         model.add_scalar(10)
         model.add_tmu(100)
         model.add_controller(5)

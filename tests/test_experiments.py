@@ -4,8 +4,14 @@ The figure experiments are exercised at reduced scales / kernel subsets so
 the test suite stays fast; the full-scale runs live in ``benchmarks/``.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.duality_cache import DualityCacheModel
+from repro.compiler.pipeline import compile_trace
+from repro.core.config import default_config
+from repro.core.replay import register_file_for
 from repro.experiments import (
     ExperimentRunner,
     FIGURE8_KERNELS,
@@ -26,6 +32,7 @@ from repro.experiments import (
     table5_area,
     table5_summary,
 )
+from repro.sram.array import EngineGeometry, SramArrayGeometry
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +171,21 @@ class TestFigure12And13:
     def test_duality_cache_slower(self, runner):
         rows = run_figure12a(runner, kernels=("fir_s",))
         assert rows[0].dc_over_mve_time > 1.0
+
+    def test_duality_cache_compiles_for_the_runner_register_file(self):
+        """The SIMT input is register-allocated for the runner's register
+        file, like the MVE run it is compared with (64-row arrays spill)."""
+        engine = EngineGeometry(array=SramArrayGeometry(rows=64, cols=256))
+        config = dataclasses.replace(default_config(), engine=engine)
+        runner = ExperimentRunner(config=config)
+        (row,) = run_figure12a(runner, kernels=("fir_v",))
+
+        trace = runner.job("fir_v", "mve", scale=0.5).trace_spec().capture().trace
+        compiled = compile_trace(trace, register_file=register_file_for(config))
+        dc = DualityCacheModel(config).run(compiled.trace)
+        mve = runner.run_mve("fir_v", scale=0.5)
+        assert row.dc_over_mve_time == dc.total_cycles / mve.result.total_cycles
+        assert row.dc_breakdown == dc.breakdown_fractions()
 
     def test_scalability_improves_with_arrays(self, runner):
         points = run_figure12b(runner, kernels=("fir_l",), array_counts=(8, 32))

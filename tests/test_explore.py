@@ -4,8 +4,8 @@ The contract under test: an adaptive search finds the *exact* Pareto
 frontier of the exhaustive grid while evaluating (and above all
 simulating) fewer configurations; the frontier is invariant to the order
 results arrive in (hypothesis); a search SIGKILLed mid-round resumes to
-the identical frontier with zero re-simulation; and the streaming
-stream_jobs path keeps engine memory flat.
+the identical frontier with zero re-simulation; and every round's results
+are persisted before its callbacks fold them in.
 
 The frontier export schema is pinned by ``tests/golden/
 explore_frontier_schema.json``; regenerate after an intentional change
@@ -41,6 +41,7 @@ from repro.explore import (
     exhaustive_frontier,
     get_strategy,
 )
+from repro.workloads import rvv_kernel_names
 
 settings.register_profile("repro", deadline=None, max_examples=50)
 settings.load_profile("repro")
@@ -399,7 +400,7 @@ class TestKillAndResume:
 
 
 # ---------------------------------------------------------------------- #
-#  Streaming: stream_jobs memory ceiling
+#  Streaming: results persist before each callback
 # ---------------------------------------------------------------------- #
 
 STREAM_SPEC = SweepSpec(
@@ -410,32 +411,17 @@ STREAM_SPEC = SweepSpec(
 
 
 class TestStreaming:
-    def test_stream_jobs_never_grows_the_memo(self, tmp_path):
-        """The memory ceiling the 10^5-job claim rests on: streaming keeps
-        the engine's per-job memo empty (results live only in the store),
-        where the collecting path memoizes every outcome."""
-        jobs = STREAM_SPEC.jobs()
-        streaming = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path / "s"))
-        seen = []
-        processed = streaming.stream_jobs(
-            jobs, on_result=lambda job, outcome, done, total: seen.append(job)
-        )
-        assert processed == len(jobs) == len(seen)
-        assert len(streaming._memo) == 0
-        assert streaming.computed == len(jobs)
-
-        collecting = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path / "c"))
-        collecting.run_jobs(jobs)
-        assert len(collecting._memo) == len(jobs)
-
     def test_stream_results_persist_before_each_callback(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         engine = ParallelSweepEngine(jobs=1, store=store)
+        seen = []
 
         def assert_persisted(job, outcome, completed, total):
             assert store.load(job.cache_key()) is not None
+            seen.append(job)
 
-        engine.stream_jobs(STREAM_SPEC.jobs(), on_result=assert_persisted)
+        engine.run_jobs(STREAM_SPEC.jobs(), on_result=assert_persisted)
+        assert len(seen) == len(STREAM_SPEC.jobs())
 
 
 # ---------------------------------------------------------------------- #
@@ -570,6 +556,20 @@ class TestExploreCLI:
             cli_main(
                 explore_argv(tmp_path, "run", "--objectives", "cycles,beauty")
             )
+
+    def test_kernel_without_rvv_lowering_is_rejected_up_front(self, tmp_path):
+        """An rvv search over a kernel with no RVV lowering exits with one
+        line naming it and the kernels that have one, before any round."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache_dir), "explore", "run", "memcpy",
+                "--kind", "rvv", "--budget", "4", "--jobs", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("explore: ") and "\n" not in message
+        assert "memcpy" in message and "RVV lowering" in message
+        assert ", ".join(rvv_kernel_names()) in message
+        assert not any(cache_dir.glob("*/*.json"))
 
     def test_export_schema_matches_golden(self, tmp_path):
         """The frontier export schema is pinned alongside the experiment

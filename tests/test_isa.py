@@ -100,9 +100,11 @@ class TestVectorShape:
         assert shape.flatten_index((2, 1)) == 5
 
     def test_unflatten_is_inverse(self):
+        """flatten_index inverts numpy's dim-0-fastest (Fortran) unflatten."""
         shape = VectorShape((3, 2, 4))
         for lane in range(shape.total_elements):
-            assert shape.flatten_index(shape.unflatten_lane(lane)) == lane
+            indices = np.unravel_index(lane, shape.lengths, order="F")
+            assert shape.flatten_index(tuple(int(i) for i in indices)) == lane
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexError):

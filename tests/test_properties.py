@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -17,17 +19,20 @@ dims_strategy = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_
 class TestShapeProperties:
     @given(dims_strategy)
     def test_flatten_unflatten_roundtrip(self, lengths):
+        """flatten_index inverts numpy's dim-0-fastest (Fortran) unflatten."""
         shape = VectorShape(tuple(lengths))
         for lane in range(shape.total_elements):
-            assert shape.flatten_index(shape.unflatten_lane(lane)) == lane
+            indices = np.unravel_index(lane, shape.lengths, order="F")
+            assert shape.flatten_index(tuple(int(i) for i in indices)) == lane
 
     @given(dims_strategy)
     def test_flatten_is_bijective(self, lengths):
         shape = VectorShape(tuple(lengths))
         lanes = {
-            shape.flatten_index(shape.unflatten_lane(i)) for i in range(shape.total_elements)
+            shape.flatten_index(indices)
+            for indices in itertools.product(*(range(length) for length in shape.lengths))
         }
-        assert len(lanes) == shape.total_elements
+        assert lanes == set(range(shape.total_elements))
 
     @given(dims_strategy)
     def test_total_elements_is_product(self, lengths):

@@ -13,7 +13,6 @@ from repro.core.config import default_config
 from repro.experiments import ExperimentRunner
 from repro.experiments.sweep import (
     KernelJob,
-    LocalPoolAdapter,
     ParallelSweepEngine,
     SweepSpec,
     default_job_count,
@@ -143,23 +142,19 @@ class TestParallelSweepEngine:
         assert warm.result.to_dict() == cold.result.to_dict()
 
 
-def pool_jobs():
-    """Two kernels x two schemes: two resolved trace groups, so the pool
-    path (which requires more than one task) always engages."""
+#: two batches over the same two traces: each batch sweeps new schemes, so
+#: it simulates again on the same engine
+SCHEME_BATCHES = (("bit-serial", "bit-parallel"), ("bit-hybrid", "associative"))
+
+
+def pool_jobs(schemes):
+    """Two kernels x two schemes: two trace groups, so the pool path (which
+    requires more than one task) always engages."""
     return [
         KernelJob(kernel=kernel, scale=0.25, scheme_name=scheme)
         for kernel in ("csum", "gemm")
-        for scheme in ("bit-serial", "bit-parallel")
+        for scheme in schemes
     ]
-
-
-def drop_results_keep_traces(store_root):
-    """Delete every stored result but the pool jobs' trace payloads, so the
-    next batch replays (results cold) from stored captures (traces warm)."""
-    trace_keys = {job.trace_spec().cache_key() for job in pool_jobs()}
-    for path in store_root.glob("*/*.json"):
-        if path.stem not in trace_keys:
-            path.unlink()
 
 
 def outcome_map(outcomes):
@@ -169,58 +164,52 @@ def outcome_map(outcomes):
     }
 
 
-def stream_batch(engine):
-    """One pooled batch through ``stream_jobs``, which leaves the engine
-    memo empty so the next batch simulates again; returns job -> outcome."""
-    collected = {}
-    engine.stream_jobs(
-        pool_jobs(), on_result=lambda job, out, *_: collected.__setitem__(job, out)
-    )
-    return collected
-
-
 class TestPersistentPool:
     """The local pool outlives batches, is replaced after its workers die,
     and closes with the engine."""
 
     @pytest.fixture(scope="class")
     def serial_expected(self):
-        return outcome_map(ParallelSweepEngine(jobs=1).run_jobs(pool_jobs()))
+        jobs = [job for schemes in SCHEME_BATCHES for job in pool_jobs(schemes)]
+        return outcome_map(ParallelSweepEngine(jobs=1).run_jobs(jobs))
 
     @staticmethod
-    def pooled_engine(store_root):
-        ParallelSweepEngine(jobs=1, store=ResultStore(store_root)).run_jobs(pool_jobs())
-        drop_results_keep_traces(store_root)
-        adapter = LocalPoolAdapter(jobs=2)
-        return adapter, ParallelSweepEngine(store=ResultStore(store_root), adapter=adapter)
+    def batch(engine, schemes, serial_expected):
+        """Run one pooled batch; True when it matches the serial results."""
+        jobs = pool_jobs(schemes)
+        expected = {job.cache_key(): serial_expected[job.cache_key()] for job in jobs}
+        return outcome_map(engine.run_jobs(jobs)) == expected
 
     def test_killed_pool_workers_mid_run_recover(self, tmp_path, serial_expected):
-        adapter, engine = self.pooled_engine(tmp_path)
+        engine = ParallelSweepEngine(jobs=2, store=ResultStore(tmp_path))
+        first, second = SCHEME_BATCHES
         try:
-            assert outcome_map(stream_batch(engine)) == serial_expected
-            pool = adapter._pool
+            assert self.batch(engine, first, serial_expected)
+            pool = engine.pool._executor
             assert pool is not None
             for pid in list(pool._processes):
                 os.kill(pid, signal.SIGKILL)
-            drop_results_keep_traces(tmp_path)
-            assert outcome_map(stream_batch(engine)) == serial_expected
+            assert self.batch(engine, second, serial_expected)
+            assert engine.computed == 8  # the second batch really simulated
             # The broken pool was recreated, not limped along or leaked.
-            assert adapter._pool is not None and adapter._pool is not pool
+            executor = engine.pool._executor
+            assert executor is not None and executor is not pool
         finally:
             engine.close()
-        assert adapter._pool is None
+        assert engine.pool._executor is None
 
     def test_pool_survives_batches_and_counts_reuse(self, tmp_path, serial_expected):
-        adapter, engine = self.pooled_engine(tmp_path)
+        engine = ParallelSweepEngine(jobs=2, store=ResultStore(tmp_path))
+        first, second = SCHEME_BATCHES
         with engine:
-            assert outcome_map(stream_batch(engine)) == serial_expected
-            pool = adapter._pool
+            assert self.batch(engine, first, serial_expected)
+            pool = engine.pool._executor
             assert pool is not None and engine.pool_reuses == 0
-            drop_results_keep_traces(tmp_path)
-            stream_batch(engine)
-            assert adapter._pool is pool
+            assert self.batch(engine, second, serial_expected)
+            assert engine.computed == 8
+            assert engine.pool._executor is pool
             assert engine.pool_reuses >= 1
-        assert adapter._pool is None
+        assert engine.pool._executor is None
 
 
 class TestDefaultJobCount:
@@ -378,15 +367,6 @@ class TestSweepSpec:
             for name in FIGURE13_KERNELS
             for kind in ("mve", "rvv")
         }
-
-    def test_kernel_run_exposes_executed_kernel(self):
-        """KernelRun.kernel lazily executes the lowering, so post-run state
-        (kernel.output()) is populated exactly as on the pre-engine path."""
-        import numpy as np
-
-        run = ExperimentRunner().run_mve("csum", scale=0.25)
-        output = run.kernel.output()
-        np.testing.assert_array_equal(np.asarray(output), np.asarray(run.kernel.reference()))
 
     def test_job_normalizes_scheme_into_config(self):
         # Directly-constructed jobs hash identically to spec/runner jobs

@@ -21,20 +21,25 @@ import pytest
 
 from repro.compiler.pipeline import compile_trace
 from repro.core.cache import ResultStore
+from repro.core.config import default_config
 from repro.core.simulator import simulate_kernel, simulate_trace
 from repro.core.traces import TraceArtifact, TraceSpec, TraceStore
 from repro.experiments.figure8 import figure8_sweep_spec
 from repro.experiments.registry import all_experiments
 from repro.experiments.sweep import (
     KernelJob,
+    LocalPoolAdapter,
     ParallelSweepEngine,
     SweepSpec,
     execute_job,
 )
+from repro.intrinsics.machine import TraceStats
 from repro.isa.instructions import ScalarBlock
 from repro.isa.trace_io import decode_trace, encode_trace
 from repro.sram.schemes import SCHEME_NAMES, get_scheme
 from repro.workloads import get_kernel_class
+
+from test_config_batch import shrunk_rows_config
 
 #: spans 1D/2D/3D kernels, strided and random (pointer-table) access, the
 #: RVV lowering and dimension-masked reductions
@@ -110,7 +115,7 @@ class TestColumnarCodec:
         loaded = store.load(spec)
         assert loaded is not None
         assert loaded.trace == artifact.trace
-        assert loaded.stats().as_dict() == artifact.stats().as_dict()
+        assert TraceStats(loaded.trace).as_dict() == TraceStats(artifact.trace).as_dict()
 
     @pytest.mark.parametrize("corruption", ["not-base64", "truncated-npz", "bitflip"])
     def test_corrupt_stored_payload_is_a_miss(self, tmp_path, corruption):
@@ -268,58 +273,48 @@ class TestCaptureCounting:
         assert outcome.result.to_dict() == result.to_dict()
         assert outcome.spills == spills
 
-    def test_resolved_groups_split_per_partition_for_the_pool(self, tmp_path):
-        """A single-kernel multi-config sweep with a warm trace store must
-        not serialize on one worker: resolved groups are split into
-        batched-replay partitions, while a group that still needs its
-        capture stays whole."""
-        store = ResultStore(tmp_path)
-        jobs = SweepSpec(
-            name="split", kernels=[("csum", {"scale": 0.25})], schemes=SCHEME_NAMES
-        ).jobs()
-        warmer = ParallelSweepEngine(jobs=1, store=store)
-        warmer.run_one(jobs[0])  # capture the trace, warm one result
+    def test_resolved_groups_split_per_partition_for_the_pool(self, tmp_path, monkeypatch):
+        """A pooled batch ships one task per batched-replay partition of a
+        group whose trace is in hand, and one whole task per group that
+        still needs its capture (which its worker runs, once)."""
+        submitted = []
+        submit = LocalPoolAdapter._submit
 
-        engine = ParallelSweepEngine(jobs=4, store=store)
-        tasks = engine._split_resolved_groups(engine._resolve_groups(jobs[1:]))
-        # Trace already stored: all remaining jobs share one register-file
-        # geometry, so they form a single batched-replay task with the
-        # payload decoded once in the parent.
-        assert [len(group) for _, group, _, _ in tasks] == [len(jobs) - 1]
-        assert all(trace is not None and payload is None for _, _, trace, payload in tasks)
+        def spy(adapter, pool, task):
+            submitted.append(task)
+            return submit(adapter, pool, task)
 
-        cold = ParallelSweepEngine(jobs=4, store=ResultStore(tmp_path / "cold"))
-        cold_tasks = cold._split_resolved_groups(cold._resolve_groups(jobs))
-        (task,) = cold_tasks  # needs capture: stays one whole group
-        assert len(task[1]) == len(jobs)
-
-        outcomes = engine.run_jobs(jobs)
-        assert engine.traces_captured == 0
-        assert engine.batched_replays == 1
+        monkeypatch.setattr(LocalPoolAdapter, "_submit", spy)
+        # Two kernels, each over two register-file geometries at one lane
+        # count: one trace spec and two compiled-kernel partitions apiece.
+        jobs = [
+            KernelJob(kernel=kernel, scale=0.25, config=config)
+            for kernel in ("csum", "memcpy")
+            for config in (default_config(), shrunk_rows_config())
+        ]
+        specs = dict.fromkeys(job.trace_spec() for job in jobs)
+        assert len(specs) == 2
         serial = ParallelSweepEngine(jobs=1).run_jobs(jobs)
+
+        store = ResultStore(tmp_path / "warm")
+        warmer = ParallelSweepEngine(jobs=1, store=store)
+        for spec in specs:
+            warmer.captured_trace(spec)
+        warm = ParallelSweepEngine(jobs=4, store=store)
+        with warm:
+            outcomes = warm.run_jobs(jobs)
+        assert [len(group) for _, group, _ in submitted] == [1, 1, 1, 1]
+        assert warm.trace_store_hits == 2
+        assert warm.traces_captured == 0
         for job in jobs:
             assert outcomes[job].result.to_dict() == serial[job].result.to_dict()
 
-    def test_starved_pool_captures_cold_group_in_parent(self, tmp_path):
-        """A cold single-kernel multi-config sweep must not pin the whole
-        batch to one worker: the parent runs the (cheap) capture itself --
-        still exactly once -- and the replays fan out per job."""
-        jobs = SweepSpec(
-            name="starved", kernels=[("csum", {"scale": 0.25})], schemes=SCHEME_NAMES
-        ).jobs()
-        engine = ParallelSweepEngine(jobs=4, store=ResultStore(tmp_path))
-        tasks = engine._split_resolved_groups(engine._resolve_groups(jobs))
-        assert len(tasks) == 1  # capture-needed group: whole, pool starved
-        resolved = engine._split_resolved_groups(engine._capture_starved_groups(tasks))
-        assert engine.traces_captured == 1
-        # After capture the replays fan out per batched-replay partition;
-        # every scheme shares one register-file geometry here, so the group
-        # stays one batched task.
-        assert len(resolved) == 1
-        assert len(resolved[0][1]) == len(jobs)
-
-        outcomes = ParallelSweepEngine(jobs=4, store=ResultStore(tmp_path / "e2e")).run_jobs(jobs)
-        serial = ParallelSweepEngine(jobs=1).run_jobs(jobs)
+        submitted.clear()
+        cold = ParallelSweepEngine(jobs=4, store=ResultStore(tmp_path / "cold"))
+        with cold:
+            outcomes = cold.run_jobs(jobs)
+        assert [len(group) for _, group, _ in submitted] == [2, 2]
+        assert cold.trace_captures == {spec: 1 for spec in specs}
         for job in jobs:
             assert outcomes[job].result.to_dict() == serial[job].result.to_dict()
 
