@@ -66,23 +66,6 @@ class GPUResult:
     def kernel_only_time_ms(self) -> float:
         return (self.kernel_time_s + self.launch_time_s) * 1e3
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel_time_s": self.kernel_time_s,
-            "transfer_time_s": self.transfer_time_s,
-            "launch_time_s": self.launch_time_s,
-            "energy_j": self.energy_j,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GPUResult":
-        return cls(
-            kernel_time_s=float(data["kernel_time_s"]),
-            transfer_time_s=float(data["transfer_time_s"]),
-            launch_time_s=float(data["launch_time_s"]),
-            energy_j=float(data["energy_j"]),
-        )
-
 
 class GPUModel:
     """Analytic mobile-GPU model with launch and copy overheads."""
@@ -90,7 +73,7 @@ class GPUModel:
     def __init__(self, config: Optional[GPUConfig] = None):
         self.config = config or GPUConfig()
 
-    def run(self, profile: KernelProfile, include_transfer: bool = True) -> GPUResult:
+    def run(self, profile: KernelProfile) -> GPUResult:
         cfg = self.config
         peak_ops_per_s = cfg.num_alus * cfg.frequency_ghz * 1e9 * cfg.ops_per_alu_per_cycle
         # Integer kernels run at the same ALU rate; low-precision kernels do
@@ -99,9 +82,7 @@ class GPUModel:
         memory_time = profile.total_bytes / (cfg.memory_bandwidth_gbps * 1e9)
         kernel_time = max(compute_time, memory_time)
 
-        transfer_time = 0.0
-        if include_transfer:
-            transfer_time = profile.total_bytes / (cfg.copy_bandwidth_gbps * 1e9)
+        transfer_time = profile.total_bytes / (cfg.copy_bandwidth_gbps * 1e9)
 
         energy = (
             kernel_time * cfg.execute_power_w

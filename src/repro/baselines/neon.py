@@ -69,33 +69,6 @@ class NeonResult:
     def energy_nj(self) -> float:
         return self.energy.total_nj
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (bit-exact round trip) for the persistent
-        result store."""
-        return {
-            "total_cycles": self.total_cycles,
-            "compute_cycles": self.compute_cycles,
-            "memory_cycles": self.memory_cycles,
-            "scalar_cycles": self.scalar_cycles,
-            "vector_ops": self.vector_ops,
-            "scalar_instructions": self.scalar_instructions,
-            "energy": self.energy.to_dict(),
-            "frequency_ghz": self.frequency_ghz,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NeonResult":
-        return cls(
-            total_cycles=float(data["total_cycles"]),
-            compute_cycles=float(data["compute_cycles"]),
-            memory_cycles=float(data["memory_cycles"]),
-            scalar_cycles=float(data["scalar_cycles"]),
-            vector_ops=int(data["vector_ops"]),
-            scalar_instructions=int(data["scalar_instructions"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-            frequency_ghz=float(data["frequency_ghz"]),
-        )
-
 
 class NeonModel:
     """Analytic performance/energy model of the 2x128-bit ASIMD baseline."""

@@ -197,6 +197,26 @@ def _write_export(payload: dict, fmt: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------- #
 
 
+def _positive(convert):
+    """An argparse type: ``convert(text)``, accepted only when above zero.
+
+    Every ``--scale`` and ``--lanes`` uses it, and ``trace diff --against``
+    applies it to ``scale=`` and ``lanes=``, so a bad value ends in one line
+    of error instead of a traceback from inside the engine."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be {noun} > 0 (got {text!r})")
+        return value
+
+    return parse
+
+
 def _store_for(args: argparse.Namespace) -> ResultStore:
     root = Path(args.cache_dir) if args.cache_dir else ResultStore.default_dir()
     return ResultStore(root)
@@ -293,14 +313,15 @@ def _against_spec(base, text: str):
     kind = str(fields["kind"])
     if kind not in ("mve", "rvv"):
         raise SystemExit(f"trace diff: unknown kind {kind!r} (choose mve or rvv)")
-    try:
-        scale = float(fields["scale"])
-        lanes = int(fields["lanes"])
-    except ValueError:
-        raise SystemExit(
-            f"trace diff: --against scale must be a number and lanes an integer"
-        ) from None
-    against = TraceSpec(kernel=kernel, kind=kind, scale=scale, simd_lanes=lanes)
+    values = {}
+    for key, convert in (("scale", float), ("lanes", int)):
+        try:
+            values[key] = _positive(convert)(str(fields[key]))
+        except argparse.ArgumentTypeError as error:
+            raise SystemExit(f"trace diff: --against {key} {error}") from None
+    against = TraceSpec(
+        kernel=kernel, kind=kind, scale=values["scale"], simd_lanes=values["lanes"]
+    )
     _require_lowering(against)
     return against
 
@@ -393,7 +414,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .workloads import get_kernel_class
 
     store = None if args.no_cache else _store_for(args)
-    lanes = args.lanes if args.lanes else default_config().simd_lanes
+    lanes = args.lanes if args.lanes is not None else default_config().simd_lanes
 
     if args.action == "list":
         trace_store = TraceStore(store)
@@ -690,7 +711,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     unknown = sorted(set(requested) - set(kernel_names()))
     if unknown:
         raise SystemExit(f"unknown kernels: {', '.join(unknown)}")
-    kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
+    kinds = tuple(kind.strip() for kind in (args.kinds or "mve").split(",") if kind.strip())
     bad_kinds = sorted(set(kinds) - {"mve", "rvv"})
     if bad_kinds:
         raise SystemExit(f"unknown kinds: {', '.join(bad_kinds)} (choose from mve, rvv)")
@@ -700,7 +721,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
             f"no RVV lowering for {', '.join(without_rvv)}; "
             f"kernels with one: {', '.join(rvv_kernel_names())}"
         )
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    schemes = tuple(s.strip() for s in (args.schemes or "bit-serial").split(",") if s.strip())
     for scheme in schemes:
         try:
             get_scheme(scheme)
@@ -763,9 +784,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     on_result = None if args.no_progress else _progress(sys.stderr)
 
     name = args.name
-    if name and (args.sweep or args.kernels):
+    if name and (args.sweep or args.kernels or args.kinds or args.schemes):
         raise SystemExit(
-            "run: pass either an experiment name or --sweep/--kernels, not both"
+            "run: pass either an experiment name or --sweep/--kernels/--kinds/--schemes, "
+            "not both"
         )
     if name:
         try:
@@ -881,10 +903,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     run.add_argument("--sweep", help=f"raw named sweep ({', '.join(named_sweep_names())})")
     run.add_argument("--kernels", help="comma-separated kernel names for an ad-hoc sweep")
-    run.add_argument("--kinds", default="mve", help="comma-separated lowerings (mve,rvv)")
-    run.add_argument("--schemes", default="bit-serial", help="comma-separated compute schemes")
     run.add_argument(
-        "--scale", type=float, default=None,
+        "--kinds", default=None, help="comma-separated lowerings for --kernels (default: mve)"
+    )
+    run.add_argument(
+        "--schemes", default=None,
+        help="comma-separated compute schemes for --kernels (default: bit-serial)",
+    )
+    run.add_argument(
+        "--scale", type=_positive(float), default=None,
         help="dataset scale (default 0.5; ignored by fixed-shape experiments, see `list`)",
     )
     run.add_argument(
@@ -916,9 +943,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     trace.add_argument("action", choices=("list", "capture", "stats", "diff"))
     trace.add_argument("kernel", nargs="?", default=None, help="kernel name (see `trace list`)")
     trace.add_argument("--kind", choices=("mve", "rvv"), default="mve", help="lowering to capture")
-    trace.add_argument("--scale", type=float, default=0.5, help="dataset scale (default 0.5)")
     trace.add_argument(
-        "--lanes", type=int, default=None,
+        "--scale", type=_positive(float), default=0.5, help="dataset scale (default 0.5)"
+    )
+    trace.add_argument(
+        "--lanes", type=_positive(int), default=None,
         help="SIMD lane count (default: the base configuration's engine width)",
     )
     trace.add_argument(
@@ -951,7 +980,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     explorep.add_argument(
         "--kind", choices=("mve", "rvv"), default="mve", help="lowering to search over"
     )
-    explorep.add_argument("--scale", type=float, default=0.5, help="dataset scale (default 0.5)")
+    explorep.add_argument(
+        "--scale", type=_positive(float), default=0.5, help="dataset scale (default 0.5)"
+    )
     explorep.add_argument(
         "--axis", action="append", metavar="NAME=V1,V2,...", default=None,
         help="add a search axis (repeatable; default: the stock scheme x "
@@ -1010,7 +1041,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output directory (default: repro-export)",
     )
     exportp.add_argument(
-        "--scale", type=float, default=0.5,
+        "--scale", type=_positive(float), default=0.5,
         help="dataset scale of the stored results to export (default 0.5)",
     )
     exportp.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)

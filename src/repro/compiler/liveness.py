@@ -86,14 +86,6 @@ class LivenessInfo:
     max_live: int
     widest_bits: int
 
-    def live_at(self, index: int) -> list[int]:
-        """Registers live across trace index ``index``."""
-        return [
-            reg
-            for reg, rng in self.ranges.items()
-            if rng.definition <= index <= rng.last_use and rng.uses
-        ]
-
 
 def analyze_liveness(trace: Sequence[TraceEntry]) -> LivenessInfo:
     """Compute live ranges, peak register pressure and widest element type."""

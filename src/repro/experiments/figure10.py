@@ -8,12 +8,10 @@ scalar instruction count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..core.config import MachineConfig, default_config
-from .registry import register_experiment
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
@@ -21,7 +19,7 @@ from .sweep import SweepSpec
 __all__ = [
     "RvvComparison",
     "Figure10Result",
-    "run_figure10",
+    "assemble_figure10",
     "figure10_sweep_spec",
     "FIGURE10_KERNELS",
     "kernel_run_parameters",
@@ -90,9 +88,9 @@ class Figure10Result(SerializableResult):
     mean_rvv_cb_utilization: float
 
 
-def figure10_sweep_spec(base_config: Optional[MachineConfig] = None) -> SweepSpec:
-    """The exact MVE+RVV job set :func:`run_figure10` simulates (shared with the CLI)."""
-    config = base_config if base_config is not None else default_config()
+def figure10_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE+RVV job set :func:`assemble_figure10` reads (fixed shapes)."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure10",
         kernels=[(name, kernel_run_parameters(name)) for name, _ in FIGURE10_KERNELS],
@@ -102,9 +100,8 @@ def figure10_sweep_spec(base_config: Optional[MachineConfig] = None) -> SweepSpe
     )
 
 
-def run_figure10(runner: Optional[ExperimentRunner] = None) -> Figure10Result:
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure10_sweep_spec(runner.config).jobs())
+def assemble_figure10(runner: ExperimentRunner, options: ExperimentOptions) -> Figure10Result:
+    """MVE against the RVV lowering of each kernel on the same engine."""
     rows: list[RvvComparison] = []
     for name, dims in FIGURE10_KERNELS:
         params = kernel_run_parameters(name)
@@ -151,6 +148,6 @@ register_experiment(
     name="figure10",
     description="MVE vs RISC-V RVV execution-time breakdown per kernel",
     result_type=Figure10Result,
-    assemble=lambda runner, options: run_figure10(runner),
-    specs=lambda options: (figure10_sweep_spec(base_config=options.config),),
+    assemble=assemble_figure10,
+    specs=lambda options: (figure10_sweep_spec(options),),
 )

@@ -8,14 +8,13 @@ the dynamic scalar instruction count, both normalized to RVV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .figure10 import Figure10Result, figure10_sweep_spec, run_figure10
-from .registry import register_experiment
+from .figure10 import assemble_figure10, figure10_sweep_spec
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 
-__all__ = ["InstructionMix", "Figure11Result", "run_figure11"]
+__all__ = ["InstructionMix", "Figure11Result", "assemble_figure11"]
 
 
 @dataclass
@@ -28,11 +27,6 @@ class InstructionMix(SerializableResult):
     mve_scalar: int
     rvv_scalar: int
 
-    def mve_fraction_of_rvv(self) -> float:
-        """Total MVE vector instructions as a fraction of RVV's."""
-        rvv_total = max(1, sum(self.rvv_counts.values()))
-        return sum(self.mve_counts.values()) / rvv_total
-
 
 @dataclass
 class Figure11Result(SerializableResult):
@@ -41,13 +35,9 @@ class Figure11Result(SerializableResult):
     mean_scalar_reduction: float
 
 
-def run_figure11(
-    runner: Optional[ExperimentRunner] = None,
-    figure10: Optional[Figure10Result] = None,
-) -> Figure11Result:
+def assemble_figure11(runner: ExperimentRunner, options: ExperimentOptions) -> Figure11Result:
     """Derive the instruction-mix view from the Figure 10 runs."""
-    runner = runner or ExperimentRunner()
-    figure10 = figure10 or run_figure10(runner)
+    figure10 = assemble_figure10(runner, options)
     rows = []
     for comparison in figure10.kernels:
         rows.append(
@@ -71,8 +61,8 @@ register_experiment(
     name="figure11",
     description="dynamic vector/scalar instruction mix, MVE vs RVV",
     result_type=Figure11Result,
-    assemble=lambda runner, options: run_figure11(runner),
+    assemble=assemble_figure11,
     # Same runs as Figure 10: the spec is shared, so the jobs come for free
     # when both figures are produced on one engine.
-    specs=lambda options: (figure10_sweep_spec(base_config=options.config),),
+    specs=lambda options: (figure10_sweep_spec(options),),
 )

@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,13 +15,12 @@ from ..baselines.duality_cache import DualityCacheModel
 from ..baselines.neon import NeonModel
 from ..baselines.profile import KernelProfile
 from ..compiler.pipeline import compile_trace
-from ..core.config import MachineConfig, default_config
 from ..core.replay import register_file_for
 from ..core.simulator import simulate_kernel
 from ..intrinsics.machine import MVEMachine
 from ..isa.datatypes import DataType
 from ..memory.flatmem import FlatMemory
-from .registry import register_experiment
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
@@ -35,10 +33,10 @@ __all__ = [
     "Figure12aResult",
     "Figure12bResult",
     "Figure12cResult",
-    "run_figure12a",
-    "run_figure12b",
-    "run_figure12c",
-    "run_figure12",
+    "assemble_figure12a",
+    "assemble_figure12b",
+    "assemble_figure12c",
+    "assemble_figure12",
     "figure12a_sweep_spec",
     "figure12b_sweep_spec",
     "FIGURE12_KERNELS",
@@ -116,46 +114,35 @@ class Figure12cResult(SerializableResult):
     points: list[PrecisionPoint]
 
 
-def figure12a_sweep_spec(
-    kernels: Sequence[str] = FIGURE12_KERNELS,
-    base_config: Optional[MachineConfig] = None,
-) -> SweepSpec:
-    """The exact MVE job set :func:`run_figure12a` simulates (shared with the CLI)."""
-    config = base_config if base_config is not None else default_config()
+def figure12a_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE job set :func:`assemble_figure12a` reads (fixed shapes)."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure12a",
-        kernels=[(name, _KERNEL_PARAMS.get(name, {"scale": 0.5})) for name in kernels],
+        kernels=[(name, _KERNEL_PARAMS[name]) for name in FIGURE12_KERNELS],
         schemes=(config.scheme_name,),
         base_config=config,
     )
 
 
-def figure12b_sweep_spec(
-    kernels: Sequence[str] = FIGURE12B_KERNELS,
-    array_counts: Sequence[int] = FIGURE12B_ARRAY_COUNTS,
-    base_config: Optional[MachineConfig] = None,
-) -> SweepSpec:
-    """The exact MVE job set :func:`run_figure12b` simulates (shared with the CLI)."""
-    config = base_config if base_config is not None else default_config()
+def figure12b_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE job set :func:`assemble_figure12b` reads: each kernel at
+    every engine size."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure12b",
-        kernels=[(name, _KERNEL_PARAMS.get(name, {"scale": 0.5})) for name in kernels],
+        kernels=[(name, _KERNEL_PARAMS[name]) for name in FIGURE12B_KERNELS],
         schemes=(config.scheme_name,),
-        array_counts=tuple(array_counts),
+        array_counts=FIGURE12B_ARRAY_COUNTS,
         base_config=config,
     )
 
 
-def run_figure12a(
-    runner: Optional[ExperimentRunner] = None,
-    kernels: Sequence[str] = FIGURE12_KERNELS,
-) -> list[DualityCacheComparison]:
+def assemble_figure12a(runner: ExperimentRunner, options: ExperimentOptions) -> Figure12aResult:
     """MVE (SIMD) versus Duality Cache (SIMT) on the same engine."""
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure12a_sweep_spec(kernels, runner.config).jobs())
     rows = []
-    for name in kernels:
-        params = _KERNEL_PARAMS.get(name, {"scale": 0.5})
+    for name in FIGURE12_KERNELS:
+        params = _KERNEL_PARAMS[name]
         mve = runner.run_mve(name, **params)
         # The SIMT transform consumes the same capture-stage artifact the
         # timing run replayed (engine trace memo / store), instead of
@@ -171,22 +158,16 @@ def run_figure12a(
                 dc_breakdown=dc_result.breakdown_fractions(),
             )
         )
-    return rows
+    return Figure12aResult(rows=rows)
 
 
-def run_figure12b(
-    runner: Optional[ExperimentRunner] = None,
-    kernels: Sequence[str] = FIGURE12B_KERNELS,
-    array_counts: Sequence[int] = FIGURE12B_ARRAY_COUNTS,
-) -> list[ScalabilityPoint]:
+def assemble_figure12b(runner: ExperimentRunner, options: ExperimentOptions) -> Figure12bResult:
     """Performance scalability with the number of compute SRAM arrays."""
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure12b_sweep_spec(kernels, array_counts, runner.config).jobs())
     points = []
-    for name in kernels:
-        params = _KERNEL_PARAMS.get(name, {"scale": 0.5})
+    for name in FIGURE12B_KERNELS:
+        params = _KERNEL_PARAMS[name]
         baseline_cycles = None
-        for count in array_counts:
+        for count in FIGURE12B_ARRAY_COUNTS:
             config = runner.config.with_arrays(count)
             run = runner.run_mve(name, config=config, **params)
             if baseline_cycles is None:
@@ -199,7 +180,7 @@ def run_figure12b(
                     breakdown=run.result.breakdown_fractions(),
                 )
             )
-    return points
+    return Figure12bResult(points=points)
 
 
 class _PrecisionSweepKernel:
@@ -257,21 +238,17 @@ class _PrecisionSweepKernel:
         )
 
 
-def run_figure12c(
-    config: Optional[MachineConfig] = None,
-    precisions: Sequence[DataType] = (
-        DataType.FLOAT32,
-        DataType.INT32,
-        DataType.FLOAT16,
-        DataType.INT16,
-    ),
-) -> list[PrecisionPoint]:
-    """Execution time and Neon-relative speedup at different precisions."""
-    config = config or default_config()
+def assemble_figure12c(runner: ExperimentRunner, options: ExperimentOptions) -> Figure12cResult:
+    """Execution time and Neon-relative speedup at different precisions.
+
+    Runs the simulator directly on the synthetic kernel: no engine job set.
+    """
+    config = runner.config
     neon = NeonModel(config)
     points = []
     baseline_time = None
-    for dtype in precisions:
+    # fp32 first: it is the baseline the other precisions normalize to
+    for dtype in (DataType.FLOAT32, DataType.INT32, DataType.FLOAT16, DataType.INT16):
         kernel = _PrecisionSweepKernel(dtype)
         result, _ = simulate_kernel(kernel.trace(config.simd_lanes), config=config)
         neon_result = neon.run(kernel.profile())
@@ -284,18 +261,18 @@ def run_figure12c(
                 speedup_over_neon=neon_result.time_ms / result.time_ms,
             )
         )
-    return points
+    return Figure12cResult(points=points)
 
 
-def run_figure12(runner: Optional[ExperimentRunner] = None) -> Figure12Result:
-    runner = runner or ExperimentRunner()
-    duality = run_figure12a(runner)
-    scalability = run_figure12b(runner)
-    precision = run_figure12c(runner.config)
+def assemble_figure12(runner: ExperimentRunner, options: ExperimentOptions) -> Figure12Result:
+    """All three panels, each assembled here: a full evaluation runs the
+    Duality Cache model and the precision sweep for the panel experiments
+    and again for this composite."""
+    duality = assemble_figure12a(runner, options).rows
     return Figure12Result(
         duality_cache=duality,
-        scalability=scalability,
-        precision=precision,
+        scalability=assemble_figure12b(runner, options).points,
+        precision=assemble_figure12c(runner, options).points,
         mean_dc_slowdown=float(
             np.exp(np.mean(np.log([row.dc_over_mve_time for row in duality])))
         ),
@@ -306,35 +283,29 @@ register_experiment(
     name="figure12a",
     description="Duality Cache (SIMT) vs MVE (SIMD) on the same engine",
     result_type=Figure12aResult,
-    assemble=lambda runner, options: Figure12aResult(rows=run_figure12a(runner)),
-    specs=lambda options: (figure12a_sweep_spec(base_config=options.config),),
+    assemble=assemble_figure12a,
+    specs=lambda options: (figure12a_sweep_spec(options),),
 )
 
 register_experiment(
     name="figure12b",
     description="performance scalability from 8 to 64 SRAM arrays",
     result_type=Figure12bResult,
-    assemble=lambda runner, options: Figure12bResult(points=run_figure12b(runner)),
-    specs=lambda options: (figure12b_sweep_spec(base_config=options.config),),
+    assemble=assemble_figure12b,
+    specs=lambda options: (figure12b_sweep_spec(options),),
 )
 
 register_experiment(
     name="figure12c",
     description="sensitivity to element precision (fp32/int32/fp16/int16)",
     result_type=Figure12cResult,
-    # Runs the simulator directly on a synthetic kernel: no engine job set.
-    assemble=lambda runner, options: Figure12cResult(
-        points=run_figure12c(config=runner.config)
-    ),
+    assemble=assemble_figure12c,
 )
 
 register_experiment(
     name="figure12",
     description="Duality Cache comparison + array scalability + precision",
     result_type=Figure12Result,
-    assemble=lambda runner, options: run_figure12(runner),
-    specs=lambda options: (
-        figure12a_sweep_spec(base_config=options.config),
-        figure12b_sweep_spec(base_config=options.config),
-    ),
+    assemble=assemble_figure12,
+    specs=lambda options: (figure12a_sweep_spec(options), figure12b_sweep_spec(options)),
 )

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.config import MachineConfig, default_config
 from ..sram.schemes import SCHEME_NAMES
 from .figure10 import kernel_run_parameters
-from .registry import register_experiment
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
@@ -18,7 +16,7 @@ from .sweep import SweepSpec
 __all__ = [
     "SchemeComparison",
     "Figure13Result",
-    "run_figure13",
+    "assemble_figure13",
     "figure13_sweep_spec",
     "FIGURE13_KERNELS",
 ]
@@ -51,34 +49,26 @@ class Figure13Result(SerializableResult):
         raise KeyError(scheme)
 
 
-def figure13_sweep_spec(
-    kernels: Sequence[str] = FIGURE13_KERNELS,
-    schemes: Sequence[str] = SCHEME_NAMES,
-    base_config: Optional[MachineConfig] = None,
-) -> SweepSpec:
-    """The exact MVE+RVV job set :func:`run_figure13` simulates (shared with the CLI)."""
+def figure13_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE+RVV job set :func:`assemble_figure13` reads: every scheme,
+    fixed shapes."""
     return SweepSpec(
         name="figure13",
-        kernels=[(name, kernel_run_parameters(name)) for name in kernels],
+        kernels=[(name, kernel_run_parameters(name)) for name in FIGURE13_KERNELS],
         kinds=("mve", "rvv"),
-        schemes=tuple(schemes),
-        base_config=base_config if base_config is not None else default_config(),
+        schemes=SCHEME_NAMES,
+        base_config=options.resolved_config(),
     )
 
 
-def run_figure13(
-    runner: Optional[ExperimentRunner] = None,
-    kernels: Sequence[str] = FIGURE13_KERNELS,
-    schemes: Sequence[str] = SCHEME_NAMES,
-) -> Figure13Result:
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure13_sweep_spec(kernels, schemes, runner.config).jobs())
+def assemble_figure13(runner: ExperimentRunner, options: ExperimentOptions) -> Figure13Result:
+    """MVE against RVV under each in-SRAM compute scheme."""
     rows = []
-    for scheme in schemes:
+    for scheme in SCHEME_NAMES:
         ratios = []
         mve_fracs = {"idle": [], "compute": [], "data_access": []}
         rvv_fracs = {"idle": [], "compute": [], "data_access": []}
-        for name in kernels:
+        for name in FIGURE13_KERNELS:
             params = kernel_run_parameters(name)
             mve = runner.run_mve(name, scheme_name=scheme, **params)
             rvv = runner.run_rvv(name, scheme_name=scheme, **params)
@@ -101,6 +91,6 @@ register_experiment(
     name="figure13",
     description="MVE vs RVV across in-SRAM compute schemes (BS/BH/BP/AC)",
     result_type=Figure13Result,
-    assemble=lambda runner, options: run_figure13(runner),
-    specs=lambda options: (figure13_sweep_spec(base_config=options.config),),
+    assemble=assemble_figure13,
+    specs=lambda options: (figure13_sweep_spec(options),),
 )

@@ -3,40 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from ..core.config import MachineConfig, default_config
-from ..workloads import kernels_in_library, library_names
-from .registry import register_experiment
+from ..workloads import kernels_in_library, library_info, library_names
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
 
-__all__ = ["LibraryComparison", "Figure7Result", "run_figure7", "figure7_sweep_spec"]
+__all__ = ["LibraryComparison", "Figure7Result", "assemble_figure7", "figure7_sweep_spec"]
 
 
-def figure7_sweep_spec(
-    scale: float = 0.5,
-    libraries: Optional[list[str]] = None,
-    base_config: Optional[MachineConfig] = None,
-) -> SweepSpec:
-    """The exact job set :func:`run_figure7` simulates, as a sweep spec.
-
-    Single source of truth shared by the figure's prefetch, the experiment
-    registry and the ``python -m repro`` CLI, so they can never drift apart.
-    """
-    config = base_config if base_config is not None else default_config()
+def figure7_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE job set :func:`assemble_figure7` reads: every suite kernel
+    at ``options.scale``."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure7",
         kernels=[
-            (name, {"scale": scale})
-            for library in (libraries or library_names())
+            (name, {"scale": options.scale})
+            for library in library_names()
             for name in kernels_in_library(library)
         ],
         schemes=(config.scheme_name,),
-        default_scale=scale,
+        default_scale=options.scale,
         base_config=config,
     )
 
@@ -60,10 +51,6 @@ class LibraryComparison(SerializableResult):
         """MVE time as a percentage of Neon time (the Figure 7(a) bar height)."""
         return 100.0 / self.speedup
 
-    @property
-    def normalized_energy_percent(self) -> float:
-        return 100.0 / self.energy_ratio
-
 
 @dataclass
 class Figure7Result(SerializableResult):
@@ -75,18 +62,11 @@ class Figure7Result(SerializableResult):
     mean_data_fraction: float
 
 
-def run_figure7(
-    runner: Optional[ExperimentRunner] = None,
-    scale: float = 0.5,
-    libraries: Optional[list[str]] = None,
-) -> Figure7Result:
+def assemble_figure7(runner: ExperimentRunner, options: ExperimentOptions) -> Figure7Result:
     """MVE vs the packed-SIMD Neon baseline over the whole workload suite."""
-    runner = runner or ExperimentRunner()
-    libraries = libraries or library_names()
-    runner.prefetch(figure7_sweep_spec(scale, libraries, runner.config).jobs())
-
+    scale = options.scale
     per_library: list[LibraryComparison] = []
-    for library in libraries:
+    for library in library_names():
         kernel_list = kernels_in_library(library)
         if not kernel_list:
             continue
@@ -101,8 +81,6 @@ def run_figure7(
             idles.append(fractions["idle"])
             computes.append(fractions["compute"])
             datas.append(fractions["data_access"])
-        from ..workloads import library_info
-
         _, dims = library_info(library)
         per_library.append(
             LibraryComparison(
@@ -133,7 +111,7 @@ register_experiment(
     name="figure7",
     description="MVE vs Arm Neon execution time and energy, per library",
     result_type=Figure7Result,
-    assemble=lambda runner, options: run_figure7(runner, scale=options.scale),
-    specs=lambda options: (figure7_sweep_spec(options.scale, base_config=options.config),),
+    assemble=assemble_figure7,
+    specs=lambda options: (figure7_sweep_spec(options),),
     uses_scale=True,
 )

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..core.config import MachineConfig, default_config
-from .registry import register_experiment
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
@@ -16,7 +14,7 @@ from .sweep import SweepSpec
 __all__ = [
     "GpuComparison",
     "Figure8Result",
-    "run_figure8",
+    "assemble_figure8",
     "figure8_sweep_spec",
     "FIGURE8_KERNELS",
 ]
@@ -40,18 +38,17 @@ FIGURE8_KERNELS = (
 _KERNEL_SCALES = {"satd": 0.25, "dct": 0.25, "idct": 0.25}
 
 
-def figure8_sweep_spec(
-    scale: float = 0.5, base_config: Optional[MachineConfig] = None
-) -> SweepSpec:
-    """The exact MVE job set :func:`run_figure8` simulates (shared with the CLI)."""
-    config = base_config if base_config is not None else default_config()
+def figure8_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE job set :func:`assemble_figure8` reads."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure8",
         kernels=[
-            (name, {"scale": _KERNEL_SCALES.get(name, scale)}) for name in FIGURE8_KERNELS
+            (name, {"scale": _KERNEL_SCALES.get(name, options.scale)})
+            for name in FIGURE8_KERNELS
         ],
         schemes=(config.scheme_name,),
-        default_scale=scale,
+        default_scale=options.scale,
         base_config=config,
     )
 
@@ -75,15 +72,11 @@ class Figure8Result(SerializableResult):
     mean_energy_ratio: float
 
 
-def run_figure8(
-    runner: Optional[ExperimentRunner] = None, scale: float = 0.5
-) -> Figure8Result:
+def assemble_figure8(runner: ExperimentRunner, options: ExperimentOptions) -> Figure8Result:
     """Compare MVE against the mobile-GPU model on the selected kernels."""
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure8_sweep_spec(scale, runner.config).jobs())
     rows: list[GpuComparison] = []
     for name in FIGURE8_KERNELS:
-        kernel_scale = _KERNEL_SCALES.get(name, scale)
+        kernel_scale = _KERNEL_SCALES.get(name, options.scale)
         mve = runner.run_mve(name, scale=kernel_scale)
         gpu = runner.run_gpu(name, scale=kernel_scale)
         rows.append(
@@ -109,7 +102,7 @@ register_experiment(
     name="figure8",
     description="Adreno-class GPU time and energy normalized to MVE",
     result_type=Figure8Result,
-    assemble=lambda runner, options: run_figure8(runner, scale=options.scale),
-    specs=lambda options: (figure8_sweep_spec(options.scale, base_config=options.config),),
+    assemble=assemble_figure8,
+    specs=lambda options: (figure8_sweep_spec(options),),
     uses_scale=True,
 )

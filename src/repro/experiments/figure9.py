@@ -8,10 +8,9 @@ below that, the kernel-launch and copy overheads dominate and MVE wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..core.config import MachineConfig, default_config
-from .registry import register_experiment
+from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
 from .sweep import SweepSpec
@@ -19,7 +18,7 @@ from .sweep import SweepSpec
 __all__ = [
     "SweepPoint",
     "Figure9Result",
-    "run_figure9",
+    "assemble_figure9",
     "figure9_sweep_spec",
     "GEMM_SWEEP",
     "SPMM_SWEEP",
@@ -82,37 +81,27 @@ class Figure9Result(SerializableResult):
         return self._crossover(self.spmm_points)
 
 
-def figure9_sweep_spec(
-    gemm_sweep: Sequence[tuple[int, int, int]] = GEMM_SWEEP,
-    spmm_sweep: Sequence[tuple[int, int, int, int]] = SPMM_SWEEP,
-    base_config: Optional[MachineConfig] = None,
-) -> SweepSpec:
-    """The exact MVE job set :func:`run_figure9` simulates (shared with the CLI)."""
-    config = base_config if base_config is not None else default_config()
+def figure9_sweep_spec(options: ExperimentOptions) -> SweepSpec:
+    """The MVE job set :func:`assemble_figure9` reads (fixed paper shapes)."""
+    config = options.resolved_config()
     return SweepSpec(
         name="figure9",
         kernels=[
-            ("gemm", {"scale": 1.0, "n": n, "k": k, "m": m}) for n, k, m in gemm_sweep
+            ("gemm", {"scale": 1.0, "n": n, "k": k, "m": m}) for n, k, m in GEMM_SWEEP
         ]
         + [
             ("spmm", {"scale": 1.0, "n": n, "k": k, "m": m, "nnz": nnz})
-            for n, k, m, nnz in spmm_sweep
+            for n, k, m, nnz in SPMM_SWEEP
         ],
         schemes=(config.scheme_name,),
         base_config=config,
     )
 
 
-def run_figure9(
-    runner: Optional[ExperimentRunner] = None,
-    gemm_sweep: Sequence[tuple[int, int, int]] = GEMM_SWEEP,
-    spmm_sweep: Sequence[tuple[int, int, int, int]] = SPMM_SWEEP,
-) -> Figure9Result:
-    runner = runner or ExperimentRunner()
-    runner.prefetch(figure9_sweep_spec(gemm_sweep, spmm_sweep, runner.config).jobs())
-
+def assemble_figure9(runner: ExperimentRunner, options: ExperimentOptions) -> Figure9Result:
+    """MVE against the GPU model over the GEMM and SpMM layer shapes."""
     gemm_points = []
-    for n, k, m in gemm_sweep:
+    for n, k, m in GEMM_SWEEP:
         mve = runner.run_mve("gemm", scale=1.0, n=n, k=k, m=m)
         gpu = runner.run_gpu("gemm", scale=1.0, n=n, k=k, m=m)
         gemm_points.append(
@@ -126,7 +115,7 @@ def run_figure9(
         )
 
     spmm_points = []
-    for n, k, m, nnz in spmm_sweep:
+    for n, k, m, nnz in SPMM_SWEEP:
         mve = runner.run_mve("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz)
         gpu = runner.run_gpu("spmm", scale=1.0, n=n, k=k, m=m, nnz=nnz)
         spmm_points.append(
@@ -145,6 +134,6 @@ register_experiment(
     name="figure9",
     description="GEMM/SpMM time vs problem size, MVE against the GPU",
     result_type=Figure9Result,
-    assemble=lambda runner, options: run_figure9(runner),
-    specs=lambda options: (figure9_sweep_spec(base_config=options.config),),
+    assemble=assemble_figure9,
+    specs=lambda options: (figure9_sweep_spec(options),),
 )

@@ -1,24 +1,24 @@
 """Declarative experiment registry: every table/figure as an addressable unit.
 
-The paper's evaluation used to be eight bespoke ``run_*`` entry points with
-incompatible signatures.  This module turns each of them into a first-class
-:class:`Experiment` that declares
+Each table/figure is one :class:`Experiment` that declares
 
-* its **job set** -- ``specs(options)`` returns the same
-  :class:`~repro.experiments.sweep.SweepSpec` single-sources-of-truth the
-  figure modules and the CLI already share, so registry-built jobs hash to
-  exactly the same cache keys as the legacy ``run_figureN`` paths, and
-* its **assembly** -- ``assemble(runner, options)`` turns the simulated jobs
-  into the figure's serializable result dataclass.
+* its **job set** -- ``specs(options)`` returns the
+  :class:`~repro.experiments.sweep.SweepSpec` list the figure module builds
+  (``figureN_sweep_spec(options)``), which the CLI's named sweeps share,
+  and
+* its **assembly** -- ``assemble(runner, options)`` reads the simulated jobs
+  back through the :class:`~repro.experiments.runner.ExperimentRunner` and
+  turns them into the figure's serializable result dataclass.
 
 Experiment modules register themselves at import time via
 :func:`register_experiment`; :func:`run_experiment` is the one call sites
-need: it prefetches the job set through the
+need: it runs the declared job set as one batch on the
 :class:`~repro.experiments.sweep.ParallelSweepEngine` (streaming per-job
-progress to an optional ``on_result`` callback), answers whole assembled
-results from the persistent :class:`~repro.core.cache.ResultStore` when the
-options and source fingerprint match, and caches fresh results there.
-``python -m repro`` exposes the registry as a CLI.
+progress to an optional ``on_result`` callback) before it assembles,
+answers whole assembled results from the persistent
+:class:`~repro.core.cache.ResultStore` when the options and source
+fingerprint match, and caches fresh results there.  ``python -m repro``
+exposes the registry as a CLI.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class Experiment:
     description: str
     #: result dataclass with ``to_dict``/``from_dict`` (ResultStore payload)
     result_type: type
-    #: turns prefetched jobs into the result; must only request jobs that
-    #: ``specs`` declares, so the two can never drift apart
+    #: turns the already-run jobs into the result; must only request jobs
+    #: that ``specs`` declares, so the two can never drift apart
     assemble: Callable[[ExperimentRunner, ExperimentOptions], Any] = field(repr=False)
     #: the declarative job set; empty for analytic/static experiments
     specs: Callable[[ExperimentOptions], tuple[SweepSpec, ...]] = field(
@@ -284,11 +284,12 @@ def run_experiment(
 ):
     """Run one registered experiment end to end and return its result.
 
-    The job set is prefetched as a single engine batch (sharded over worker
+    The declared job set runs as a single engine batch (sharded over worker
     processes when the runner's engine has ``jobs > 1``), with ``on_result``
-    streaming per-job progress.  With ``use_cache`` and a store attached,
-    the assembled result itself is answered from / persisted to the store,
-    keyed by experiment name, options and the source fingerprint.
+    streaming per-job progress, before the experiment assembles.  With
+    ``use_cache`` and a store attached, the assembled result itself is
+    answered from / persisted to the store, keyed by experiment name,
+    options and the source fingerprint.
     """
     experiment = get_experiment(name)
     options = options or ExperimentOptions()

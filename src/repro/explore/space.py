@@ -10,11 +10,10 @@ serializing a :class:`~repro.core.config.MachineConfig`.
 
 Every point compiles down to the existing sweep machinery: ``job(point)``
 builds a one-point :class:`~repro.experiments.sweep.SweepSpec` and takes its
-single :class:`~repro.experiments.sweep.KernelJob`, and ``sweep_specs()``
-compiles the whole grid into per-config SweepSpecs whose union is exactly
-the point set -- so exploration jobs hash to the same cache keys an
-equivalent hand-written sweep would, and every downstream stage (trace
-store, batched replay, the worker pool) works unchanged.
+single :class:`~repro.experiments.sweep.KernelJob` -- so exploration jobs
+hash to the same cache keys an equivalent hand-written sweep would, and
+every downstream stage (trace store, batched replay, the worker pool) works
+unchanged.
 
 Axes are interpreted by a fixed registry of appliers over the *default*
 configuration; values stay primitive in the stored state (DRAM variants
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from ..core.cache import code_fingerprint, stable_hash
 from ..core.config import MachineConfig, default_config
 from ..memory.dram import DRAMConfig
 from ..sram.array import EngineGeometry, SramArrayGeometry
@@ -282,33 +280,6 @@ class SearchSpace:
     def jobs(self, points: list[int]) -> list[KernelJob]:
         return [self.job(point) for point in points]
 
-    def sweep_specs(self) -> list[SweepSpec]:
-        """The whole grid as SweepSpecs, scheme axis folded into
-        ``SweepSpec.schemes`` -- the union of their job sets is exactly the
-        point set (asserted in tests), which is what "compiles down to the
-        existing sweep machinery" means here."""
-        groups: dict[tuple, dict] = {}
-        for point in range(self.size):
-            values = self.point_values(point)
-            key = tuple((k, v) for k, v in values.items() if k != "scheme")
-            entry = groups.setdefault(key, {"point": point, "schemes": []})
-            scheme = values.get("scheme")
-            if scheme is not None and scheme not in entry["schemes"]:
-                entry["schemes"].append(scheme)
-        specs = []
-        for entry in groups.values():
-            config, scheme = self.config_for(entry["point"])
-            specs.append(
-                SweepSpec(
-                    name=f"explore:{self.kernel}",
-                    kernels=[(self.kernel, {"scale": self.scale})],
-                    kinds=(self.kind,),
-                    schemes=tuple(entry["schemes"]) or (scheme,),
-                    base_config=config,
-                )
-            )
-        return specs
-
     # -- identity and wire form ------------------------------------------ #
 
     def to_dict(self) -> dict:
@@ -326,19 +297,6 @@ class SearchSpace:
             kind=data.get("kind", "mve"),
             scale=float(data.get("scale", 0.5)),
             axes=tuple(Axis.from_dict(axis) for axis in data["axes"]),
-        )
-
-    def key(self) -> str:
-        """Content hash of the space *and* the source tree -- the namespace
-        search state checkpoints under.  Embedding the fingerprint keeps a
-        resumed search consistent with its per-job results, which are keyed
-        the same way."""
-        return stable_hash(
-            {
-                "namespace": "explore-space",
-                "fingerprint": code_fingerprint(),
-                "space": self.to_dict(),
-            }
         )
 
     def describe(self) -> str:

@@ -18,9 +18,6 @@ Shipped strategies:
 * ``random`` -- seeded uniform sampling without replacement; converges
   only by exhausting the space.  The baseline the adaptive strategies
   are judged against.
-* ``successive-halving`` -- random cohort, rank by normalized scalarized
-  cost, keep the best half, expand the survivors' neighborhoods; the
-  classic bandit-style racer for when one scalar trade-off is enough.
 * ``exhaustive`` -- propose everything (brute force); the ground truth
   the equivalence tests compare frontiers against.
 """
@@ -28,7 +25,6 @@ Shipped strategies:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import TYPE_CHECKING, Iterator
 
@@ -42,7 +38,6 @@ __all__ = [
     "FrontierNeighborhoodStrategy",
     "RandomStrategy",
     "Strategy",
-    "SuccessiveHalvingStrategy",
     "get_strategy",
 ]
 
@@ -136,45 +131,12 @@ class FrontierNeighborhoodStrategy(Strategy):
         return sorted(frontier_neighbors - set(state.evaluated))
 
 
-class SuccessiveHalvingStrategy(Strategy):
-    """Random cohort, then races: each round keeps the best half (by a
-    min-normalized sum of the objective vector) and evaluates the
-    survivors' grid neighborhoods."""
-
-    name = "successive-halving"
-
-    def propose(self, space, state, rng, batch):
-        if not state.rounds:
-            remaining = _unevaluated(space, state)
-            if len(remaining) <= batch:
-                return remaining
-            return sorted(rng.sample(remaining, batch))
-        floors = [
-            min(vector[i] for vector in state.evaluated.values()) or 1.0
-            for i in range(len(state.objectives))
-        ]
-
-        def score(point: int) -> float:
-            vector = state.evaluated[point]
-            return sum(value / floor for value, floor in zip(vector, floors))
-
-        keep = max(1, math.ceil(len(state.evaluated) / 2 ** len(state.rounds)))
-        survivors = sorted(state.evaluated, key=score)[:keep]
-        fresh = {
-            neighbor
-            for point in survivors
-            for neighbor in _neighbors(space, point)
-        } - set(state.evaluated)
-        return sorted(fresh)
-
-
 def get_strategy(name: str) -> Strategy:
     try:
         return {
             ExhaustiveStrategy.name: ExhaustiveStrategy,
             RandomStrategy.name: RandomStrategy,
             FrontierNeighborhoodStrategy.name: FrontierNeighborhoodStrategy,
-            SuccessiveHalvingStrategy.name: SuccessiveHalvingStrategy,
         }[name]()
     except KeyError:
         raise ValueError(
@@ -185,6 +147,5 @@ def get_strategy(name: str) -> Strategy:
 STRATEGY_NAMES: tuple[str, ...] = (
     FrontierNeighborhoodStrategy.name,
     RandomStrategy.name,
-    SuccessiveHalvingStrategy.name,
     ExhaustiveStrategy.name,
 )

@@ -108,9 +108,6 @@ class PhysicalRegisterFile:
             raise ValueError("element width must be positive")
         return self.array_rows // element_bits
 
-    def lanes_per_array(self) -> int:
-        return self.array_cols
-
 
 @dataclass
 class ControlRegisters:

@@ -71,10 +71,6 @@ class FlatMemory:
     def size(self) -> int:
         return self._data.size
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next_free - self.base_address
-
     def allocate(self, dtype: DataType, count: int, align: int = 64) -> Allocation:
         """Allocate ``count`` elements of ``dtype`` aligned to ``align`` bytes."""
         if count < 0:

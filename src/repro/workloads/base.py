@@ -94,10 +94,6 @@ class Kernel(abc.ABC):
         """1D (RVV-style) lowering; override in kernels used by Figs 10/11/13."""
         raise NotImplementedError(f"{self.name} has no RVV lowering")
 
-    @property
-    def supports_rvv(self) -> bool:
-        return type(self).run_rvv is not Kernel.run_rvv
-
     # -- convenience ------------------------------------------------------- #
 
     def capture(

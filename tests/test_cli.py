@@ -19,28 +19,6 @@ from repro.workloads import rvv_kernel_names
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-@pytest.fixture(scope="session")
-def schema_cache_dir(tmp_path_factory):
-    """Persistent store shared by every schema-golden export.
-
-    Honouring $REPRO_SWEEP_CACHE_DIR means CI (and any dev box that sets
-    it) answers the fixed-shape experiments from the warm cache; otherwise
-    one session-scoped directory at least shares jobs across the 11
-    parametrized runs (figure11 reuses figure10's spec, figure12 is the
-    union of its sub-experiments, ...).
-    """
-    env = os.environ.get("REPRO_SWEEP_CACHE_DIR")
-    if env:
-        return env
-    # A fixed name under the session basetemp (not mktemp, which numbers
-    # its directories): test_read_api resolves the same path, so the
-    # round-trip suite reuses these warm results instead of re-simulating
-    # all 11 experiments a second time.
-    root = tmp_path_factory.getbasetemp() / "schema-cache"
-    root.mkdir(exist_ok=True)
-    return str(root)
-
-
 class TestList:
     def test_lists_experiments_sweeps_and_cache(self, tmp_path, capsys):
         assert cli_main(["--cache-dir", str(tmp_path), "list"]) == 0
@@ -94,6 +72,48 @@ class TestRunExperimentCommand:
             cli_main(["--cache-dir", str(tmp_path), "run", "tables", "--sweep", "figure10"])
         with pytest.raises(SystemExit, match="not both"):
             cli_main(["--cache-dir", str(tmp_path), "run", "tables", "--kernels", "csum"])
+
+    @pytest.mark.parametrize(
+        "flags", [["--schemes", "bit-parallel"], ["--kinds", "rvv"]], ids=["schemes", "kinds"]
+    )
+    def test_experiment_name_combined_with_kinds_or_schemes_is_rejected(self, flags, tmp_path):
+        """Regression: `run figure7 --schemes bit-parallel` printed the
+        bit-serial figure7 without a word; an experiment fixes its own
+        lowerings and schemes."""
+        with pytest.raises(SystemExit, match="not both"):
+            cli_main(["--cache-dir", str(tmp_path), "run", "tables", *flags])
+
+
+#: one command line per non-positive --scale / --lanes / --against value
+NON_POSITIVE_VALUES = {
+    "run-name": "run figure7 --scale 0 --no-cache",
+    "run-kernels": "run --kernels csum --scale -1 --jobs 1 --no-cache",
+    "trace-scale": "trace capture csum --scale 0 --no-cache",
+    "trace-lanes": "trace capture csum --lanes -4 --no-cache",
+    "trace-lanes-0": "trace capture csum --lanes 0 --no-cache",
+    "against-lanes": "trace diff csum --against lanes=0 --no-cache",
+    "against-scale": "trace diff csum --against scale=-0.5 --no-cache",
+    "explore": "explore run csum --scale 0 --budget 2 --jobs 1",
+    "export": "export --all --scale 0",
+}
+
+
+class TestPositiveScaleAndLanes:
+    @pytest.mark.parametrize(
+        "command", list(NON_POSITIVE_VALUES.values()), ids=list(NON_POSITIVE_VALUES)
+    )
+    def test_non_positive_value_exits_with_one_line_of_error(self, command, tmp_path, capsys):
+        """Regression: these ended in a ValueError traceback from inside the
+        engine, and `--lanes 0` silently meant the default 8,192 lanes."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--cache-dir", str(tmp_path), *command.split()])
+        code = excinfo.value.code
+        if isinstance(code, str):  # the CLI's own one-line exit
+            errors = [code]
+        else:  # argparse: the usage, then one "error:" line
+            assert code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "> 0 (got" in errors[0]
 
 
 class TestRunSweepCommand:
@@ -297,9 +317,9 @@ class TestExportSchemaGolden:
         assert goldens == set(experiment_names())
 
     @pytest.mark.parametrize("name", experiment_names())
-    def test_export_schema_matches_golden(self, name, tmp_path, schema_cache_dir):
+    def test_export_schema_matches_golden(self, name, tmp_path, warm_store_dir):
         out_path = tmp_path / f"{name}.json"
-        argv = ["--cache-dir", schema_cache_dir, "run", name, "--scale", "0.1",
+        argv = ["--cache-dir", warm_store_dir, "run", name, "--scale", "0.1",
                 "--export", "json", "--out", str(out_path), "--no-progress"]
         assert cli_main(argv) == 0
         payload = json.loads(out_path.read_text())

@@ -1,12 +1,10 @@
 """Tests for the experiment registry and result (de)serialization.
 
-Covers the API-redesign acceptance criteria: every figure/table is
-registered, registry-built job sets are identical (same cache keys) to the
-pre-redesign ``run_figureN`` paths, and every result type survives a JSON
-round trip bit-exactly.
+Every figure/table is registered, each assembly reads only the jobs its
+spec declares (and, with them warm, neither simulates nor captures), and
+every result type survives a JSON round trip bit-exactly.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -15,7 +13,6 @@ from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.experiments import (
     ExperimentOptions,
-    ExperimentRunner,
     TablesResult,
     build_runner,
     experiment_names,
@@ -23,16 +20,10 @@ from repro.experiments import (
     run_experiment,
     run_tables,
 )
-from repro.experiments.figure7 import Figure7Result, LibraryComparison, figure7_sweep_spec, run_figure7
-from repro.experiments.figure8 import Figure8Result, GpuComparison, figure8_sweep_spec
-from repro.experiments.figure9 import Figure9Result, SweepPoint, figure9_sweep_spec
-from repro.experiments.figure10 import (
-    FIGURE10_KERNELS,
-    Figure10Result,
-    RvvComparison,
-    figure10_sweep_spec,
-    kernel_run_parameters,
-)
+from repro.experiments.figure7 import Figure7Result, LibraryComparison
+from repro.experiments.figure8 import Figure8Result, GpuComparison
+from repro.experiments.figure9 import Figure9Result, SweepPoint
+from repro.experiments.figure10 import Figure10Result, RvvComparison
 from repro.experiments.figure11 import Figure11Result, InstructionMix
 from repro.experiments.figure12 import (
     DualityCacheComparison,
@@ -42,12 +33,9 @@ from repro.experiments.figure12 import (
     Figure12cResult,
     PrecisionPoint,
     ScalabilityPoint,
-    figure12a_sweep_spec,
-    figure12b_sweep_spec,
-    run_figure12a,
 )
-from repro.experiments.figure13 import Figure13Result, SchemeComparison, figure13_sweep_spec
-from repro.experiments.sweep import ParallelSweepEngine
+from repro.experiments.figure13 import Figure13Result, SchemeComparison
+from repro.workloads.base import Kernel
 
 
 ALL_EXPERIMENTS = {
@@ -73,43 +61,43 @@ class TestRegistryCompleteness:
         with pytest.raises(KeyError, match="figure7"):
             get_experiment("figure99")
 
-    def test_registry_jobs_match_legacy_sweep_specs(self):
-        """The registry builds the exact job sets the run_figureN paths use."""
-        options = ExperimentOptions(scale=0.5)
-        legacy = {
-            "figure7": figure7_sweep_spec(0.5),
-            "figure8": figure8_sweep_spec(0.5),
-            "figure9": figure9_sweep_spec(),
-            "figure10": figure10_sweep_spec(),
-            "figure11": figure10_sweep_spec(),  # same runs, different view
-            "figure12a": figure12a_sweep_spec(),
-            "figure12b": figure12b_sweep_spec(),
-            "figure13": figure13_sweep_spec(),
-        }
-        for name, spec in legacy.items():
-            assert get_experiment(name).jobs(options) == list(dict.fromkeys(spec.jobs())), name
-        union = set(figure12a_sweep_spec().jobs()) | set(figure12b_sweep_spec().jobs())
-        assert set(get_experiment("figure12").jobs(options)) == union
-
-    def test_registry_cache_keys_match_legacy_runner_jobs(self):
-        """Bit-identical cache keys: registry jobs hash exactly as the jobs
-        the figure loops request through the runner."""
-        runner = ExperimentRunner()
-        options = ExperimentOptions(config=runner.config)
-        registry_jobs = set(get_experiment("figure10").jobs(options))
-        legacy_jobs = {
-            runner.job(name, kind, **kernel_run_parameters(name))
-            for name, _ in FIGURE10_KERNELS
-            for kind in ("mve", "rvv")
-        }
-        assert registry_jobs == legacy_jobs
-        assert {j.cache_key() for j in registry_jobs} == {
-            j.cache_key() for j in legacy_jobs
-        }
-
     def test_static_experiments_have_no_jobs(self):
         assert get_experiment("tables").jobs() == []
         assert get_experiment("figure12c").jobs() == []
+
+
+class TestAssemblyReadsItsDeclaredJobs:
+    """The spec/assemble contract: with its declared job set warm, an
+    experiment's assembly asks the engine only for declared jobs, simulates
+    nothing and never runs the functional machine (FLOP counts and baseline
+    profiles are analytic; traces come from the engine's resolver)."""
+
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_assembly_reads_only_declared_jobs(self, name, warm_store_dir, monkeypatch):
+        experiment = get_experiment(name)
+        runner = build_runner(jobs=1, store=ResultStore(warm_store_dir))
+        options = ExperimentOptions(scale=0.1, config=runner.config)
+        declared = experiment.jobs(options)
+        runner.engine.run_jobs(declared)
+        assert runner.engine.computed == 0  # the store was warm
+
+        requested = []
+        run_one = runner.engine.run_one
+
+        def recording_run_one(job):
+            requested.append(job)
+            return run_one(job)
+
+        def forbidden_capture(self, *args, **kwargs):
+            raise AssertionError(f"{name} assembly captured {self.name}")
+
+        monkeypatch.setattr(runner.engine, "run_one", recording_run_one)
+        monkeypatch.setattr(Kernel, "capture", forbidden_capture)
+        result = experiment.assemble(runner, options)
+
+        assert isinstance(result, experiment.result_type)
+        assert set(requested) <= set(declared)
+        assert runner.engine.computed == 0
 
 
 def roundtrip(result):
@@ -234,11 +222,13 @@ class TestResultSerialization:
         result = run_tables()
         assert roundtrip(result) == result
 
-    def test_real_figure7_roundtrip(self):
-        """An engine-produced result (numpy-derived floats included) survives
-        the JSON round trip bit-exactly."""
-        runner = ExperimentRunner(default_scale=0.1)
-        result = run_figure7(runner, scale=0.1, libraries=["zlib"])
+    def test_real_figure7_roundtrip(self, warm_store_dir):
+        """A freshly assembled engine result (numpy-derived floats included)
+        survives the JSON round trip bit-exactly."""
+        runner = build_runner(jobs=1, store=ResultStore(warm_store_dir))
+        result = run_experiment(
+            "figure7", runner=runner, options=ExperimentOptions(scale=0.1), use_cache=False
+        )
         assert roundtrip(result) == result
 
 
@@ -299,7 +289,9 @@ class TestRunExperiment:
         )
         assert [c for _, c, _ in seen] == list(range(1, len(expected) + 1))
         assert all(total == len(expected) for *_, total in seen)
-        assert result == Figure12aResult(rows=run_figure12a(runner))
+        assert result == get_experiment("figure12a").assemble(
+            runner, ExperimentOptions(config=runner.config)
+        )
 
     def test_config_override_rebinds_runner(self, tmp_path):
         """An explicit options.config produces jobs keyed on that config."""

@@ -1,7 +1,9 @@
 """Tests for the experiment modules (tables and figures).
 
-The figure experiments are exercised at reduced scales / kernel subsets so
-the test suite stays fast; the full-scale runs live in ``benchmarks/``.
+The figures are read with ``run_experiment`` from the session's warm store
+(``tests/conftest.py``, every experiment at scale 0.1), so they check the
+full experiments without simulating them again; the full-scale runs live in
+``benchmarks/``.
 """
 
 import dataclasses
@@ -10,22 +12,16 @@ import pytest
 
 from repro.baselines.duality_cache import DualityCacheModel
 from repro.compiler.pipeline import compile_trace
+from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.core.replay import register_file_for
 from repro.experiments import (
-    ExperimentRunner,
     FIGURE8_KERNELS,
-    FIGURE10_KERNELS,
+    GEMM_SWEEP,
+    ExperimentOptions,
+    build_runner,
     format_table,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_figure12a,
-    run_figure12b,
-    run_figure12c,
-    run_figure13,
+    run_experiment,
     table1_isa_comparison,
     table2_instruction_latencies,
     table3_libraries,
@@ -36,8 +32,12 @@ from repro.sram.array import EngineGeometry, SramArrayGeometry
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(default_scale=0.1)
+def run(warm_store_dir):
+    """``run(name)``: the experiment at the warm store's scale, answered
+    from the store."""
+    runner = build_runner(jobs=1, store=ResultStore(warm_store_dir))
+    options = ExperimentOptions(scale=0.1)
+    return lambda name: run_experiment(name, runner=runner, options=options)
 
 
 class TestTables:
@@ -71,9 +71,9 @@ class TestTables:
 
 
 class TestFigure7:
-    def test_single_library_comparison(self, runner):
-        result = run_figure7(runner, scale=0.1, libraries=["Skia", "zlib"])
-        assert len(result.libraries) == 2
+    def test_single_library_comparison(self, run):
+        result = run("figure7")
+        assert len(result.libraries) == len(table3_libraries())
         for library in result.libraries:
             assert library.speedup > 0
             assert library.energy_ratio > 0
@@ -82,125 +82,87 @@ class TestFigure7:
             )
             assert total == pytest.approx(1.0, abs=0.05)
 
-    def test_normalized_percent_inverse_of_speedup(self, runner):
-        result = run_figure7(runner, scale=0.1, libraries=["Skia"])
-        lib = result.libraries[0]
+    def test_normalized_percent_inverse_of_speedup(self, run):
+        by_name = {lib.library: lib for lib in run("figure7").libraries}
+        lib = by_name["Skia"]
         assert lib.normalized_time_percent == pytest.approx(100.0 / lib.speedup)
 
 
 class TestFigure8And9:
-    def test_figure8_subset(self, runner):
-        import repro.experiments.figure8 as f8
+    def test_figure8_subset(self, run):
+        result = run("figure8")
+        assert [row.kernel for row in result.kernels] == list(FIGURE8_KERNELS)
+        by_name = {row.kernel: row for row in result.kernels}
+        for name in ("csum", "gemm"):
+            assert by_name[name].time_ratio_with_transfer > 0
+            assert 0 <= by_name[name].gpu_transfer_fraction <= 1
 
-        original = f8.FIGURE8_KERNELS
-        try:
-            f8.FIGURE8_KERNELS = ("csum", "gemm")
-            result = f8.run_figure8(runner, scale=0.1)
-        finally:
-            f8.FIGURE8_KERNELS = original
-        assert len(result.kernels) == 2
-        for row in result.kernels:
-            assert row.time_ratio_with_transfer > 0
-            assert 0 <= row.gpu_transfer_fraction <= 1
-
-    def test_figure9_crossover_shape(self, runner):
-        result = run_figure9(
-            runner,
-            gemm_sweep=((16, 16, 16), (128, 128, 128)),
-            spmm_sweep=((16, 32, 16, 4),),
-        )
-        assert len(result.gemm_points) == 2
-        # The small problem must favour MVE (GPU launch overhead dominates).
+    def test_figure9_crossover_shape(self, run):
+        result = run("figure9")
+        assert len(result.gemm_points) == len(GEMM_SWEEP)
+        # The smallest problems favour MVE (GPU launch overhead dominates).
         assert result.gemm_points[0].mve_wins
-
-    def test_figure9_never_captures_with_values(self, monkeypatch):
-        """FLOP counts are analytic: they come from the prepared kernel's
-        profile, so figure9 captures for timing only and never re-runs the
-        functional machine with values recorded."""
-        from repro.workloads.base import Kernel
-
-        modes = []
-        capture = Kernel.capture
-
-        def counted_capture(self, kind="mve", simd_lanes=8192, record_values=False):
-            modes.append(record_values)
-            return capture(self, kind, simd_lanes, record_values)
-
-        monkeypatch.setattr(Kernel, "capture", counted_capture)
-        result = run_figure9(
-            ExperimentRunner(default_scale=0.1),
-            gemm_sweep=((16, 16, 16),),
-            spmm_sweep=((16, 32, 16, 4),),
-        )
-        assert modes == [False, False]  # one timing capture per kernel
-        assert [point.flops for point in result.gemm_points + result.spmm_points] == [
-            2 * 16 * 16 * 16,
-            2 * 16 * 16 * 4,
-        ]
+        assert result.spmm_points[0].mve_wins
+        # FLOPs are the kernels' analytic profiles: 2 per multiply-accumulate.
+        assert result.gemm_points[0].flops == 2 * 32 * 32 * 32  # n, k, m
+        assert result.spmm_points[0].flops == 2 * 32 * 32 * 8  # n, m, nnz
 
 
 class TestFigure10And11:
-    @pytest.fixture(scope="class")
-    def fig10(self):
-        import repro.experiments.figure10 as f10
+    def test_mve_not_slower_than_rvv(self, run):
+        assert run("figure10").mean_speedup_over_rvv >= 1.0
 
-        original = f10.FIGURE10_KERNELS
-        try:
-            f10.FIGURE10_KERNELS = (("csum", "1D"), ("gemm", "2D"), ("intra", "3D"))
-            runner = ExperimentRunner(default_scale=0.1)
-            result = f10.run_figure10(runner)
-        finally:
-            f10.FIGURE10_KERNELS = original
-        return result
-
-    def test_mve_not_slower_than_rvv(self, fig10):
-        assert fig10.mean_speedup_over_rvv >= 1.0
-
-    def test_multidim_kernels_benefit_more(self, fig10):
-        by_name = {row.kernel: row for row in fig10.kernels}
+    def test_multidim_kernels_benefit_more(self, run):
+        by_name = {row.kernel: row for row in run("figure10").kernels}
         assert by_name["gemm"].vector_instruction_ratio > by_name["csum"].vector_instruction_ratio
 
-    def test_figure11_consistent_with_figure10(self, fig10):
-        result = run_figure11(figure10=fig10)
-        assert len(result.kernels) == len(fig10.kernels)
+    def test_figure11_consistent_with_figure10(self, run):
+        fig10, result = run("figure10"), run("figure11")
+        assert [mix.kernel for mix in result.kernels] == [row.kernel for row in fig10.kernels]
+        assert result.mean_vector_reduction == fig10.mean_vector_instruction_reduction
         for mix in result.kernels:
             assert sum(mix.rvv_counts.values()) >= sum(mix.mve_counts.values()) * 0.5
 
 
 class TestFigure12And13:
-    def test_duality_cache_slower(self, runner):
-        rows = run_figure12a(runner, kernels=("fir_s",))
-        assert rows[0].dc_over_mve_time > 1.0
+    def test_duality_cache_slower(self, run):
+        by_name = {row.kernel: row for row in run("figure12a").rows}
+        assert by_name["fir_s"].dc_over_mve_time > 1.0
 
     def test_duality_cache_compiles_for_the_runner_register_file(self):
         """The SIMT input is register-allocated for the runner's register
         file, like the MVE run it is compared with (64-row arrays spill)."""
         engine = EngineGeometry(array=SramArrayGeometry(rows=64, cols=256))
         config = dataclasses.replace(default_config(), engine=engine)
-        runner = ExperimentRunner(config=config)
-        (row,) = run_figure12a(runner, kernels=("fir_v",))
+        runner = build_runner(jobs=1)
+        result = run_experiment(
+            "figure12a", runner=runner, options=ExperimentOptions(config=config)
+        )
+        (row,) = [row for row in result.rows if row.kernel == "fir_v"]
 
-        trace = runner.job("fir_v", "mve", scale=0.5).trace_spec().capture().trace
+        trace = runner.job("fir_v", "mve", scale=0.5, config=config).trace_spec().capture().trace
         compiled = compile_trace(trace, register_file=register_file_for(config))
         dc = DualityCacheModel(config).run(compiled.trace)
-        mve = runner.run_mve("fir_v", scale=0.5)
+        mve = runner.run_mve("fir_v", scale=0.5, config=config)
         assert row.dc_over_mve_time == dc.total_cycles / mve.result.total_cycles
         assert row.dc_breakdown == dc.breakdown_fractions()
 
-    def test_scalability_improves_with_arrays(self, runner):
-        points = run_figure12b(runner, kernels=("fir_l",), array_counts=(8, 32))
-        assert points[0].num_arrays == 8 and points[0].normalized_time == 1.0
-        assert points[1].normalized_time < 1.0
+    def test_scalability_improves_with_arrays(self, run):
+        points = {
+            point.num_arrays: point
+            for point in run("figure12b").points
+            if point.kernel == "fir_l"
+        }
+        assert points[8].normalized_time == 1.0
+        assert points[32].normalized_time < 1.0
 
-    def test_precision_sweep_lower_is_faster(self):
-        points = run_figure12c()
-        by_name = {p.precision: p for p in points}
+    def test_precision_sweep_lower_is_faster(self, run):
+        by_name = {p.precision: p for p in run("figure12c").points}
         assert by_name["INT16"].normalized_time < by_name["FLOAT32"].normalized_time
         assert by_name["INT16"].speedup_over_neon > by_name["FLOAT32"].speedup_over_neon
 
-    def test_figure13_all_schemes_benefit(self):
-        runner = ExperimentRunner(default_scale=0.1)
-        result = run_figure13(runner, kernels=("gemm",), schemes=("bit-serial", "associative"))
+    def test_figure13_all_schemes_benefit(self, run):
+        result = run("figure13")
         bs = result.speedup_for("bit-serial")
         ac = result.speedup_for("associative")
         assert bs >= 1.0

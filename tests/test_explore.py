@@ -14,6 +14,7 @@ with::
     PYTHONPATH=src python tests/test_explore.py --update-schema
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import explore_export_payload, main as cli_main, schema_outline
 from repro.core.area import AreaReport
 from repro.core.cache import ResultStore
+from repro.core.config import default_config
 from repro.core.energy import EnergyBreakdown
 from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
 from repro.explore import (
@@ -40,6 +42,7 @@ from repro.explore import (
     default_space,
     exhaustive_frontier,
     get_strategy,
+    state_key,
 )
 from repro.workloads import rvv_kernel_names
 
@@ -131,12 +134,21 @@ class TestSearchSpace:
             )
 
     def test_compiles_to_sweep_specs_covering_exactly_the_point_set(self):
-        """The tentpole's "compiles down to the existing machinery" claim:
-        the union of the compiled SweepSpecs' job sets is exactly the point
-        set, so explorer jobs share cache keys with hand-written sweeps."""
+        """The "compiles down to the existing machinery" claim: hand-written
+        SweepSpecs over the same grid expand to exactly the point set's
+        jobs, so explorer jobs share cache keys with hand-written sweeps."""
         space = small_space()
         point_jobs = {space.job(point) for point in range(space.size)}
-        spec_jobs = {job for spec in space.sweep_specs() for job in spec.jobs()}
+        spec_jobs = {
+            job
+            for ways in (2, 4)
+            for job in SweepSpec(
+                kernels=[("csum", {"scale": SCALE})],
+                schemes=("bit-serial", "bit-parallel"),
+                array_counts=(8, 16, 32, 64),
+                base_config=dataclasses.replace(default_config(), l2_compute_ways=ways),
+            ).jobs()
+        }
         assert spec_jobs == point_jobs
         assert len(point_jobs) == space.size
 
@@ -162,9 +174,11 @@ class TestSearchSpace:
         assert space.to_dict()["axes"][0]["values"] == ["lpddr4x", "lpddr5"]
 
     def test_key_embeds_space_identity(self):
+        """Checkpoints live under state_key, which embeds the space."""
         space, other = small_space(), tiny_space()
-        assert len(space.key()) == 64
-        assert space.key() != other.key()
+        key = state_key(space, SEED, "frontier", DEFAULT_OBJECTIVES)
+        assert len(key) == 64
+        assert key != state_key(other, SEED, "frontier", DEFAULT_OBJECTIVES)
         assert "csum" in space.describe() and "16 points" in space.describe()
 
 

@@ -10,9 +10,9 @@ pagination sharing one header across pages, and a ThreadingHTTPServer that
 answers thousands of concurrent keep-alive reads with exactly one record
 load per full read.
 
-The warm store is shared with ``tests/test_cli.py``'s schema-golden suite
-(same fixed session directory), so the 11 reduced-scale experiment runs
-happen once per pytest session, not twice.
+The warm store is the session's shared ``warm_store_dir`` fixture
+(``tests/conftest.py``), so the 11 reduced-scale experiment runs happen
+once per pytest session.
 """
 
 import http.client
@@ -41,35 +41,13 @@ from repro.experiments.registry import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-#: every experiment is warmed and served at this reduced dataset scale
+#: the dataset scale every experiment is warmed at (tests/conftest.py)
 SCALE = 0.1
 
 
 # ---------------------------------------------------------------------- #
-#  Fixtures: one warm store, one server, per session
+#  Fixtures: one server over the session's warm store
 # ---------------------------------------------------------------------- #
-
-
-@pytest.fixture(scope="session")
-def warm_store_dir(tmp_path_factory):
-    """A store holding every registered experiment, assembled at SCALE.
-
-    Resolves the same directory as test_cli.py's ``schema_cache_dir`` (or
-    $REPRO_SWEEP_CACHE_DIR when set), so when the golden suite already ran
-    this session the warm-up below is pure store hits.
-    """
-    env = os.environ.get("REPRO_SWEEP_CACHE_DIR")
-    if env:
-        root = env
-    else:
-        base = tmp_path_factory.getbasetemp() / "schema-cache"
-        base.mkdir(exist_ok=True)
-        root = str(base)
-    for name in experiment_names():
-        argv = ["--cache-dir", root, "run", name, "--scale", str(SCALE),
-                "--no-progress"]
-        assert cli_main(argv) == 0
-    return root
 
 
 @pytest.fixture(scope="session")

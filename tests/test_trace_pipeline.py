@@ -24,6 +24,7 @@ from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.core.simulator import simulate_kernel, simulate_trace
 from repro.core.traces import TraceArtifact, TraceSpec, TraceStore
+from repro.experiments import ExperimentOptions
 from repro.experiments.figure8 import figure8_sweep_spec
 from repro.experiments.registry import all_experiments
 from repro.experiments.sweep import (
@@ -211,7 +212,7 @@ class TestCaptureCounting:
     exactly once, and warm sweeps capture nothing."""
 
     def test_cold_figure8_sweep_captures_each_trace_once(self, tmp_path):
-        jobs = figure8_sweep_spec().jobs()
+        jobs = figure8_sweep_spec(ExperimentOptions()).jobs()
         engine = ParallelSweepEngine(jobs=1, store=ResultStore(tmp_path))
         engine.run_jobs(jobs)
         distinct_specs = {job.trace_spec() for job in jobs}
