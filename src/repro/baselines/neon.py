@@ -3,14 +3,14 @@
 Models the Cortex-A76 prime core of Table IV: two 128-bit Advanced SIMD
 pipes at 2.8 GHz fed by the L1/L2/LLC/DRAM hierarchy.  The model is
 throughput-based: compute time follows from the number of 128-bit vector
-micro-ops, memory time from streaming the kernel's footprint through the
-*same* block walk the MVE replay uses
-(:meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access`;
-steady-state: the footprint is streamed twice and the warm pass is billed,
+micro-ops, memory time from streaming the kernel's footprint -- one read
+block and one write block -- through the *same* walk the MVE replay uses
+(:meth:`~repro.memory.vector_cache.VectorCacheHierarchy.walk`;
+steady-state: the footprint is walked twice and the warm walk is billed,
 so a working set that fits a given level streams at that level's
-bandwidth), and the two
-overlap as in an out-of-order core.  The same energy coefficients as the
-MVE model are used so the Figure 7(b) comparison is consistent.
+bandwidth), and the two overlap as in an out-of-order core.  The same
+energy coefficients as the MVE model are used so the Figure 7(b)
+comparison is consistent.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class NeonModel:
         )
 
     def _stream_footprint(self, profile: KernelProfile) -> tuple[int, int, int, int]:
-        """Stream the kernel's footprint through the cache engine twice and
-        bill the steady-state pass.
+        """Walk the kernel's footprint through the cache engine twice and
+        bill the steady-state walk.
 
         Returns ``(cycles, l2_hits, llc_hits, dram_accesses)`` of the warm
         pass; the line counts feed the energy model.
@@ -120,22 +120,12 @@ class NeonModel:
             line_bytes,
             dtype=np.int64,
         )
-        # Cold pass: fill the hierarchy, price nothing.
-        hierarchy.block_access(read_lines, False, ())
-        hierarchy.block_access(write_lines, True, ())
-        pricing = (hierarchy.dram,)
-        (read_cycles,), read_l2, read_llc, read_dram = hierarchy.block_access(
-            read_lines, False, pricing
+        blocks, writes = (read_lines, write_lines), (False, True)
+        hierarchy.walk(blocks, writes, ())  # cold pass: fill the hierarchy, price nothing
+        (cycles,), l2_hits, llc_hits, dram_accesses = hierarchy.walk(
+            blocks, writes, (hierarchy.dram,)
         )
-        (write_cycles,), write_l2, write_llc, write_dram = hierarchy.block_access(
-            write_lines, True, pricing
-        )
-        return (
-            read_cycles + write_cycles,
-            read_l2 + write_l2,
-            read_llc + write_llc,
-            read_dram + write_dram,
-        )
+        return sum(cycles), sum(l2_hits), sum(llc_hits), sum(dram_accesses)
 
     def run(self, profile: KernelProfile) -> NeonResult:
         cfg = self.config

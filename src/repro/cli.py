@@ -694,6 +694,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     scale = 0.5 if args.scale is None else args.scale
     if args.sweep:
+        if args.kernels or args.kinds or args.schemes:
+            raise SystemExit(
+                f"run: --sweep {args.sweep} fixes its own kernels, kinds and schemes; "
+                "drop --kernels/--kinds/--schemes"
+            )
         try:
             spec = named_sweep(args.sweep, scale=scale)
         except KeyError as error:

@@ -6,15 +6,26 @@ address(es), resolved per-dimension strides and the dimension-level mask
 of touched cache lines to drive the cache/DRAM model.  This is the only
 expansion of Algorithm 1: the functional machine calls
 :func:`element_addresses` too, when it records values.
+
+A strided access's element addresses are its base address plus offsets that
+depend only on the access *pattern* -- shape, resolved strides, element size
+and mask -- and a trace issues the same few patterns over and over (a
+cold evaluation's 24,720 strided accesses share 81).  :func:`line_footprints`
+therefore expands each pattern once per trace and shifts its sorted, unique
+offsets by each access's base address; random accesses, whose pointers
+differ per access, are expanded one by one.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from ..isa.instructions import MemoryInstruction
 
-__all__ = ["element_addresses", "cache_line_addresses"]
+__all__ = ["element_addresses", "cache_line_addresses", "line_footprints"]
 
 
 def element_addresses(instruction: MemoryInstruction) -> np.ndarray:
@@ -47,19 +58,46 @@ def element_addresses(instruction: MemoryInstruction) -> np.ndarray:
     return addresses
 
 
-def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -> np.ndarray:
-    """Unique cache-line base addresses touched by a vector memory access.
-
-    Returns a sorted, deduplicated int64 array that flows into
-    :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access` unchanged
-    -- the footprint stays an ndarray from address generation through the
-    cache engine, with no Python-list round-trip.
-    """
-    addresses = element_addresses(instruction)
-    if addresses.size == 0:
-        return addresses.astype(np.int64, copy=False)
-    lines = np.sort(addresses // line_bytes)
+def _distinct_lines(sorted_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
+    """Base addresses of the lines holding already-sorted byte addresses."""
+    lines = sorted_addresses // line_bytes
+    if lines.size == 0:
+        return lines
     keep = np.empty(lines.size, dtype=bool)
     keep[0] = True
     np.not_equal(lines[1:], lines[:-1], out=keep[1:])
     return lines[keep] * line_bytes
+
+
+def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -> np.ndarray:
+    """Unique cache-line base addresses touched by a vector memory access.
+
+    Returns a sorted, deduplicated int64 array: one block of the stream
+    :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.walk` takes.
+    """
+    return _distinct_lines(np.sort(element_addresses(instruction)), line_bytes)
+
+
+def line_footprints(
+    instructions: Sequence[MemoryInstruction], line_bytes: int = 64
+) -> list[np.ndarray]:
+    """:func:`cache_line_addresses` of every instruction, array for array
+    equal, with strided accesses built from one offset table per pattern."""
+    offsets_by_pattern: dict[tuple, np.ndarray] = {}
+    footprints = []
+    for instruction in instructions:
+        if instruction.is_random:
+            footprints.append(cache_line_addresses(instruction, line_bytes))
+            continue
+        pattern = (
+            instruction.shape_lengths,
+            instruction.resolved_strides,
+            instruction.dtype.bytes,
+            instruction.mask,
+        )
+        offsets = offsets_by_pattern.get(pattern)
+        if offsets is None:
+            offsets = np.unique(element_addresses(replace(instruction, base_address=0)))
+            offsets_by_pattern[pattern] = offsets
+        footprints.append(_distinct_lines(instruction.base_address + offsets, line_bytes))
+    return footprints

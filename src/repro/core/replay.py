@@ -13,10 +13,14 @@ The decomposition leans on three invariants of the timing models:
   which victims are evicted and which DRAM rows are open depend only on the
   ordered memory footprints and the *structural* parameters (cache geometry,
   channel/bank/row/burst layout) -- never on latencies.  Configs sharing
-  those replay one hierarchy; configs differing only in DRAM *timing*
-  additionally share the row-buffer classification, which the hierarchy's
-  block walk (:meth:`~repro.memory.vector_cache.VectorCacheHierarchy.block_access`,
-  also the Neon baseline's) prices under every variant at once.
+  those walk one hierarchy, and they walk the trace's whole footprint
+  stream at once: every memory instruction's lines
+  (:func:`~repro.core.address_gen.line_footprints`, one offset table per
+  strided access pattern) with its store flag go through
+  :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.walk` -- the Neon
+  baseline's walk too -- once to fill a warm cache and once to measure.
+  Configs differing only in DRAM *timing* additionally share the
+  row-buffer classification, which the walk prices under every variant.
 * **Placement and SRAM latencies are stateless.**  Per-instruction lane/CB
   placement, compute latencies and TMU fill/drain cycles are pure functions
   of (scheme, engine geometry, instruction), so one pass per distinct
@@ -47,7 +51,7 @@ spill traffic (see :func:`replay_group_key`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +68,7 @@ from ..memory.cache import make_hierarchy
 from ..memory.dram import DRAMConfig, DRAMModel
 from ..sram.schemes import ComputeScheme, get_scheme
 from ..sram.tmu import TransposeMemoryUnit
-from .address_gen import cache_line_addresses
+from .address_gen import line_footprints
 from .config import MachineConfig
 from .controller import MVEControllerModel
 from .energy import EnergyBreakdown, EnergyCoefficients
@@ -152,6 +156,7 @@ class _StaticTrace:
         self.spill_instructions = spills
         self.scalar_instructions = scalar_instructions
         self.cpu_nj = cpu_nj
+        self.store_flags = [instruction.is_store for instruction in self.memory_instructions]
         self._lines_by_width: dict[int, list[np.ndarray]] = {}
 
     def lines_for(self, line_bytes: int) -> list[np.ndarray]:
@@ -159,10 +164,7 @@ class _StaticTrace:
         line size (they are pure functions of instruction and line size)."""
         lines = self._lines_by_width.get(line_bytes)
         if lines is None:
-            lines = [
-                cache_line_addresses(instruction, line_bytes)
-                for instruction in self.memory_instructions
-            ]
+            lines = line_footprints(self.memory_instructions, line_bytes)
             self._lines_by_width[line_bytes] = lines
         return lines
 
@@ -172,22 +174,21 @@ class _StaticTrace:
 # --------------------------------------------------------------------- #
 
 
-class _MemoryPass:
+class _MemoryPass(NamedTuple):
     """Timing and stats of the memory instructions under one hierarchy.
 
     ``cycles`` maps each DRAM timing variant to the per-memory-instruction
-    block cycles; the hit/miss/access deltas, the final DRAM byte count and
+    block cycles; the per-instruction line counts, the DRAM byte count and
     the L2 hit rate are shared because state evolution never depends on
     timing parameters.
     """
 
-    def __init__(self) -> None:
-        self.cycles: dict[DRAMConfig, list[int]] = {}
-        self.l2_hits: list[int] = []
-        self.llc_hits: list[int] = []
-        self.dram_accesses: list[int] = []
-        self.dram_bytes: int = 0
-        self.l2_hit_rate: float = 0.0
+    cycles: dict[DRAMConfig, list[int]]
+    l2_hits: list[int]
+    llc_hits: list[int]
+    dram_accesses: list[int]
+    dram_bytes: int
+    l2_hit_rate: float
 
 
 def _run_memory_pass(
@@ -197,33 +198,27 @@ def _run_memory_pass(
     dram_variants: Sequence[DRAMConfig],
     warm_cache: bool,
 ) -> _MemoryPass:
-    """Replay the memory footprint stream once, pricing every DRAM timing
-    variant.  A warm-cache replay first runs the stream once to fill the
+    """Walk the trace's footprint stream once, pricing every DRAM timing
+    variant.  A warm-cache replay first walks the same stream to fill the
     hierarchy, then clears the statistics (the steady state of a repeatedly
     invoked library kernel)."""
     hierarchy = make_hierarchy(hierarchy_config, l2_compute_ways=l2_compute_ways)
-    walks = list(zip(static.memory_instructions, static.lines_for(hierarchy.line_bytes)))
+    blocks = static.lines_for(hierarchy.line_bytes)
     if warm_cache:
-        for instruction, lines in walks:
-            hierarchy.block_access(lines, instruction.is_store, ())
+        hierarchy.walk(blocks, static.store_flags, ())
         hierarchy.reset_stats()
-
-    result = _MemoryPass()
     pricing = [DRAMModel(variant) for variant in dram_variants]
-    per_variant: list[list[int]] = [[] for _ in dram_variants]
-    for instruction, lines in walks:
-        cycles, l2_hits, llc_hits, dram_accesses = hierarchy.block_access(
-            lines, instruction.is_store, pricing
-        )
-        for column, value in zip(per_variant, cycles):
-            column.append(value)
-        result.l2_hits.append(l2_hits)
-        result.llc_hits.append(llc_hits)
-        result.dram_accesses.append(dram_accesses)
-    result.cycles = dict(zip(dram_variants, per_variant))
-    result.dram_bytes = hierarchy.dram.stats.bytes_transferred
-    result.l2_hit_rate = hierarchy.l2.stats.hit_rate()
-    return result
+    cycles, l2_hits, llc_hits, dram_accesses = hierarchy.walk(
+        blocks, static.store_flags, pricing
+    )
+    return _MemoryPass(
+        dict(zip(dram_variants, cycles)),
+        l2_hits,
+        llc_hits,
+        dram_accesses,
+        hierarchy.dram.stats.bytes_transferred,
+        hierarchy.l2.stats.hit_rate(),
+    )
 
 
 def _memory_data_energy(

@@ -11,8 +11,10 @@ available to wide vector gathers.
 
 This module holds the configuration types; the engine itself is the
 batched, numpy-backed :class:`~repro.memory.vector_cache.VectorCacheHierarchy`,
-which :func:`make_hierarchy` builds.  An independent, per-line reference lives
-beside the tests (``tests/oracle.py``).
+which :func:`make_hierarchy` builds.  It walks a whole stream of vector
+memory blocks through the levels at once, level by level and in bounded
+slices.  An independent, per-line reference that walks the same stream one
+line at a time lives beside the tests (``tests/oracle.py``).
 """
 
 from __future__ import annotations

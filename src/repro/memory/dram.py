@@ -11,6 +11,7 @@ and bandwidth saturation under wide vector accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -78,18 +79,23 @@ class DRAMModel:
         self._open_rows.clear()
 
     def classify_batch(
-        self, addresses: np.ndarray, is_write: bool = False, size_bytes: int = 64
+        self,
+        addresses: np.ndarray,
+        is_write: Union[bool, np.ndarray] = False,
+        size_bytes: int = 64,
     ) -> np.ndarray:
         """Row-hit mask for a batch of accesses, in request order.
 
-        Requests are stably grouped by (channel, bank), each compared against
-        its predecessor in the same bank (the first against the open-row
-        table), and the table is left holding each bank's last row; every
-        statistic is updated as a one-access-at-a-time walk would (the
-        per-access reference in ``tests/oracle.py`` pins this).  The
-        classification depends only on the structural parameters (channels,
-        banks, row and burst size), never on the timing parameters, which is
-        what lets one pass be priced under several timing configurations
+        ``is_write`` is one flag for the whole batch or one per access; it
+        only splits the read and write counts.  Requests are stably grouped
+        by (channel, bank), each compared against its predecessor in the
+        same bank (the first against the open-row table), and the table is
+        left holding each bank's last row; every statistic is updated as a
+        one-access-at-a-time walk would (the per-access reference in
+        ``tests/oracle.py`` pins this).  The classification depends only on
+        the structural parameters (channels, banks, row and burst size),
+        never on the timing parameters, which is what lets one pass be
+        priced under several timing configurations
         (:meth:`latencies_from_classification`).
         """
         addresses = addresses.astype(np.int64, copy=False).ravel()
@@ -129,10 +135,9 @@ class DRAMModel:
         hits = int(sorted_row_hit.sum())
         self.stats.row_hits += hits
         self.stats.row_misses += n - hits
-        if is_write:
-            self.stats.writes += n
-        else:
-            self.stats.reads += n
+        writes = int(np.count_nonzero(np.broadcast_to(is_write, (n,))))
+        self.stats.writes += writes
+        self.stats.reads += n - writes
         self.stats.bytes_transferred += n * size_bytes
         bursts = max(1, (size_bytes + cfg.burst_bytes - 1) // cfg.burst_bytes)
         self.stats.busy_cycles += n * bursts * cfg.t_burst

@@ -17,10 +17,12 @@ for the tests:
   engine's SRAM-compute, controller and TMU charges that production replay
   prices in bulk.
 
-Both hierarchies answer the same ``block_access(lines, is_write,
-dram_models)`` call, so the Neon baseline runs on either.  Results must
-match production bit for bit (``SimulationResult.to_dict()`` equality), so
-any divergence is a bug in one of the two, never noise.
+Both hierarchies answer the same ``walk(blocks, writes, dram_models)``
+call -- production walks the whole block stream level by level, the
+reference loops its own walk block by block and line by line -- so the Neon
+baseline runs on either.  Results must match production bit for bit
+(``SimulationResult.to_dict()`` equality), so any divergence is a bug in one
+of the two, never noise.
 """
 
 from __future__ import annotations
@@ -225,13 +227,29 @@ class CacheHierarchy:
         self.llc.stats = CacheStats()
         self.dram.stats = DRAMStats()
 
+    def walk(
+        self, blocks: Sequence[Iterable[int]], writes: Sequence[bool], dram_models: Sequence
+    ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+        """The engine's ``walk`` call, answered one block at a time:
+        ``(cycles, l2_hits, llc_hits, dram_accesses)`` with one entry per
+        block, ``cycles`` holding one such list per model."""
+        walked = [
+            self.block_access(lines, is_write, dram_models)
+            for lines, is_write in zip(blocks, writes)
+        ]
+        cycles = [[block[0][model] for block in walked] for model in range(len(dram_models))]
+        l2_hits, llc_hits, dram_accesses = (
+            [block[field] for block in walked] for field in (1, 2, 3)
+        )
+        return cycles, l2_hits, llc_hits, dram_accesses
+
     def block_access(
         self, line_addresses: Iterable[int], is_write: bool, dram_models: Sequence
     ) -> tuple[list[int], int, int, int]:
         """Walk one vector op's lines (first occurrence order) through
-        L2 -> LLC -> DRAM.  Returns ``(cycles, l2_hits, llc_hits,
-        dram_accesses)``, ``cycles`` holding the block priced under each
-        model's ``config``."""
+        L2 -> LLC -> DRAM, one line at a time.  Returns ``(cycles, l2_hits,
+        llc_hits, dram_accesses)``, ``cycles`` holding the block priced under
+        each model's ``config``."""
         l2_hits = llc_hits = 0
         # per L2 miss: None for an LLC hit, else the DRAM row-hit bit
         misses: list[Optional[bool]] = []

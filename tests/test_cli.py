@@ -152,6 +152,25 @@ class TestRunSweepCommand:
         assert cli_main(argv) == 0
         assert "[1/1]" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kernels", "csum"], ["--kinds", "rvv"], ["--schemes", "bit-parallel"]],
+        ids=["kernels", "kinds", "schemes"],
+    )
+    def test_named_sweep_combined_with_job_flags_is_rejected(self, flags, tmp_path):
+        """Regression: `run --sweep figure12b --schemes bit-parallel` ran the
+        sweep's own bit-serial jobs and exited 0; a named sweep fixes its
+        kernels, lowerings and schemes."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache_dir), "run", "--sweep", "figure12b", *flags,
+                "--jobs", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "--sweep figure12b" in message and flags[0] in message
+        assert not any(cache_dir.glob("*/*.json"))
+
     def test_kernel_without_rvv_lowering_is_rejected_up_front(self, tmp_path):
         """--kinds rvv on a kernel with no RVV lowering exits with one line
         naming it and the kernels that have one, before anything runs."""

@@ -14,14 +14,19 @@ simulator of ``tests/oracle.py``, bit-for-bit:
   every registered experiment, and
 * the engine counters stay honest: a warm sweep counts one trace-store hit
   per distinct spec regardless of ``--jobs``, and an eight-config
-  single-trace sweep replays exactly once.
+  single-trace sweep replays exactly once, and
+* a memory pass walks a trace's whole footprint stream at once: a warm
+  replay, like Neon's steady-state footprint, makes two L2 walks.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.baselines import NeonModel
 from repro.baselines.duality_cache import DualityCacheModel, to_simt_trace
+from repro.compiler.pipeline import compile_trace_cached
+from repro.core.address_gen import line_footprints
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.core.replay import replay_group_key
@@ -35,9 +40,11 @@ from repro.experiments.sweep import (
     batch_partitions,
     simulate_traced_group,
 )
-from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig
+from repro.isa import MemoryInstruction
+from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig, VectorCache, vector_cache
 from repro.sram.array import EngineGeometry, SramArrayGeometry
 from repro.sram.schemes import SCHEME_NAMES, get_scheme
+from repro.workloads import create_kernel
 
 import oracle
 
@@ -240,3 +247,40 @@ class TestEngineCounters:
         jobs.append(KernelJob(kernel="csum", scale=0.25, config=shrunk_rows_config()))
         assert len({job.trace_spec() for job in jobs}) == 1  # same lanes
         assert sorted(len(p) for p in batch_partitions(jobs)) == [1, len(jobs) - 1]
+
+
+class TestOneWalkPerPass:
+    """The memory pass walks a trace's whole footprint stream level by
+    level, pinned with call counts on the L2 rather than wall time."""
+
+    @pytest.fixture
+    def l2_batches(self, monkeypatch):
+        """Line count of every L2 ``access_batch`` call."""
+        sizes = []
+        access_batch = VectorCache.access_batch
+
+        def counting(cache, addresses, is_write=False):
+            if cache.config.name == "L2":
+                sizes.append(len(addresses))
+            return access_batch(cache, addresses, is_write)
+
+        monkeypatch.setattr(VectorCache, "access_batch", counting)
+        return sizes
+
+    def test_warm_replay_walks_the_l2_twice(self, gemm_trace, l2_batches):
+        """Fill, then measure: two walks of every line, not one per memory
+        instruction."""
+        compiled = compile_trace_cached(gemm_trace)
+        memory = [entry for entry in compiled.trace if isinstance(entry, MemoryInstruction)]
+        lines = sum(footprint.size for footprint in line_footprints(memory))
+        assert len(memory) > 2 and lines < vector_cache._SLICE_LINES
+        simulate_trace_batch(gemm_trace, [default_config()], warm_cache=True)
+        assert l2_batches == [lines, lines]
+
+    def test_neon_footprint_walks_the_l2_twice(self, l2_batches):
+        kernel = create_kernel("gemm", scale=0.25)
+        kernel.setup()
+        profile = kernel.profile()
+        NeonModel().run(profile)
+        lines = -(-profile.bytes_read // 64) + -(-profile.bytes_written // 64)
+        assert l2_batches == [lines, lines]

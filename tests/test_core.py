@@ -4,6 +4,7 @@ blocks, controller, timing simulator, energy and area."""
 import numpy as np
 import pytest
 
+from repro.compiler.pipeline import compile_trace_cached
 from repro.core import (
     AreaModel,
     EnergyCoefficients,
@@ -15,6 +16,8 @@ from repro.core import (
     element_addresses,
     simulate_kernel,
 )
+from repro.core.address_gen import line_footprints
+from repro.core.traces import TraceSpec
 from repro.intrinsics import MVEMachine
 from repro.isa import (
     ArithmeticInstruction,
@@ -25,6 +28,8 @@ from repro.isa import (
 )
 from repro.memory import FlatMemory
 from repro.sram import BitParallelScheme, BitSerialScheme, get_scheme
+from repro.workloads import kernel_names
+from repro.workloads.registry import rvv_kernel_names
 
 from oracle import EngineEnergyModel, MVESimulator
 
@@ -68,6 +73,48 @@ class TestAddressGeneration:
         assert addresses[0] == 0x9000
         assert addresses[4] == 0x5000
         assert addresses[8] == 0x7000
+
+    def test_line_footprints_match_every_kernel_trace(self):
+        """The trace-wide builder gives every memory instruction of every
+        kernel's traces at scale 0.1 exactly its ``cache_line_addresses``:
+        multi-dimensional strides (gemm), dimension masks (csum) and random
+        loads (spmm) included."""
+        memory = []
+        for name in kernel_names():
+            kinds = ("mve", "rvv") if name in rvv_kernel_names() else ("mve",)
+            for kind in kinds:
+                trace = TraceSpec(name, kind, 0.1).capture().trace
+                instructions = [
+                    entry
+                    for entry in compile_trace_cached(trace).trace
+                    if isinstance(entry, MemoryInstruction)
+                ]
+                built = line_footprints(instructions, 64)
+                assert len(built) == len(instructions)
+                for instruction, lines in zip(instructions, built):
+                    np.testing.assert_array_equal(
+                        lines, cache_line_addresses(instruction, 64), strict=True
+                    )
+                memory += instructions
+        assert any(sum(1 for s in m.resolved_strides if s) >= 2 for m in memory)
+        assert any(m.mask and not all(m.mask) for m in memory)
+        assert any(m.is_random for m in memory)
+
+    def test_line_footprints_shift_one_pattern_across_alignments(self):
+        """Instructions sharing one access pattern but not the alignment of
+        their base address within a line touch different line counts; the
+        shared offset table still gives each its own lines."""
+        instructions = [
+            make_memory_instruction(
+                base_address=base, shape_lengths=(5, 3), resolved_strides=(1, 7),
+                mask=(True, False, True),
+            )
+            for base in (0x1000, 0x1004, 0x1030, 0x103C, 0x2038, 0x1000)
+        ]
+        built = line_footprints(instructions, 64)
+        for instruction, lines in zip(instructions, built):
+            np.testing.assert_array_equal(lines, cache_line_addresses(instruction, 64), strict=True)
+        assert len({lines.size for lines in built}) > 1
 
     def test_cache_lines_deduplicated(self):
         instr = make_memory_instruction(shape_lengths=(16,), mask=(True,) * 16,

@@ -5,7 +5,7 @@ The cache tests run against both implementations -- the per-line reference
 ``cache_class`` / ``hierarchy_class`` fixtures, so every behavioural
 assertion doubles as a parity check.  The engine's levels are driven
 through ``access_batch`` (one line at a time for the single-line tests),
-and both hierarchies through their shared ``block_access`` walk.
+and both hierarchies through their shared ``walk`` call.
 """
 
 import numpy as np
@@ -45,9 +45,19 @@ def access(cache, address, is_write=False):
     return cache.access(address, is_write)
 
 
+def walk_block(hierarchy, lines, is_write=False, dram_models=()):
+    """One vector block through either hierarchy's ``walk``: its
+    ``(cycles, l2_hits, llc_hits, dram_accesses)``, one cycle count per
+    model in ``dram_models``."""
+    cycles, (l2_hits,), (llc_hits,), (dram_accesses,) = hierarchy.walk(
+        [lines], [is_write], dram_models
+    )
+    return [column[0] for column in cycles], l2_hits, llc_hits, dram_accesses
+
+
 def block_cycles(hierarchy, lines, is_write=False):
     """A vector block's cycles under the hierarchy's own DRAM timing."""
-    (cycles,), _, _, _ = hierarchy.block_access(lines, is_write, (hierarchy.dram,))
+    (cycles,), _, _, _ = walk_block(hierarchy, lines, is_write, (hierarchy.dram,))
     return cycles
 
 
@@ -200,6 +210,18 @@ class TestCache:
         assert cache.dirty_line_count() == 1
         assert cache.valid_line_count() == 2
 
+    def test_per_line_write_flags(self):
+        """One write flag per line dirties exactly the lines written, as the
+        reference walking the same stream one line at a time does."""
+        reference, engine = make_cache(Cache, size=4 * 64), make_cache(VectorCache, size=4 * 64)
+        lines = np.array([0, 64, 0, 128, 256, 320, 64, 384], dtype=np.int64)
+        writes = np.array([True, False, False, False, True, False, True, False])
+        expected = [reference.access(int(line), bool(w)) for line, w in zip(lines, writes)]
+        assert engine.access_batch(lines, writes).tolist() == expected
+        assert vars(engine.stats) == vars(reference.stats)
+        assert engine.dirty_line_count() == reference.dirty_line_count()
+        assert engine.valid_line_count() == reference.valid_line_count()
+
     def test_num_sets_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(name="bad", size_bytes=32, ways=4).num_sets
@@ -288,10 +310,7 @@ class TestCacheHierarchy:
         block_cycles(hierarchy, [0x9000])
         hierarchy.reset_stats()
         assert hierarchy.l2.stats.accesses == 0
-        _, l2_hits, llc_hits, dram_accesses = hierarchy.block_access(
-            [0x9000], False, (hierarchy.dram,)
-        )
-        assert (l2_hits, llc_hits, dram_accesses) == (1, 0, 0)
+        assert walk_block(hierarchy, [0x9000])[1:] == (1, 0, 0)
 
     def test_block_walk_counts_each_level(self, hierarchy_class):
         """The returned per-level counts are the walk's statistics: a cold
@@ -299,9 +318,9 @@ class TestCacheHierarchy:
         hierarchy = hierarchy_class(l2_compute_ways=7)  # one-way L2
         l2 = hierarchy.l2.config
         conflict = l2.num_sets * l2.line_bytes
-        assert hierarchy.block_access([0, 64], False, ())[1:] == (0, 0, 2)
-        hierarchy.block_access([conflict], False, ())  # evicts line 0 from L2
-        assert hierarchy.block_access([0, 64], True, ())[1:] == (1, 1, 0)
+        assert walk_block(hierarchy, [0, 64])[1:] == (0, 0, 2)
+        walk_block(hierarchy, [conflict])  # evicts line 0 from L2
+        assert walk_block(hierarchy, [0, 64], is_write=True)[1:] == (1, 1, 0)
         assert hierarchy.llc.stats.hits == 1
         assert hierarchy.dram.stats.reads == 3
 
@@ -331,6 +350,19 @@ class TestDRAMBatch:
         expected = reference_latencies(reference, addresses, is_write=True, size_bytes=128)
         assert batch_latencies(batched, addresses, is_write=True, size_bytes=128) == expected
         assert vars(batched.stats) == vars(reference.stats)
+
+    def test_batch_per_access_write_flags(self):
+        reference, batched = DRAM(), DRAMModel()
+        addresses = np.arange(0, 16 * 256, 256, dtype=np.int64)
+        writes = np.arange(16) % 3 == 0
+        expected = [
+            dram_latency(reference.config, reference.access(int(a), bool(w)))
+            for a, w in zip(addresses, writes)
+        ]
+        row_hit = batched.classify_batch(addresses, writes)
+        assert batched.latencies_from_classification(row_hit).tolist() == expected
+        assert vars(batched.stats) == vars(reference.stats)
+        assert (batched.stats.reads, batched.stats.writes) == (10, 6)
 
     def test_empty_batch(self):
         dram = DRAMModel()

@@ -312,8 +312,11 @@ class TestCacheEngineParity:
     """The batched numpy cache engine is bit-for-bit identical to the
     per-line reference: random block streams (arbitrary line lists plus
     conflict-heavy strided patterns) must produce identical cycles under
-    two DRAM timings, identical per-level counts and identical statistics
-    at every step."""
+    two DRAM timings, identical per-level counts and identical statistics,
+    whether the blocks come one walk at a time or all in one walk."""
+
+    #: sets of the small hierarchy's L2 (4 storage ways of 64 B lines, 4 KB)
+    L2_SETS = 16
 
     @staticmethod
     def _small_hierarchy(cls):
@@ -340,6 +343,40 @@ class TestCacheEngineParity:
              hierarchy.llc.dirty_line_count(), hierarchy.llc.valid_line_count()),
         ]
 
+    @staticmethod
+    def _engine_state(hierarchy):
+        """The engine's whole state: tags, ticks and dirty bits of both
+        levels and the DRAM open rows."""
+        arrays = [
+            array.tolist()
+            for level in (hierarchy.l2, hierarchy.llc)
+            for array in (level._tags, level._lru, level._dirty)
+        ]
+        return arrays + [hierarchy.dram._open_rows]
+
+    @staticmethod
+    def _pricing(hierarchy, dram_class):
+        """The hierarchy's own DRAM plus a slower timing with the same
+        structure, priced in the same walk.  Its peak bandwidth is low
+        enough that the bandwidth floor, not the MSHR windows, prices a
+        block with misses."""
+        from repro.memory import DRAMConfig
+
+        slow = DRAMConfig(t_cas=60, t_rcd=70, t_rp=70, t_burst=12, peak_bytes_per_cycle=1.5)
+        return (hierarchy.dram, dram_class(slow))
+
+    @staticmethod
+    def _blocks(ops):
+        blocks, writes = [], []
+        for kind, arg, is_write in ops:
+            if kind == "block":
+                blocks.append([line * 64 for line in arg])
+            else:
+                base, stride, count = arg
+                blocks.append([(base + i * stride) * 64 for i in range(count)])
+            writes.append(is_write)
+        return blocks, writes
+
     op_strategy = st.one_of(
         st.tuples(
             st.just("block"),
@@ -362,27 +399,90 @@ class TestCacheEngineParity:
     def test_random_streams_identical(self, ops):
         from oracle import DRAM, CacheHierarchy
 
-        from repro.memory import DRAMConfig, DRAMModel, VectorCacheHierarchy
+        from repro.memory import DRAMModel, VectorCacheHierarchy
 
         scalar = self._small_hierarchy(CacheHierarchy)
         vector = self._small_hierarchy(VectorCacheHierarchy)
-        # a slower timing with the default DRAM structure, priced alongside it
-        slow = DRAMConfig(t_cas=60, t_rcd=70, t_rp=70, t_burst=12)
-        scalar_pricing = (scalar.dram, DRAM(slow))
-        vector_pricing = (vector.dram, DRAMModel(slow))
-        for kind, arg, is_write in ops:
-            if kind == "block":
-                addresses = [line * 64 for line in arg]
-            else:
-                base, stride, count = arg
-                addresses = [(base + i * stride) * 64 for i in range(count)]
-            a = scalar.block_access(addresses, is_write, scalar_pricing)
-            b = vector.block_access(
-                np.asarray(addresses, dtype=np.int64), is_write, vector_pricing
-            )
+        scalar_pricing = self._pricing(scalar, DRAM)
+        vector_pricing = self._pricing(vector, DRAMModel)
+        for addresses, is_write in zip(*self._blocks(ops)):
+            a = scalar.walk([addresses], [is_write], scalar_pricing)
+            b = vector.walk([np.asarray(addresses, dtype=np.int64)], [is_write], vector_pricing)
             assert a == b
-            assert all(isinstance(cycles, int) for cycles in a[0] + b[0])
+            assert all(isinstance(cycles, int) for column in a[0] + b[0] for cycles in column)
         assert self._observable(scalar) == self._observable(vector)
+
+    @given(
+        st.lists(op_strategy, min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=40),  # where the one-set block goes
+        st.integers(min_value=0, max_value=255),  # its first line
+        st.integers(min_value=5, max_value=48),  # its line count, above the 4 ways
+        st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_one_walk_of_many_blocks_matches_the_reference(
+        self, ops, position, base, count, is_write
+    ):
+        """Many blocks in one walk, each with its own write flag, give the
+        reference's per-block outputs.  Lines repeat within and across
+        blocks, and one strided block puts more lines than ways into a
+        single L2 set."""
+        from oracle import DRAM, CacheHierarchy
+
+        from repro.memory import DRAMModel, VectorCacheHierarchy
+
+        blocks, writes = self._blocks(ops)
+        one_set = [(base + i * self.L2_SETS) * 64 for i in range(count)]
+        position = min(position, len(blocks))
+        blocks.insert(position, one_set + one_set[:2])  # repeats its first two lines
+        writes.insert(position, is_write)
+        blocks.append(blocks[0])  # every line of the first block again
+        writes.append(not writes[0])
+
+        scalar = self._small_hierarchy(CacheHierarchy)
+        vector = self._small_hierarchy(VectorCacheHierarchy)
+        expected = scalar.walk(blocks, writes, self._pricing(scalar, DRAM))
+        walked = vector.walk(blocks, writes, self._pricing(vector, DRAMModel))
+        assert walked == expected
+        assert all(len(column) == len(blocks) for column in (*walked[0], *walked[1:]))
+        assert self._observable(scalar) == self._observable(vector)
+
+    @given(
+        st.lists(op_strategy, min_size=1, max_size=30),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=40)
+    def test_split_walks_compose(self, ops, split, slice_lines):
+        """Walking blocks[:k] and then blocks[k:] equals one walk of every
+        block, outputs and whole engine state alike, for any k -- the
+        property the walk's bounded slices rely on.  A walk cut into
+        slices of any size gives the same answer too."""
+        from unittest import mock
+
+        from repro.memory import DRAMModel, VectorCacheHierarchy, vector_cache
+
+        blocks, writes = self._blocks(ops)
+        split = min(split, len(blocks))
+        whole = self._small_hierarchy(VectorCacheHierarchy)
+        expected = whole.walk(blocks, writes, self._pricing(whole, DRAMModel))
+
+        parts = self._small_hierarchy(VectorCacheHierarchy)
+        pricing = self._pricing(parts, DRAMModel)
+        head = parts.walk(blocks[:split], writes[:split], pricing)
+        tail = parts.walk(blocks[split:], writes[split:], pricing)
+        joined = (
+            [a + b for a, b in zip(head[0], tail[0])],
+            *(a + b for a, b in zip(head[1:], tail[1:])),
+        )
+        assert joined == expected
+        assert self._observable(parts) == self._observable(whole)
+        assert self._engine_state(parts) == self._engine_state(whole)
+
+        sliced = self._small_hierarchy(VectorCacheHierarchy)
+        with mock.patch.object(vector_cache, "_SLICE_LINES", slice_lines):
+            assert sliced.walk(blocks, writes, self._pricing(sliced, DRAMModel)) == expected
+        assert self._engine_state(sliced) == self._engine_state(whole)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=200),
