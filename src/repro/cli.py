@@ -56,6 +56,7 @@ same documents into a static dataset directory without simulating::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,15 +64,11 @@ from typing import Optional, Sequence, TextIO
 
 from .core.cache import ResultStore
 from .experiments.export import (
-    EXPORT_SCHEMA_VERSION,
     columns as _columns,
     experiment_export_payload,
     explore_export_payload,
-    export_rows as _export_rows,
     export_static_dataset,
     render_payload,
-    rows_to_csv as _rows_to_csv,
-    schema_outline,
     sweep_export_payload,
 )
 from .experiments.registry import (
@@ -93,21 +90,9 @@ from .experiments.sweep import (
 )
 from .experiments.tables import format_table, table3_libraries
 from .explore import AXIS_NAMES, STRATEGY_NAMES
-from .sram.schemes import SCHEME_NAMES, get_scheme
 from .workloads import kernel_names, rvv_kernel_names
 
-__all__ = [
-    "EXPORT_SCHEMA_VERSION",
-    "experiment_export_payload",
-    "explore_export_payload",
-    "main",
-    "named_sweep",
-    "named_sweep_names",
-    "render_payload",
-    "run_sweep",
-    "schema_outline",
-    "sweep_export_payload",
-]
+__all__ = ["main", "named_sweep", "named_sweep_names", "run_sweep"]
 
 
 # ---------------------------------------------------------------------- #
@@ -173,10 +158,6 @@ def run_sweep(
 # ---------------------------------------------------------------------- #
 #  Exports
 # ---------------------------------------------------------------------- #
-#
-# The payload builders and renderers live in repro.experiments.export (the
-# read API and static exporter share them); the historical names stay
-# importable from here.
 
 
 def _write_export(payload: dict, fmt: str, out_path: Optional[str]) -> None:
@@ -198,7 +179,8 @@ def _write_export(payload: dict, fmt: str, out_path: Optional[str]) -> None:
 
 
 def _positive(convert):
-    """An argparse type: ``convert(text)``, accepted only when above zero.
+    """An argparse type: ``convert(text)``, accepted only when finite and
+    above zero.
 
     Every ``--scale`` and ``--lanes`` uses it, and ``trace diff --against``
     applies it to ``scale=`` and ``lanes=``, so a bad value ends in one line
@@ -210,7 +192,7 @@ def _positive(convert):
             value = convert(text)
         except ValueError:
             value = 0
-        if not value > 0:
+        if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"must be {noun} > 0 (got {text!r})")
         return value
 
@@ -264,13 +246,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_lowering(spec) -> None:
-    """Exit with one line when ``spec`` asks for a lowering its kernel lacks."""
-    if spec.kind == "rvv" and spec.kernel not in rvv_kernel_names():
-        raise SystemExit(
-            f"trace: {spec.kernel} has no rvv lowering; "
-            f"kernels with one: {', '.join(rvv_kernel_names())}"
-        )
+def _trace_spec(prefix: str, **fields):
+    """The :class:`TraceSpec` for ``fields``, or one line of error: the
+    spec's own validation message after ``prefix``."""
+    from .core.traces import TraceSpec
+
+    try:
+        return TraceSpec(**fields)
+    except ValueError as error:
+        raise SystemExit(f"{prefix}: {error}") from None
 
 
 def _resolved_trace(engine: ParallelSweepEngine, spec):
@@ -287,8 +271,6 @@ def _resolved_trace(engine: ParallelSweepEngine, spec):
 def _against_spec(base, text: str):
     """The ``trace diff --against`` spec: the base spec with key=value
     overrides (keys: kernel, kind, scale, lanes) applied."""
-    from .core.traces import TraceSpec
-
     fields = {
         "kernel": base.kernel,
         "kind": base.kind,
@@ -307,23 +289,19 @@ def _against_spec(base, text: str):
                 f"(expected key=value with keys: {', '.join(fields)})"
             )
         fields[key] = value.strip()
-    kernel = str(fields["kernel"])
-    if kernel not in kernel_names():
-        raise SystemExit(f"trace diff: unknown kernel {kernel!r}")
-    kind = str(fields["kind"])
-    if kind not in ("mve", "rvv"):
-        raise SystemExit(f"trace diff: unknown kind {kind!r} (choose mve or rvv)")
     values = {}
     for key, convert in (("scale", float), ("lanes", int)):
         try:
             values[key] = _positive(convert)(str(fields[key]))
         except argparse.ArgumentTypeError as error:
             raise SystemExit(f"trace diff: --against {key} {error}") from None
-    against = TraceSpec(
-        kernel=kernel, kind=kind, scale=values["scale"], simd_lanes=values["lanes"]
+    return _trace_spec(
+        "trace diff --against",
+        kernel=fields["kernel"],
+        kind=fields["kind"],
+        scale=values["scale"],
+        simd_lanes=values["lanes"],
     )
-    _require_lowering(against)
-    return against
 
 
 def _print_trace_diff(spec, trace, source, against, other, other_source) -> None:
@@ -342,32 +320,14 @@ def _print_trace_diff(spec, trace, source, against, other, other_source) -> None
     base_mix, other_mix = base_stats.as_dict(), other_stats.as_dict()
     rows = [
         [
-            category,
+            category.replace("_", " "),
             base_mix[category],
             other_mix[category],
             f"{other_mix[category] - base_mix[category]:+d}",
             ratio(base_mix[category], other_mix[category]),
         ]
-        for category in ("config", "move", "memory", "arithmetic")
+        for category in base_mix
     ]
-    rows.append(
-        [
-            "vector total",
-            base_stats.vector_total,
-            other_stats.vector_total,
-            f"{other_stats.vector_total - base_stats.vector_total:+d}",
-            ratio(base_stats.vector_total, other_stats.vector_total),
-        ]
-    )
-    rows.append(
-        [
-            "scalar",
-            base_stats.scalar,
-            other_stats.scalar,
-            f"{other_stats.scalar - base_stats.scalar:+d}",
-            ratio(base_stats.scalar, other_stats.scalar),
-        ]
-    )
     print("\nDynamic instruction mix:")
     print(format_table(["category", "base", "against", "delta", "ratio"], rows))
 
@@ -422,12 +382,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         rows = []
         for name in kernel_names():
             cls = get_kernel_class(name)
-            spec = TraceSpec(
-                kernel=name, kind=args.kind, scale=args.scale, simd_lanes=lanes
+            # A spec exists only for a lowering the kernel has.
+            cached = (args.kind == "mve" or name in with_rvv) and trace_store.contains(
+                TraceSpec(kernel=name, kind=args.kind, scale=args.scale, simd_lanes=lanes)
             )
-            cached = (
-                args.kind == "mve" or name in with_rvv
-            ) and trace_store.contains(spec)
             rows.append(
                 [
                     name,
@@ -446,12 +404,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if not args.kernel:
         raise SystemExit(f"trace {args.action}: pass a kernel name (see `trace list`)")
-    if args.kernel not in kernel_names():
-        raise SystemExit(f"trace: unknown kernel {args.kernel!r}")
-    spec = TraceSpec(
-        kernel=args.kernel, kind=args.kind, scale=args.scale, simd_lanes=lanes
+    spec = _trace_spec(
+        "trace", kernel=args.kernel, kind=args.kind, scale=args.scale, simd_lanes=lanes
     )
-    _require_lowering(spec)
     engine = ParallelSweepEngine(store=store)
 
     if args.action == "diff":
@@ -712,35 +667,22 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         return spec
     if not args.kernels:
         raise SystemExit("run: pass an experiment name, --sweep NAME or --kernels a,b,c")
-    requested = [name.strip() for name in args.kernels.split(",") if name.strip()]
-    unknown = sorted(set(requested) - set(kernel_names()))
-    if unknown:
-        raise SystemExit(f"unknown kernels: {', '.join(unknown)}")
-    kinds = tuple(kind.strip() for kind in (args.kinds or "mve").split(",") if kind.strip())
-    bad_kinds = sorted(set(kinds) - {"mve", "rvv"})
-    if bad_kinds:
-        raise SystemExit(f"unknown kinds: {', '.join(bad_kinds)} (choose from mve, rvv)")
-    without_rvv = sorted(set(requested) - set(rvv_kernel_names())) if "rvv" in kinds else []
-    if without_rvv:
-        raise SystemExit(
-            f"no RVV lowering for {', '.join(without_rvv)}; "
-            f"kernels with one: {', '.join(rvv_kernel_names())}"
-        )
-    schemes = tuple(s.strip() for s in (args.schemes or "bit-serial").split(",") if s.strip())
-    for scheme in schemes:
-        try:
-            get_scheme(scheme)
-        except ValueError:
-            raise SystemExit(
-                f"unknown scheme {scheme!r} (choose from {', '.join(SCHEME_NAMES)})"
-            ) from None
-    return SweepSpec(
+
+    def names(text: str) -> tuple[str, ...]:
+        return tuple(name.strip() for name in text.split(",") if name.strip())
+
+    spec = SweepSpec(
         name="custom",
-        kernels=[(name, {"scale": scale}) for name in requested],
-        kinds=kinds,
-        schemes=schemes,
+        kernels=[(name, {"scale": scale}) for name in names(args.kernels)],
+        kinds=names(args.kinds or "mve"),
+        schemes=names(args.schemes or "bit-serial"),
         default_scale=scale,
     )
+    try:
+        spec.jobs()  # every job validates itself before anything runs
+    except ValueError as error:
+        raise SystemExit(f"run: {error}") from None
+    return spec
 
 
 def _print_sweep(sweep: SweepResult, args: argparse.Namespace, store) -> None:
@@ -861,12 +803,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     manifest, missing = export_static_dataset(store, args.out, names, options)
     if missing:
         for entry in missing:
-            hint = f"python -m repro run {entry['name']}"
-            if get_experiment(entry["name"]).uses_scale:
-                hint += f" --scale {args.scale:g}"
             print(
                 f"export: {entry['name']}: not in store "
-                f"(key {entry['key'][:12]}...); warm it with `{hint}`",
+                f"(key {entry['key'][:12]}...); warm it with "
+                f"`{get_experiment(entry['name']).warm_command(options)}`",
                 file=sys.stderr,
             )
         print(

@@ -169,11 +169,10 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
             return values[0] if values else None
 
         try:
-            scale = float(param("scale")) if param("scale") is not None else 0.5
-        except ValueError:
-            self._send_json(400, {"error": f"bad scale {param('scale')!r}"})
+            options = registry.ExperimentOptions(scale=param("scale") or 0.5)
+        except ValueError as error:
+            self._send_json(400, {"error": f"bad scale: {error}"})
             return
-        options = registry.ExperimentOptions(scale=scale)
 
         if path == "/v1/experiments":
             self.server.count("experiment_gets")
@@ -181,7 +180,7 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
                 200,
                 {
                     "schema": export_api.EXPORT_SCHEMA_VERSION,
-                    "scale": scale,
+                    "scale": options.scale,
                     "experiments": registry.experiment_catalog(
                         self.backend.contains, options
                     ),
@@ -244,15 +243,12 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
         result_payload = registry.assembled_result_payload(name, record)
         if result_payload is None:
             self.server.count("experiment_misses")
-            hint = f"python -m repro run {name}"
-            if experiment.uses_scale:
-                hint += f" --scale {scale:g}"
             self._send_json(
                 404,
                 {
                     "error": f"experiment {name!r} is not in the store for these options",
                     "key": key,
-                    "hint": f"warm it with: {hint}",
+                    "hint": f"warm it with: {experiment.warm_command(options)}",
                 },
             )
             return

@@ -30,6 +30,8 @@ and capture fast.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -37,7 +39,23 @@ from ..isa.instructions import TraceEntry
 from ..isa.trace_io import decode_trace, encode_trace
 from .cache import ResultStore, functional_fingerprint, stable_hash
 
-__all__ = ["TraceSpec", "TraceArtifact", "TraceStore"]
+__all__ = ["TraceSpec", "TraceArtifact", "TraceStore", "positive_scale"]
+
+
+def positive_scale(value: Any) -> float:
+    """``value`` (a number, or its text) as a dataset scale: a finite
+    float above zero, else ``ValueError``.
+
+    The one scale check every request type shares: :class:`TraceSpec`, the
+    sweep engine's jobs through it, and the experiment options.
+    """
+    try:
+        scale = float(value)
+    except (TypeError, ValueError):
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a number > 0 (got {value!r})")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,13 @@ class TraceSpec:
     Two simulation jobs that differ only in timing parameters (scheme,
     cache/DRAM/TMU geometry, latency knobs, ...) share a spec -- and
     therefore a capture.
+
+    Construction is the one validity check of a capture request (a
+    registered kernel, ``kind`` ``mve`` or ``rvv`` with an RVV lowering for
+    ``rvv``, finite ``scale`` and ``simd_lanes`` above zero, else
+    ``ValueError``) and canonicalizes it: ``scale`` becomes a float and
+    ``kwargs`` (a mapping or pairs) a tuple of pairs sorted by name, so
+    equal requests compare, hash and key equal.
     """
 
     kernel: str
@@ -54,6 +79,28 @@ class TraceSpec:
     scale: float = 0.5
     kwargs: tuple[tuple[str, Any], ...] = ()
     simd_lanes: int = 8192
+
+    def __post_init__(self):
+        # deferred: avoids an import cycle
+        from ..workloads import get_kernel_class, rvv_kernel_names
+
+        try:
+            get_kernel_class(self.kernel)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+        if self.kind not in ("mve", "rvv"):
+            raise ValueError(f"unknown kind {self.kind!r} (choose from mve, rvv)")
+        if self.kind == "rvv":
+            lowered = rvv_kernel_names()
+            if self.kernel not in lowered:
+                raise ValueError(
+                    f"{self.kernel} has no RVV lowering; kernels with one: {', '.join(lowered)}"
+                )
+        if not self.simd_lanes > 0:
+            raise ValueError(f"simd_lanes must be an integer > 0 (got {self.simd_lanes!r})")
+        pairs = self.kwargs.items() if isinstance(self.kwargs, Mapping) else self.kwargs
+        object.__setattr__(self, "scale", positive_scale(self.scale))
+        object.__setattr__(self, "kwargs", tuple(sorted(map(tuple, pairs), key=lambda kv: kv[0])))
 
     def cache_key(self) -> str:
         """Content hash addressing this capture in the persistent store.

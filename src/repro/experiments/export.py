@@ -218,23 +218,23 @@ def export_static_dataset(
 ) -> tuple[Optional[dict], list[dict]]:
     """Render ``names`` from a warm ``store`` into a static dataset directory.
 
-    Zero simulation by construction: results come exclusively from
-    :func:`~repro.experiments.registry.load_assembled`.  All-or-nothing --
-    when any experiment is cold the return is ``(None, missing)`` with one
-    ``{"name", "key"}`` entry per absent result and *nothing* is written,
-    so a published directory can never hold a partial dataset.  On success
-    the directory holds ``<name>.json`` + ``<name>.csv`` per experiment
-    (byte-identical to the CLI export and the read API) plus an
-    ``index.json`` manifest, and the return is ``(manifest, [])``.
+    Zero simulation by construction: results come exclusively from the read
+    API's path, :func:`~repro.experiments.registry.assembled_result_payload`.
+    All-or-nothing -- when any experiment is cold the return is ``(None,
+    missing)`` with one ``{"name", "key"}`` entry per absent result and
+    *nothing* is written, so a published directory can never hold a partial
+    dataset.  On success the directory holds ``<name>.json`` + ``<name>.csv``
+    per experiment (byte-identical to the CLI export and the read API) plus
+    an ``index.json`` manifest, and the return is ``(manifest, [])``.
     """
-    from .registry import get_experiment, load_assembled
+    from .registry import assembled_result_payload, get_experiment
 
     loaded = []
     missing: list[dict] = []
     for name in names:
         experiment = get_experiment(name)
         key = experiment.cache_key(options)
-        result = load_assembled(name, store, options)
+        result = assembled_result_payload(name, store.load(key))
         if result is None:
             missing.append({"name": name, "key": key})
         else:

@@ -37,6 +37,7 @@ from ..core.cache import (
     store_cached_result,
 )
 from ..core.config import MachineConfig, default_config
+from ..core.traces import positive_scale
 from .runner import ExperimentRunner
 from .sweep import (
     KernelJob,
@@ -56,7 +57,6 @@ __all__ = [
     "experiment_names",
     "experiment_store_key",
     "get_experiment",
-    "load_assembled",
     "register_experiment",
     "run_experiment",
 ]
@@ -80,11 +80,16 @@ class ExperimentOptions:
 
     ``scale`` is honoured only by experiments with ``uses_scale=True`` (the
     fixed-shape sweeps pin the paper's dataset sizes); ``config=None`` means
-    the runner's machine configuration.
+    the runner's machine configuration.  Construction validates and
+    canonicalizes ``scale`` (a finite float above zero, else
+    ``ValueError``), so ``scale=1`` and ``scale=1.0`` key one result.
     """
 
     scale: float = 0.5
     config: Optional[MachineConfig] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", positive_scale(self.scale))
 
     def resolved_config(self) -> MachineConfig:
         return self.config if self.config is not None else default_config()
@@ -121,6 +126,14 @@ class Experiment:
         for spec in self.sweep_specs(options):
             expanded.extend(spec.jobs())
         return list(dict.fromkeys(expanded))
+
+    def warm_command(self, options: ExperimentOptions) -> str:
+        """The CLI command that stores this experiment's result for
+        ``options`` -- the hint every read-only consumer gives on a miss."""
+        command = f"python -m repro run {self.name}"
+        if self.uses_scale:
+            command += f" --scale {options.scale:g}"
+        return command
 
     def cache_key(self, options: ExperimentOptions) -> str:
         """Identity of the assembled result in the persistent store."""
@@ -198,25 +211,14 @@ def experiment_store_key(name: str, options: Optional[ExperimentOptions] = None)
     return get_experiment(name).cache_key(options or ExperimentOptions())
 
 
-def load_assembled(name: str, store, options: Optional[ExperimentOptions] = None):
-    """The assembled result for ``name`` from ``store`` alone, or None.
-
-    Never simulates: a cold store is answered with None, which is what lets
-    read-only consumers (``repro export``, the read API) make "zero
-    simulation" a structural guarantee instead of a promise.
-    """
-    experiment = get_experiment(name)
-    options = options or ExperimentOptions()
-    return load_cached_result(store, experiment.cache_key(options), experiment.result_type)
-
-
 def assembled_result_payload(name: str, record) -> Optional[dict]:
     """The validated raw ``result`` dict inside a store record for ``name``.
 
+    The one stored-document path of the read API and ``repro export``.
     Returns the payload only when it parses as the experiment's result type;
     serving the stored dict verbatim (rather than re-serializing the parsed
-    object) keeps the read API byte-identical to the CLI export for free,
-    because ``to_dict``/``from_dict`` round trips are bit-exact.
+    object) keeps both byte-identical to the CLI export for free, because
+    ``to_dict``/``from_dict`` round trips are bit-exact.
     """
     experiment = get_experiment(name)
     if not isinstance(record, dict):

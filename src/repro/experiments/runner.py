@@ -54,7 +54,7 @@ class ExperimentRunner:
             kernel=name,
             kind=kind,
             scale=scale,
-            kwargs=tuple(sorted(kernel_kwargs.items())),
+            kwargs=kernel_kwargs,
             scheme_name=scheme_name,
             config=config,
         )

@@ -98,7 +98,17 @@ def default_job_count() -> int:
 
 @dataclass(frozen=True)
 class KernelJob:
-    """One independent simulation: a kernel lowering on one configuration."""
+    """One independent simulation: a kernel lowering on one configuration.
+
+    A job validates and canonicalizes itself at construction, so every
+    front end that builds one (sweep specs, the runner, the explorer, the
+    CLI) shares one check and equal requests share one cache key: the
+    capture fields go through :class:`~repro.core.traces.TraceSpec`
+    (kernel, kind and lowering, a float ``scale`` above zero, ``kwargs``
+    sorted by name), and ``scheme_name`` becomes the scheme's canonical
+    name (``bs`` and ``BIT_SERIAL`` both become ``bit-serial``).  A bad
+    request raises ``ValueError``.
+    """
 
     kernel: str
     kind: str = "mve"  # "mve" or "rvv"
@@ -108,13 +118,16 @@ class KernelJob:
     config: MachineConfig = field(default_factory=default_config)
 
     def __post_init__(self):
-        if self.kind not in ("mve", "rvv"):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
+        spec = self.trace_spec()
+        object.__setattr__(self, "scale", spec.scale)
+        object.__setattr__(self, "kwargs", spec.kwargs)
+        scheme = get_scheme(self.scheme_name).name
+        object.__setattr__(self, "scheme_name", scheme)
         # Normalize so scheme_name and config.scheme_name never disagree:
         # the simulation only reads scheme_name, and without this two jobs
         # describing the same simulation would hash to different cache keys.
-        if self.config.scheme_name != self.scheme_name:
-            object.__setattr__(self, "config", self.config.with_scheme(self.scheme_name))
+        if self.config.scheme_name != scheme:
+            object.__setattr__(self, "config", self.config.with_scheme(scheme))
 
     def cache_key(self) -> str:
         """Content hash identifying this job's result in the persistent store."""
@@ -497,11 +510,12 @@ class SweepSpec:
         return [self.base_config.with_arrays(count) for count in self.array_counts]
 
     def jobs(self) -> list[KernelJob]:
+        """Every point of the product; a bad axis value raises the
+        ``ValueError`` of the job it would build."""
         expanded: list[KernelJob] = []
         for kernel, params in self.kernels:
-            params = dict(params)
-            scale = params.pop("scale", self.default_scale)
-            kwargs = tuple(sorted(params.items()))
+            kwargs = dict(params)
+            scale = kwargs.pop("scale", self.default_scale)
             for config in self.configs():
                 for scheme in self.schemes:
                     for kind in self.kinds:

@@ -9,11 +9,14 @@ the content-addressed :class:`~repro.core.cache.ResultStore` without ever
 serializing a :class:`~repro.core.config.MachineConfig`.
 
 Every point compiles down to the existing sweep machinery: ``job(point)``
-builds a one-point :class:`~repro.experiments.sweep.SweepSpec` and takes its
-single :class:`~repro.experiments.sweep.KernelJob` -- so exploration jobs
-hash to the same cache keys an equivalent hand-written sweep would, and
-every downstream stage (trace store, batched replay, the worker pool) works
-unchanged.
+is a :class:`~repro.experiments.sweep.KernelJob`, and jobs canonicalize
+themselves, so exploration jobs hash to the same cache keys an equivalent
+hand-written sweep would, and every downstream stage (trace store, batched
+replay, the worker pool) works unchanged.  The space validates its
+kernel, lowering and scale through :class:`~repro.core.traces.TraceSpec`,
+and scheme-axis values through :func:`~repro.sram.schemes.get_scheme`
+(which also canonicalizes them: ``scheme=bs`` and ``scheme=bit-serial``
+are one search with one state key).
 
 Axes are interpreted by a fixed registry of appliers over the *default*
 configuration; values stay primitive in the stored state (DRAM variants
@@ -29,10 +32,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from ..core.config import MachineConfig, default_config
+from ..core.traces import TraceSpec
 from ..memory.dram import DRAMConfig
 from ..sram.array import EngineGeometry, SramArrayGeometry
-from ..sram.schemes import SCHEME_NAMES
-from ..experiments.sweep import KernelJob, SweepSpec
+from ..sram.schemes import SCHEME_NAMES, get_scheme
+from ..experiments.sweep import KernelJob
 
 __all__ = [
     "AXIS_NAMES",
@@ -121,8 +125,8 @@ def _apply_dram(config: MachineConfig, value: Any) -> MachineConfig:
 
 
 #: axis name -> applier over the default config; "scheme" is handled
-#: specially because it flows through SweepSpec.schemes / KernelJob rather
-#: than the config applier chain
+#: specially because it flows through KernelJob.scheme_name rather than the
+#: config applier chain
 _APPLIERS: dict[str, Callable[[MachineConfig, Any], MachineConfig]] = {
     "num_arrays": _apply_num_arrays,
     "arrays_per_control_block": _apply_arrays_per_cb,
@@ -146,7 +150,10 @@ class Axis:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        if self.name == "scheme":
+            values = tuple(get_scheme(str(value)).name for value in values)
+        object.__setattr__(self, "values", values)
         if self.name not in AXIS_NAMES:
             raise ValueError(
                 f"unknown axis {self.name!r}; known: {', '.join(AXIS_NAMES)}"
@@ -155,10 +162,6 @@ class Axis:
             raise ValueError(f"axis {self.name!r} has no values")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"axis {self.name!r} repeats values: {self.values}")
-        if self.name == "scheme":
-            for value in self.values:
-                if value not in SCHEME_NAMES:
-                    raise ValueError(f"unknown scheme {value!r} on the scheme axis")
         if self.name == "dram":
             for value in self.values:
                 if value not in DRAM_PRESETS:
@@ -191,24 +194,12 @@ class SearchSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
-        if self.kind not in ("mve", "rvv"):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
+        object.__setattr__(self, "scale", TraceSpec(self.kernel, self.kind, self.scale).scale)
         if not self.axes:
             raise ValueError("a search space needs at least one axis")
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axes: {names}")
-        from ..workloads import kernel_names, rvv_kernel_names
-
-        if self.kernel not in kernel_names():
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known: {', '.join(kernel_names())}"
-            )
-        if self.kind == "rvv" and self.kernel not in rvv_kernel_names():
-            raise ValueError(
-                f"{self.kernel} has no RVV lowering; "
-                f"kernels with one: {', '.join(rvv_kernel_names())}"
-            )
 
     # -- point addressing ----------------------------------------------- #
 
@@ -260,22 +251,14 @@ class SearchSpace:
                 config = _APPLIERS[axis.name](config, value)
         return config, scheme
 
-    def _point_spec(self, point: int) -> SweepSpec:
-        config, scheme = self.config_for(point)
-        return SweepSpec(
-            name=f"explore:{self.kernel}",
-            kernels=[(self.kernel, {"scale": self.scale})],
-            kinds=(self.kind,),
-            schemes=(scheme,),
-            base_config=config,
-        )
-
     def job(self, point: int) -> KernelJob:
-        """The point's simulation job, compiled through a one-point
-        :class:`SweepSpec` so explorer jobs are bit-identical (same cache
-        keys) to an equivalent hand-written sweep."""
-        (job,) = self._point_spec(point).jobs()
-        return job
+        """The point's simulation job; it keys like the same point of any
+        hand-written sweep, because jobs canonicalize themselves."""
+        config, scheme = self.config_for(point)
+        return KernelJob(
+            kernel=self.kernel, kind=self.kind, scale=self.scale,
+            scheme_name=scheme, config=config,
+        )
 
     def jobs(self, points: list[int]) -> list[KernelJob]:
         return [self.job(point) for point in points]

@@ -206,4 +206,4 @@ def get_scheme(name: str) -> ComputeScheme:
         return BitHybridScheme()
     if normalized == "associative":
         return AssociativeScheme()
-    raise ValueError(f"unknown in-SRAM computing scheme: {name!r}")
+    raise ValueError(f"unknown scheme {name!r} (choose from {', '.join(SCHEME_NAMES)})")

@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.cli import main as cli_main, named_sweep, named_sweep_names, schema_outline
+from repro.cli import main as cli_main, named_sweep, named_sweep_names
+from repro.experiments.export import schema_outline
 from repro.experiments.registry import experiment_names
 from repro.experiments.tables import TablesResult
 from repro.workloads import rvv_kernel_names
@@ -95,6 +96,10 @@ NON_POSITIVE_VALUES = {
     "against-scale": "trace diff csum --against scale=-0.5 --no-cache",
     "explore": "explore run csum --scale 0 --budget 2 --jobs 1",
     "export": "export --all --scale 0",
+    "run-inf": "run --kernels csum --scale inf --jobs 1 --no-cache",
+    "trace-inf": "trace capture csum --scale inf --no-cache",
+    "against-inf": "trace diff csum --against scale=inf --no-cache",
+    "explore-inf": "explore run csum --scale inf --budget 2 --jobs 1",
 }
 
 
@@ -104,7 +109,8 @@ class TestPositiveScaleAndLanes:
     )
     def test_non_positive_value_exits_with_one_line_of_error(self, command, tmp_path, capsys):
         """Regression: these ended in a ValueError traceback from inside the
-        engine, and `--lanes 0` silently meant the default 8,192 lanes."""
+        engine (an OverflowError for `--scale inf`), and `--lanes 0` silently
+        meant the default 8,192 lanes."""
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["--cache-dir", str(tmp_path), *command.split()])
         code = excinfo.value.code
@@ -179,11 +185,26 @@ class TestRunSweepCommand:
                 "--kinds", "rvv", "--scale", "0.25", "--jobs", "1"]
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
-        message = str(excinfo.value.code)
-        assert "\n" not in message
-        assert "memcpy" in message and "RVV lowering" in message
-        assert ", ".join(rvv_kernel_names()) in message
+        assert excinfo.value.code == (
+            "run: memcpy has no RVV lowering; "
+            f"kernels with one: {', '.join(rvv_kernel_names())}"
+        )
         assert not any(cache_dir.glob("*/*.json"))
+
+    def test_scheme_alias_answers_from_the_canonical_entry(self, tmp_path, capsys):
+        """Regression: `--schemes bs` simulated and stored bit-serial under a
+        second key (exported as scheme `bs`), so a later `--schemes
+        bit-serial` simulated the same job again."""
+        base = ["--cache-dir", str(tmp_path / "cache"), "run", "--kernels", "csum",
+                "--scale", "0.25", "--jobs", "1", "--no-progress"]
+        out_path = tmp_path / "bs.json"
+        assert cli_main([*base, "--schemes", "bs", "--export", "json",
+                         "--out", str(out_path)]) == 0
+        (job,) = json.loads(out_path.read_text())["jobs"]
+        assert job["scheme"] == "bit-serial" and job["source"] == "computed"
+        capsys.readouterr()
+        assert cli_main([*base, "--schemes", "bit-serial"]) == 0
+        assert "(0 simulated, 1 from cache" in capsys.readouterr().out
 
 
 class TestExportLineTerminators:
@@ -249,9 +270,13 @@ class TestTraceCommand:
     def test_unknown_kernel_and_missing_lowering_are_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown kernel"):
             cli_main(["--cache-dir", str(tmp_path), "trace", "stats", "nope"])
-        with pytest.raises(SystemExit, match="no rvv lowering"):
+        with pytest.raises(SystemExit) as excinfo:
             cli_main(["--cache-dir", str(tmp_path), "trace", "stats", "memcpy",
                       "--kind", "rvv"])
+        assert excinfo.value.code == (
+            "trace: memcpy has no RVV lowering; "
+            f"kernels with one: {', '.join(rvv_kernel_names())}"
+        )
         with pytest.raises(SystemExit, match="pass a kernel"):
             cli_main(["--cache-dir", str(tmp_path), "trace", "capture"])
 
@@ -292,10 +317,10 @@ class TestTraceDiff:
         with pytest.raises(SystemExit, match="bad --against entry"):
             cli_main(["--cache-dir", cache_dir, "trace", "diff", "csum",
                       "--against", "warp=9"])
-        with pytest.raises(SystemExit, match="unknown kernel"):
+        with pytest.raises(SystemExit, match="unknown kernel 'nope'; available: "):
             cli_main(["--cache-dir", cache_dir, "trace", "diff", "csum",
                       "--against", "kernel=nope"])
-        with pytest.raises(SystemExit, match="unknown kind"):
+        with pytest.raises(SystemExit, match=r"unknown kind 'avx' \(choose from mve, rvv\)"):
             cli_main(["--cache-dir", cache_dir, "trace", "diff", "csum",
                       "--against", "kind=avx"])
         with pytest.raises(SystemExit, match="scale must be a number"):

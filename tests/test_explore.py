@@ -25,11 +25,12 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import explore_export_payload, main as cli_main, schema_outline
+from repro.cli import main as cli_main
 from repro.core.area import AreaReport
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.core.energy import EnergyBreakdown
+from repro.experiments.export import explore_export_payload, export_rows, schema_outline
 from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
 from repro.explore import (
     DEFAULT_OBJECTIVES,
@@ -117,13 +118,13 @@ class TestSearchSpace:
             Axis("num_arrays", ())
         with pytest.raises(ValueError, match="repeats"):
             Axis("num_arrays", (8, 8))
-        with pytest.raises(ValueError, match="unknown scheme"):
+        with pytest.raises(ValueError, match="unknown scheme 'bit-sideways' "):
             Axis("scheme", ("bit-sideways",))
         with pytest.raises(ValueError, match="unknown DRAM preset"):
             Axis("dram", ("ddr2",))
-        with pytest.raises(ValueError, match="unknown kernel"):
+        with pytest.raises(ValueError, match="unknown kernel 'nope'; available: "):
             SearchSpace(kernel="nope", axes=(Axis("num_arrays", (8,)),))
-        with pytest.raises(ValueError, match="unknown trace kind"):
+        with pytest.raises(ValueError, match=r"unknown kind 'avx' \(choose from mve, rvv\)"):
             SearchSpace(kernel="csum", kind="avx", axes=(Axis("num_arrays", (8,)),))
         with pytest.raises(ValueError, match="at least one axis"):
             SearchSpace(kernel="csum", axes=())
@@ -473,9 +474,7 @@ class TestMetricsSerialization:
         assert set(first["metrics"]["area"]) >= {"modules_mm2", "total_mm2"}
         assert "compute_nj" in first["metrics"]["energy"]
 
-        from repro.cli import _export_rows
-
-        rows = _export_rows(payload)
+        rows = export_rows(payload)
         assert len(rows) == len(payload["frontier"])
         assert "metrics.area.total_mm2" in rows[0]
         assert "metrics.cycles" in rows[0]
@@ -579,11 +578,26 @@ class TestExploreCLI:
                 "--kind", "rvv", "--budget", "4", "--jobs", "1"]
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
-        message = str(excinfo.value.code)
-        assert message.startswith("explore: ") and "\n" not in message
-        assert "memcpy" in message and "RVV lowering" in message
-        assert ", ".join(rvv_kernel_names()) in message
+        assert excinfo.value.code == (
+            "explore: memcpy has no RVV lowering; "
+            f"kernels with one: {', '.join(rvv_kernel_names())}"
+        )
         assert not any(cache_dir.glob("*/*.json"))
+
+    def test_scheme_aliases_name_one_search(self, tmp_path):
+        """Regression: `--axis scheme=bs,bp` was rejected although `run
+        --schemes bs` accepted the alias.  Aliases now canonicalize, so the
+        alias search and the canonical one share one saved state."""
+        cache_dir = tmp_path / "cache"
+        shared = ["--axis", "num_arrays=8,16", "--scale", str(SCALE)]
+        assert cli_main(
+            ["--cache-dir", str(cache_dir), "explore", "run", "csum",
+             "--axis", "scheme=bs,bp", *shared, "--budget", "4", "--jobs", "1",
+             "--no-progress"]
+        ) == 0
+        canonical = ["--cache-dir", str(cache_dir), "explore", "status", "csum",
+                     "--axis", "scheme=bit-serial,bit-parallel", *shared]
+        assert cli_main(canonical) == 0
 
     def test_export_schema_matches_golden(self, tmp_path):
         """The frontier export schema is pinned alongside the experiment

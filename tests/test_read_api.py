@@ -281,11 +281,18 @@ class TestPagination:
         assert json.loads(body)["rows"] == []
 
     def test_bad_parameters_are_400(self, read_server):
+        """Regression: a parseable but invalid scale (0, -2, nan, inf) was a
+        404 whose warming hint the CLI refuses; every bad scale now gets the
+        options' own validation message."""
         base = f"{read_server.url}/v1/experiments/tables"
-        for query in ("scale=huge", "format=xml", "offset=-1", "limit=x"):
+        queries = ("scale=huge", "format=xml", "offset=-1", "limit=x",
+                   "scale=0", "scale=-2", "scale=nan", "scale=inf")
+        for query in queries:
             status, _, body = fetch(f"{base}?{query}")
             assert status == 400, query
-            assert "error" in json.loads(body)
+            error = json.loads(body)["error"]
+            if query.startswith("scale="):
+                assert "scale must be a number > 0" in error, query
 
 
 # ---------------------------------------------------------------------- #

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
 import signal
 
 import pytest
@@ -10,13 +12,16 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore, stable_hash
 from repro.core.config import default_config
+from repro.core.traces import TraceSpec
 from repro.experiments import ExperimentRunner
+from repro.experiments.registry import ExperimentOptions, get_experiment
 from repro.experiments.sweep import (
     KernelJob,
     ParallelSweepEngine,
     SweepSpec,
     default_job_count,
 )
+from repro.workloads import rvv_kernel_names
 
 SMALL_JOB = KernelJob(kernel="csum", scale=0.25)
 
@@ -95,6 +100,84 @@ class TestCacheKeying:
 
     def test_stable_hash_is_order_insensitive(self):
         assert stable_hash({"a": 1, "b": 2}) == stable_hash({"b": 2, "a": 1})
+
+
+def request_keys(request) -> tuple:
+    """Every store key a request addresses."""
+    if isinstance(request, KernelJob):
+        return request.cache_key(), request.trace_spec().cache_key()
+    if isinstance(request, ExperimentOptions):
+        return (get_experiment("figure7").cache_key(request),)
+    return (request.cache_key(),)
+
+
+class TestRequestModel:
+    """The request types canonicalize and validate themselves: equal
+    requests are equal objects with equal keys, and a bad one raises
+    ``ValueError`` from its constructor, with the one message every front
+    end shows."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (lambda: KernelJob("csum", scale=1), lambda: KernelJob("csum", scale=1.0)),
+            (
+                lambda: KernelJob("csum", scheme_name="bs"),
+                lambda: KernelJob("csum", scheme_name="bit-serial"),
+            ),
+            (lambda: ExperimentOptions(scale=1), lambda: ExperimentOptions(scale=1.0)),
+            (
+                lambda: TraceSpec("gemm", kwargs=(("n", 64), ("k", 32))),
+                lambda: TraceSpec("gemm", kwargs={"k": 32, "n": 64}),
+            ),
+        ],
+        ids=["int-scale", "scheme-alias", "options-int-scale", "kwargs-order"],
+    )
+    def test_equal_requests_share_one_identity(self, left, right):
+        left, right = left(), right()
+        assert left == right and hash(left) == hash(right)
+        assert request_keys(left) == request_keys(right)
+
+    def test_fields_are_canonical(self):
+        job = KernelJob("gemm", scale=1, kwargs={"n": 64, "k": 32}, scheme_name="BIT_PARALLEL")
+        assert type(job.scale) is float and job.kwargs == (("k", 32), ("n", 64))
+        assert job.scheme_name == job.config.scheme_name == "bit-parallel"
+        assert type(ExperimentOptions(scale=1).scale) is float
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: KernelJob("nope"), "unknown kernel 'nope'; available: "),
+            (
+                lambda: KernelJob("memcpy", kind="rvv"),
+                f"memcpy has no RVV lowering; kernels with one: {', '.join(rvv_kernel_names())}",
+            ),
+            (lambda: TraceSpec("csum", kind="avx"), "unknown kind 'avx' (choose from mve, rvv)"),
+            (lambda: KernelJob("csum", scheme_name="nope"), "unknown scheme 'nope' (choose from "),
+            *[
+                (lambda scale=scale: KernelJob("csum", scale=scale), "scale must be a number > 0")
+                for scale in (0, -1, math.nan, math.inf)
+            ],
+            *[
+                (lambda scale=scale: ExperimentOptions(scale=scale), "scale must be a number > 0")
+                for scale in (0, -1, math.nan, math.inf)
+            ],
+            (lambda: TraceSpec("csum", simd_lanes=0), "simd_lanes must be an integer > 0 (got 0)"),
+        ],
+        ids=[
+            "unknown-kernel", "no-rvv-lowering", "unknown-kind", "unknown-scheme",
+            "scale-0", "scale-neg", "scale-nan", "scale-inf",
+            "options-scale-0", "options-scale-neg", "options-scale-nan", "options-scale-inf",
+            "lanes-0",
+        ],
+    )
+    def test_bad_request_fails_at_construction(self, build, message):
+        """Regression: each of these built fine and failed frames later --
+        a KeyError in capture, a ValueError in replay, a ValueError or
+        OverflowError in the kernel, a NotImplementedError from the RVV
+        lowering (mid-batch, on a pool) -- or, for the options, never."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 class TestParallelSweepEngine:
