@@ -9,7 +9,7 @@ scheduler.
 from dataclasses import replace
 
 from repro.compiler import compile_trace
-from repro.core import AreaModel, default_config, simulate_kernel
+from repro.core import AreaModel, default_config, simulate_trace
 from repro.experiments import format_table
 from repro.isa import PhysicalRegisterFile
 from repro.workloads import create_kernel
@@ -35,13 +35,13 @@ def test_ablation_control_block_granularity(benchmark):
 def test_ablation_instruction_queue_depth(benchmark, runner):
     """A deeper Intrinsic-Q lets the core run ahead of the engine."""
     kernel = create_kernel("webp_dither", scale=0.5)
-    trace = kernel.trace_mve()
+    trace = kernel.capture("mve")
 
     def run():
         rows = []
         for entries in (4, 16, 64, 256):
             config = replace(default_config(), instruction_queue_entries=entries)
-            result, _ = simulate_kernel(trace, config=config)
+            result, _ = simulate_trace(trace, config=config)
             rows.append([entries, f"{result.total_cycles:.0f}",
                          f"{result.breakdown_fractions()['idle']:.0%}"])
         return rows
@@ -55,11 +55,11 @@ def test_ablation_instruction_queue_depth(benchmark, runner):
 def test_ablation_warm_vs_cold_cache(benchmark):
     """Steady-state (warm LLC) versus first-invocation (cold) behaviour."""
     kernel = create_kernel("memcpy", scale=0.5)
-    trace = kernel.trace_mve()
+    trace = kernel.capture("mve")
 
     def run():
-        warm, _ = simulate_kernel(trace, warm_cache=True)
-        cold, _ = simulate_kernel(trace, warm_cache=False)
+        warm, _ = simulate_trace(trace, warm_cache=True)
+        cold, _ = simulate_trace(trace, warm_cache=False)
         return warm, cold
 
     warm, cold = benchmark.pedantic(run, rounds=1, iterations=1)

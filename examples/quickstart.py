@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from repro import DataType, FlatMemory, MVEMachine, simulate_kernel
+from repro import DataType, FlatMemory, MVEMachine, simulate_trace
 from repro.baselines import KernelProfile, NeonModel
 
 # One full in-cache register worth of pixels (32 x 256 = 8192 SIMD lanes).
@@ -50,7 +50,7 @@ def main() -> None:
     assert np.array_equal(out.read().reshape(ROWS, COLS), expected), "functional mismatch"
     print(f"functional check passed on {ROWS}x{COLS} pixels")
 
-    result, compiled = simulate_kernel(machine.trace)
+    result, compiled = simulate_trace(machine.trace)
     print(f"MVE: {result.total_cycles:.0f} cycles ({result.time_us:.2f} us), "
           f"{result.energy_nj:.0f} nJ, spills={compiled.spill_count}")
     fractions = result.breakdown_fractions()

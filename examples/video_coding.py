@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import simulate_kernel
+from repro.core import simulate_trace
 from repro.sram import SCHEME_NAMES, get_scheme
 from repro.workloads import create_kernel
 
@@ -27,9 +27,9 @@ def main() -> None:
     for name in KERNELS:
         kernel = create_kernel(name, scale=SCALE)
         assert kernel.validate(), f"{name} failed functional validation"
-        trace = kernel.trace_mve()
+        trace = kernel.capture("mve")
         traces[name] = trace
-        result, _ = simulate_kernel(trace)
+        result, _ = simulate_trace(trace)
         fractions = result.breakdown_fractions()
         print(f"  {name:6s}: {result.total_cycles:10.0f} cycles  "
               f"{result.time_us:8.2f} us  "
@@ -39,7 +39,7 @@ def main() -> None:
 
     print("\nForward DCT across in-SRAM computing schemes:")
     for scheme_name in SCHEME_NAMES:
-        result, _ = simulate_kernel(traces["dct"], scheme=get_scheme(scheme_name))
+        result, _ = simulate_trace(traces["dct"], scheme=get_scheme(scheme_name))
         print(f"  {scheme_name:13s}: {result.total_cycles:10.0f} cycles "
               f"(compute {result.compute_cycles:10.0f})")
 

@@ -17,7 +17,7 @@ compiled MVE trace into its SIMT equivalent:
   pressure of keeping all scalars vectorised.
 
 The transformed trace then runs, cold and as given (no compile step), on
-the same timing model as MVE (:func:`~repro.core.simulator.simulate_kernel`),
+the same timing model as MVE (:func:`~repro.core.simulator.replay_trace`),
 which keeps the comparison grounded in one simulator.
 """
 
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from ..core.config import MachineConfig, default_config
 from ..core.results import SimulationResult
-from ..core.simulator import simulate_kernel
+from ..core.simulator import replay_trace
 from ..isa.datatypes import DataType
 from ..isa.instructions import (
     ArithmeticInstruction,
@@ -36,11 +36,14 @@ from ..isa.instructions import (
     ScalarBlock,
     TraceEntry,
 )
-from ..sram.schemes import ComputeScheme
+from ..sram.schemes import get_scheme
 
 __all__ = ["to_simt_trace", "DualityCacheModel"]
 
 _SPILL_BASE = 0x5000_0000
+
+#: one injected register spill/fill pair per this many memory instructions
+_SPILL_INTERVAL = 4
 
 
 def _address_calc_ops(instruction: MemoryInstruction) -> list[ArithmeticInstruction]:
@@ -110,10 +113,7 @@ def _spill_pair(shape: tuple[int, ...], slot: int) -> list[MemoryInstruction]:
     ]
 
 
-def to_simt_trace(
-    trace: Sequence[TraceEntry],
-    spill_every_n_memory_ops: int = 4,
-) -> list[TraceEntry]:
+def to_simt_trace(trace: Sequence[TraceEntry]) -> list[TraceEntry]:
     """Convert a compiled MVE trace to its Duality-Cache SIMT equivalent."""
     simt: list[TraceEntry] = []
     last_shape: tuple[int, ...] = (8192,)
@@ -129,7 +129,7 @@ def to_simt_trace(
             simt.extend(_address_calc_ops(entry))
             simt.append(entry)
             memory_ops_seen += 1
-            if spill_every_n_memory_ops and memory_ops_seen % spill_every_n_memory_ops == 0:
+            if memory_ops_seen % _SPILL_INTERVAL == 0:
                 simt.extend(_spill_pair(last_shape, spill_slot))
                 spill_slot += 1
             continue
@@ -143,23 +143,13 @@ def to_simt_trace(
 class DualityCacheModel:
     """Runs the SIMT-transformed trace on the shared timing simulator."""
 
-    def __init__(
-        self,
-        config: Optional[MachineConfig] = None,
-        scheme: Optional[ComputeScheme] = None,
-        spill_every_n_memory_ops: int = 4,
-    ):
+    def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or default_config()
-        self.scheme = scheme
-        self.spill_every_n_memory_ops = spill_every_n_memory_ops
 
     def run(self, compiled_trace: Sequence[TraceEntry]) -> SimulationResult:
-        simt_trace = to_simt_trace(compiled_trace, self.spill_every_n_memory_ops)
-        result, _ = simulate_kernel(
-            simt_trace,
-            config=self.config,
-            scheme=self.scheme,
-            compile_first=False,
+        (result,) = replay_trace(
+            to_simt_trace(compiled_trace),
+            [(self.config, get_scheme(self.config.scheme_name))],
             warm_cache=False,
         )
         return result

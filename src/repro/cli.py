@@ -676,7 +676,6 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         kernels=[(name, {"scale": scale}) for name in names(args.kernels)],
         kinds=names(args.kinds or "mve"),
         schemes=names(args.schemes or "bit-serial"),
-        default_scale=scale,
     )
     try:
         spec.jobs()  # every job validates itself before anything runs

@@ -8,7 +8,7 @@ from .store_backend import LocalDirBackend
 from .controller import InstructionPlacement, MVEControllerModel
 from .energy import EnergyBreakdown, EnergyCoefficients, EnergyModel
 from .results import SimulationResult
-from .simulator import simulate_kernel
+from .simulator import simulate_trace
 
 __all__ = [
     "cache_line_addresses",
@@ -31,5 +31,5 @@ __all__ = [
     "EnergyCoefficients",
     "EnergyModel",
     "SimulationResult",
-    "simulate_kernel",
+    "simulate_trace",
 ]

@@ -18,9 +18,14 @@ The output is a :class:`~repro.core.results.SimulationResult` whose cycle
 breakdown (idle / compute / data access), instruction counts and utilization
 metrics feed every experiment of Section VII.
 
-The timing model is the config-batched replay of :mod:`repro.core.replay`;
-the functions here are its entry points, and a single configuration is a
-batch of one.
+This module is the compile-and-time entry to the config-batched replay of
+:mod:`repro.core.replay`.  :func:`simulate_trace` (and its batched form,
+:func:`simulate_trace_batch`) compiles a captured trace through the
+geometry-keyed compile memo and reports a warm replay; :func:`replay_trace`
+times a trace exactly as given, with no compile step (an already-compiled
+trace, or a transformed one such as Duality Cache's SIMT form).  A single
+configuration is a batch of one.  :func:`compile_trace` is the un-memoized
+compile step, re-exported beside them.
 """
 
 from __future__ import annotations
@@ -29,38 +34,12 @@ from typing import Optional, Sequence
 
 from ..compiler.pipeline import CompiledKernel, compile_trace
 from ..isa.instructions import TraceEntry
-from ..sram.schemes import ComputeScheme, get_scheme
+from ..sram.schemes import ComputeScheme
 from .config import MachineConfig, default_config
-from .replay import register_file_for, replay_trace, simulate_trace_batch
+from .replay import replay_trace, simulate_trace_batch
 from .results import SimulationResult
 
-__all__ = ["simulate_kernel", "simulate_trace", "simulate_trace_batch"]
-
-
-def simulate_kernel(
-    trace: Sequence[TraceEntry],
-    config: Optional[MachineConfig] = None,
-    scheme: Optional[ComputeScheme] = None,
-    compile_first: bool = True,
-    warm_cache: bool = True,
-) -> tuple[SimulationResult, Optional[CompiledKernel]]:
-    """Compile a raw trace (scheduler + register allocation) and simulate it.
-
-    ``compile_first=False`` times the trace exactly as given (it must
-    already be compiled, or be a transformed trace such as Duality Cache's
-    SIMT form).  ``warm_cache=True`` runs the trace twice and reports the
-    second, steady-state run -- the equivalent of the paper's repeated
-    kernel invocations on the phone, where inputs already live in the cache
-    hierarchy.
-    """
-    config = config or default_config()
-    compiled = None
-    if compile_first:
-        compiled = compile_trace(trace, register_file=register_file_for(config))
-        trace = compiled.trace
-    scheme = scheme or get_scheme(config.scheme_name)
-    (result,) = replay_trace(trace, [(config, scheme)], warm_cache)
-    return result, compiled
+__all__ = ["compile_trace", "replay_trace", "simulate_trace", "simulate_trace_batch"]
 
 
 def simulate_trace(
@@ -69,15 +48,16 @@ def simulate_trace(
     scheme: Optional[ComputeScheme] = None,
     warm_cache: bool = True,
 ) -> tuple[SimulationResult, CompiledKernel]:
-    """Replay a shared, already-captured trace under one configuration.
+    """Compile a captured trace (scheduler + register allocation) and time
+    it under one configuration.
 
-    The staged pipeline's second phase: the trace comes from the capture
-    stage (or the trace cache) and may be replayed many times, so the
-    compile step goes through the geometry-keyed compile memo --
-    configurations that keep the register-file geometry reuse the
-    scheduled, register-allocated kernel and only re-run the timing model.
-    Identical to :func:`simulate_kernel` with ``compile_first=True``
-    result-wise.
+    The compile step goes through the geometry-keyed compile memo, so a
+    trace replayed under configurations that keep the register-file
+    geometry reuses the scheduled, register-allocated kernel and only
+    re-runs the timing model.  ``warm_cache=True`` reports a second,
+    steady-state run after one that fills the cache hierarchy -- the
+    equivalent of the paper's repeated kernel invocations on the phone,
+    where inputs already live in the caches.
     """
     config = config or default_config()
     ((result, compiled),) = simulate_trace_batch(trace, [config], [scheme], warm_cache)

@@ -39,7 +39,7 @@ from ..isa.instructions import TraceEntry
 from ..isa.trace_io import decode_trace, encode_trace
 from .cache import ResultStore, functional_fingerprint, stable_hash
 
-__all__ = ["TraceSpec", "TraceArtifact", "TraceStore", "positive_scale"]
+__all__ = ["TraceSpec", "TraceArtifact", "TraceStore", "positive_scale", "trace_kind"]
 
 
 def positive_scale(value: Any) -> float:
@@ -47,7 +47,8 @@ def positive_scale(value: Any) -> float:
     float above zero, else ``ValueError``.
 
     The one scale check every request type shares: :class:`TraceSpec`, the
-    sweep engine's jobs through it, and the experiment options.
+    sweep engine's jobs through it, the experiment options and
+    :class:`~repro.workloads.base.Kernel` itself.
     """
     try:
         scale = float(value)
@@ -56,6 +57,15 @@ def positive_scale(value: Any) -> float:
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a number > 0 (got {value!r})")
     return scale
+
+
+def trace_kind(kind: str) -> str:
+    """``kind`` if it names a lowering (``mve`` or ``rvv``), else
+    ``ValueError``: the one kind check of :class:`TraceSpec` and
+    :meth:`~repro.workloads.base.Kernel.capture`."""
+    if kind not in ("mve", "rvv"):
+        raise ValueError(f"unknown kind {kind!r} (choose from mve, rvv)")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,7 @@ class TraceSpec:
             get_kernel_class(self.kernel)
         except KeyError as error:
             raise ValueError(error.args[0]) from None
-        if self.kind not in ("mve", "rvv"):
-            raise ValueError(f"unknown kind {self.kind!r} (choose from mve, rvv)")
-        if self.kind == "rvv":
+        if trace_kind(self.kind) == "rvv":
             lowered = rvv_kernel_names()
             if self.kernel not in lowered:
                 raise ValueError(

@@ -16,10 +16,11 @@ from ..baselines.neon import NeonModel
 from ..baselines.profile import KernelProfile
 from ..compiler.pipeline import compile_trace
 from ..core.replay import register_file_for
-from ..core.simulator import simulate_kernel
+from ..core.simulator import simulate_trace
 from ..intrinsics.machine import MVEMachine
 from ..isa.datatypes import DataType
 from ..memory.flatmem import FlatMemory
+from ..workloads.base import elementwise_1d
 from .registry import ExperimentOptions, register_experiment
 from .runner import ExperimentRunner
 from .serialize import SerializableResult
@@ -145,8 +146,8 @@ def assemble_figure12a(runner: ExperimentRunner, options: ExperimentOptions) -> 
         params = _KERNEL_PARAMS[name]
         mve = runner.run_mve(name, **params)
         # The SIMT transform consumes the same capture-stage artifact the
-        # timing run replayed (engine trace memo / store), instead of
-        # re-running the functional machine through kernel.trace_mve.
+        # timing run replayed (engine trace memo / store): the functional
+        # machine never runs for it.
         trace = runner.captured_trace(runner.job(name, "mve", **params))
         # Allocate for the runner's register file, as the MVE run did.
         compiled = compile_trace(trace, register_file=register_file_for(runner.config))
@@ -197,10 +198,7 @@ class _PrecisionSweepKernel:
         self.dtype = dtype
         self.memory = FlatMemory()
         count = self.ELEMENTS
-        if dtype.is_float:
-            data = np.ones(count, dtype=dtype.numpy_dtype)
-        else:
-            data = np.ones(count, dtype=dtype.numpy_dtype)
+        data = np.ones(count, dtype=dtype.numpy_dtype)
         self.a = self.memory.allocate_array(data, dtype)
         self.b = self.memory.allocate_array(data, dtype)
         self.c = self.memory.allocate_array(data, dtype)
@@ -208,22 +206,14 @@ class _PrecisionSweepKernel:
 
     def trace(self, simd_lanes: int = 8192):
         machine = MVEMachine(self.memory, simd_lanes=simd_lanes)
-        machine.vsetdimc(1)
-        offset = 0
-        element_bytes = self.dtype.bytes
-        while offset < self.ELEMENTS:
-            tile = min(simd_lanes, self.ELEMENTS - offset)
-            machine.scalar(8)
-            machine.vsetdiml(0, tile)
-            a = machine.vsld(self.dtype, self.a.address + offset * element_bytes, (1,))
-            b = machine.vsld(self.dtype, self.b.address + offset * element_bytes, (1,))
-            c = machine.vsld(self.dtype, self.c.address + offset * element_bytes, (1,))
-            machine.vsst(
-                machine.vadd(machine.vmul(a, b), c),
-                self.out.address + offset * element_bytes,
-                (1,),
-            )
-            offset += tile
+        elementwise_1d(
+            machine,
+            self.dtype,
+            [self.a.address, self.b.address, self.c.address],
+            self.out.address,
+            self.ELEMENTS,
+            lambda m, inputs: m.vadd(m.vmul(inputs[0], inputs[1]), inputs[2]),
+        )
         return machine.trace
 
     def profile(self) -> KernelProfile:
@@ -250,7 +240,7 @@ def assemble_figure12c(runner: ExperimentRunner, options: ExperimentOptions) -> 
     # fp32 first: it is the baseline the other precisions normalize to
     for dtype in (DataType.FLOAT32, DataType.INT32, DataType.FLOAT16, DataType.INT16):
         kernel = _PrecisionSweepKernel(dtype)
-        result, _ = simulate_kernel(kernel.trace(config.simd_lanes), config=config)
+        result, _ = simulate_trace(kernel.trace(config.simd_lanes), config=config)
         neon_result = neon.run(kernel.profile())
         if baseline_time is None:
             baseline_time = result.total_cycles

@@ -27,7 +27,6 @@ def figure7_sweep_spec(options: ExperimentOptions) -> SweepSpec:
             for name in kernels_in_library(library)
         ],
         schemes=(config.scheme_name,),
-        default_scale=options.scale,
         base_config=config,
     )
 

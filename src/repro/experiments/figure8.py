@@ -48,7 +48,6 @@ def figure8_sweep_spec(options: ExperimentOptions) -> SweepSpec:
             for name in FIGURE8_KERNELS
         ],
         schemes=(config.scheme_name,),
-        default_scale=options.scale,
         base_config=config,
     )
 

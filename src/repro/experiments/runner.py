@@ -64,7 +64,7 @@ class ExperimentRunner:
 
         Experiments that consume raw instruction streams (the Duality Cache
         transform of figure12a) must use this instead of calling
-        ``kernel.trace_mve`` directly: the capture is answered from the
+        ``Kernel.capture`` directly: the capture is answered from the
         engine's trace memo / the persistent trace store and is counted like
         any other capture.
         """

@@ -488,11 +488,12 @@ class ParallelSweepEngine:
 class SweepSpec:
     """The Cartesian product of kernels x kinds x schemes x configurations.
 
-    ``kernels`` maps a kernel name to its run parameters; ``scale`` inside
-    the parameter dict overrides ``default_scale``, everything else is
-    forwarded to the kernel constructor.  Adding a new sweep axis means
-    adding a field here and expanding it in :meth:`jobs` -- the engine and
-    cache key handle any ``MachineConfig`` change automatically.
+    ``kernels`` maps a kernel name to its run parameters: ``scale`` is the
+    job's dataset scale (:class:`KernelJob`'s default when absent), and
+    everything else is forwarded to the kernel constructor.  Adding a new
+    sweep axis means adding a field here and expanding it in :meth:`jobs`
+    -- the engine and cache key handle any ``MachineConfig`` change
+    automatically.
     """
 
     name: str = "sweep"
@@ -501,7 +502,6 @@ class SweepSpec:
     schemes: Sequence[str] = ("bit-serial",)
     #: engine-size axis; None keeps the base config's array count
     array_counts: Optional[Sequence[int]] = None
-    default_scale: float = 0.5
     base_config: MachineConfig = field(default_factory=default_config)
 
     def configs(self) -> list[MachineConfig]:
@@ -515,7 +515,7 @@ class SweepSpec:
         expanded: list[KernelJob] = []
         for kernel, params in self.kernels:
             kwargs = dict(params)
-            scale = kwargs.pop("scale", self.default_scale)
+            scale = kwargs.pop("scale", KernelJob.scale)
             for config in self.configs():
                 for scheme in self.schemes:
                     for kind in self.kinds:

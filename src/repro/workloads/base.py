@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..baselines.profile import KernelProfile
+from ..core.traces import positive_scale, trace_kind
 from ..intrinsics.machine import MVEMachine
 from ..intrinsics.mdv import MDV
 from ..isa.datatypes import DataType
@@ -52,9 +53,7 @@ class Kernel(abc.ABC):
     description: str = ""
 
     def __init__(self, scale: float = 1.0, seed: int = 0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = scale
+        self.scale = positive_scale(scale)
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.memory = FlatMemory()
@@ -101,14 +100,13 @@ class Kernel(abc.ABC):
     ) -> list[TraceEntry]:
         """Capture the instruction trace of one lowering.
 
-        This is the staged pipeline's first phase: by default it runs the
-        functional machine with value recording off, so only the
-        timing-relevant instruction stream is produced (no flat-memory
-        payload traffic).  The emitted trace is identical to a
-        value-recording run -- values are only needed by :meth:`validate`.
+        The only way a kernel reaches the functional machine.  By default
+        value recording is off, so only the timing-relevant instruction
+        stream is produced (no flat-memory payload traffic).  The emitted
+        trace is identical to a value-recording run -- values are only
+        needed by :meth:`validate`.
         """
-        if kind not in ("mve", "rvv"):
-            raise ValueError(f"unknown trace kind {kind!r}")
+        kind = trace_kind(kind)
         self.setup()
         machine = MVEMachine(
             self.memory, simd_lanes=simd_lanes, record_values=record_values
@@ -119,23 +117,9 @@ class Kernel(abc.ABC):
             self.run_mve(machine)
         return machine.trace
 
-    def trace_mve(
-        self, simd_lanes: int = 8192, record_values: bool = True
-    ) -> list[TraceEntry]:
-        """Run the MVE implementation and return its instruction trace."""
-        return self.capture("mve", simd_lanes=simd_lanes, record_values=record_values)
-
-    def trace_rvv(
-        self, simd_lanes: int = 8192, record_values: bool = True
-    ) -> list[TraceEntry]:
-        """Run the RVV lowering and return its instruction trace."""
-        return self.capture("rvv", simd_lanes=simd_lanes, record_values=record_values)
-
     def validate(self, rtol: float = 1e-3, atol: float = 1e-4) -> bool:
         """Check the MVE implementation against the numpy reference."""
-        self.setup()
-        machine = MVEMachine(self.memory)
-        self.run_mve(machine)
+        self.capture("mve", record_values=True)
         expected = np.asarray(self.reference())
         actual = np.asarray(self.output())
         if expected.shape != actual.shape:

@@ -13,10 +13,12 @@ from repro.baselines import (
     to_simt_trace,
 )
 from repro.compiler import compile_trace
-from repro.core import default_config, simulate_kernel
+from repro.core import default_config
+from repro.core.simulator import replay_trace
 from repro.intrinsics import MVEMachine
 from repro.isa import DataType, InstructionCategory, ScalarBlock
 from repro.memory import FlatMemory
+from repro.sram import get_scheme
 from repro.workloads import create_kernel, kernel_names
 
 from oracle import CacheHierarchy
@@ -167,7 +169,8 @@ class TestDualityCache:
 
     def test_simt_slower_than_simd(self):
         trace = self._compiled_trace()
-        mve = simulate_kernel(trace, compile_first=False)[0]
+        config = default_config()
+        (mve,) = replay_trace(trace, [(config, get_scheme(config.scheme_name))])
         dc = DualityCacheModel().run(trace)
         assert dc.total_cycles > mve.total_cycles
 

@@ -30,7 +30,7 @@ from repro.core.address_gen import line_footprints
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
 from repro.core.replay import replay_group_key
-from repro.core.simulator import simulate_kernel, simulate_trace_batch
+from repro.core.simulator import replay_trace, simulate_trace, simulate_trace_batch
 from repro.core.traces import TraceSpec
 from repro.experiments.registry import all_experiments
 from repro.experiments.sweep import (
@@ -134,13 +134,12 @@ class TestSimulateTraceBatchParity:
         """Duality Cache times its SIMT transform of a compiled trace as
         given (no second compile) and cold: the oracle's plain run."""
         config = default_config()
-        compiled = simulate_kernel(gemm_trace, config=config)[1].trace
+        compiled = simulate_trace(gemm_trace, config=config)[1].trace
         simt = to_simt_trace(compiled)
         expected = oracle.MVESimulator(config=config).run(simt)
-        result, recompiled = simulate_kernel(
-            simt, config=config, compile_first=False, warm_cache=False
+        (result,) = replay_trace(
+            simt, [(config, get_scheme(config.scheme_name))], warm_cache=False
         )
-        assert recompiled is None
         assert result.to_dict() == expected.to_dict()
         assert DualityCacheModel(config).run(compiled).to_dict() == expected.to_dict()
 

@@ -14,9 +14,10 @@ from repro.core import (
     cache_line_addresses,
     default_config,
     element_addresses,
-    simulate_kernel,
+    simulate_trace,
 )
 from repro.core.address_gen import line_footprints
+from repro.core.simulator import replay_trace
 from repro.core.traces import TraceSpec
 from repro.intrinsics import MVEMachine
 from repro.isa import (
@@ -129,7 +130,10 @@ class TestScalarCore:
 
     @staticmethod
     def scalar_cycles(block):
-        result, _ = simulate_kernel([block], compile_first=False, warm_cache=False)
+        config = default_config()
+        (result,) = replay_trace(
+            [block], [(config, get_scheme(config.scheme_name))], warm_cache=False
+        )
         return result.total_cycles
 
     def test_scalar_block_cycles_scale_with_count(self):
@@ -213,61 +217,61 @@ class TestSimulator:
         return machine.trace
 
     def test_cycle_breakdown_sums_below_total(self):
-        result, _ = simulate_kernel(self.small_trace())
+        result, _ = simulate_trace(self.small_trace())
         assert result.total_cycles > 0
         busy = result.compute_cycles + result.data_access_cycles
         assert busy <= result.total_cycles * 1.01
 
     def test_instruction_counts(self):
-        result, compiled = simulate_kernel(self.small_trace())
+        result, compiled = simulate_trace(self.small_trace())
         assert result.vector_instructions["memory"] == 3
         assert result.vector_instructions["arithmetic"] == 1
         assert result.scalar_instructions == 20
         assert compiled.spill_count == 0
 
     def test_energy_positive_and_decomposed(self):
-        result, _ = simulate_kernel(self.small_trace())
+        result, _ = simulate_trace(self.small_trace())
         assert result.energy_nj > 0
         assert result.energy.compute_nj > 0
         assert result.energy.data_access_nj > 0
 
     def test_more_work_takes_longer(self):
-        small, _ = simulate_kernel(self.small_trace(n=512))
-        large, _ = simulate_kernel(self.small_trace(n=8192))
+        small, _ = simulate_trace(self.small_trace(n=512))
+        large, _ = simulate_trace(self.small_trace(n=8192))
         assert large.total_cycles > small.total_cycles
 
     def test_lower_precision_is_faster(self):
-        int8, _ = simulate_kernel(self.small_trace(dtype=DataType.INT8))
-        int32, _ = simulate_kernel(self.small_trace(dtype=DataType.INT32))
+        int8, _ = simulate_trace(self.small_trace(dtype=DataType.INT8))
+        int32, _ = simulate_trace(self.small_trace(dtype=DataType.INT32))
         assert int8.compute_cycles < int32.compute_cycles
 
     def test_warm_cache_faster_than_cold(self):
         trace = self.small_trace(n=8192)
-        warm, _ = simulate_kernel(trace, warm_cache=True)
-        cold, _ = simulate_kernel(trace, warm_cache=False)
+        warm, _ = simulate_trace(trace, warm_cache=True)
+        cold, _ = simulate_trace(trace, warm_cache=False)
         assert warm.data_access_cycles <= cold.data_access_cycles
 
     def test_scheme_changes_compute_time(self):
         trace = self.small_trace(n=8192, dtype=DataType.INT32)
-        bs, _ = simulate_kernel(trace, scheme=get_scheme("bs"))
-        ac, _ = simulate_kernel(trace, scheme=get_scheme("ac"))
+        bs, _ = simulate_trace(trace, scheme=get_scheme("bs"))
+        ac, _ = simulate_trace(trace, scheme=get_scheme("ac"))
         assert ac.compute_cycles > bs.compute_cycles
 
     def test_more_arrays_reduce_repeats(self):
         trace = self.small_trace(n=8192, dtype=DataType.INT32)
         base = default_config()
         small_engine = base.with_arrays(8)
-        small, _ = simulate_kernel(trace, config=small_engine)
-        large, _ = simulate_kernel(trace, config=base)
+        small, _ = simulate_trace(trace, config=small_engine)
+        large, _ = simulate_trace(trace, config=base)
         assert large.total_cycles <= small.total_cycles
 
     def test_utilization_bounds(self):
-        result, _ = simulate_kernel(self.small_trace())
+        result, _ = simulate_trace(self.small_trace())
         assert 0.0 <= result.lane_utilization <= 1.0
         assert 0.0 <= result.cb_utilization <= 1.0
 
     def test_time_units(self):
-        result, _ = simulate_kernel(self.small_trace())
+        result, _ = simulate_trace(self.small_trace())
         assert result.time_ms == pytest.approx(result.time_us / 1000.0)
 
     def test_simulator_reuse_with_reset(self):

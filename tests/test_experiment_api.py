@@ -1,7 +1,8 @@
 """Tests for the experiment registry and result (de)serialization.
 
 Every figure/table is registered, each assembly reads only the jobs its
-spec declares (and, with them warm, neither simulates nor captures), and
+spec declares (and, with them warm, neither simulates nor captures, and
+runs the functional machine only for figure 12c's precision sweep), and
 every result type survives a JSON round trip bit-exactly.
 """
 
@@ -35,6 +36,7 @@ from repro.experiments.figure12 import (
     ScalabilityPoint,
 )
 from repro.experiments.figure13 import Figure13Result, SchemeComparison
+from repro.intrinsics.machine import MVEMachine
 from repro.workloads.base import Kernel
 
 
@@ -66,11 +68,19 @@ class TestRegistryCompleteness:
         assert get_experiment("figure12c").jobs() == []
 
 
+#: functional-machine runs of a warm assembly: figure 12c's precision sweep
+#: (also inside the figure12 composite) builds one synthetic trace per
+#: precision and declares no jobs
+MACHINE_RUNS = {"figure12": 4, "figure12c": 4}
+
+
 class TestAssemblyReadsItsDeclaredJobs:
     """The spec/assemble contract: with its declared job set warm, an
     experiment's assembly asks the engine only for declared jobs, simulates
-    nothing and never runs the functional machine (FLOP counts and baseline
-    profiles are analytic; traces come from the engine's resolver)."""
+    nothing and never captures a kernel (FLOP counts and baseline profiles
+    are analytic; traces come from the engine's resolver).  Every
+    functional-machine run is counted: only figure 12c's precision sweep
+    builds machines, :data:`MACHINE_RUNS` of them."""
 
     @pytest.mark.parametrize("name", experiment_names())
     def test_assembly_reads_only_declared_jobs(self, name, warm_store_dir, monkeypatch):
@@ -91,13 +101,22 @@ class TestAssemblyReadsItsDeclaredJobs:
         def forbidden_capture(self, *args, **kwargs):
             raise AssertionError(f"{name} assembly captured {self.name}")
 
+        machines = []
+        machine_init = MVEMachine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            machines.append(self)
+            machine_init(self, *args, **kwargs)
+
         monkeypatch.setattr(runner.engine, "run_one", recording_run_one)
         monkeypatch.setattr(Kernel, "capture", forbidden_capture)
+        monkeypatch.setattr(MVEMachine, "__init__", counting_init)
         result = experiment.assemble(runner, options)
 
         assert isinstance(result, experiment.result_type)
         assert set(requested) <= set(declared)
         assert runner.engine.computed == 0
+        assert len(machines) == MACHINE_RUNS.get(name, 0)
 
 
 def roundtrip(result):

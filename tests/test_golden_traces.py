@@ -4,8 +4,8 @@ Each snapshot under ``tests/golden/`` pins the full observable outcome of
 simulating one representative kernel: instruction-category counts, cycle
 totals and the energy breakdown.  The suite guards two invariants:
 
-* the serial ``simulate_kernel`` path keeps producing the checked-in
-  numbers (any simulator change that shifts results must regenerate the
+* the serial, storeless ``execute_job`` path (capture, then
+  ``simulate_trace``) keeps producing the checked-in numbers (any simulator change that shifts results must regenerate the
   snapshots deliberately),
 * the parallel sweep engine -- worker processes plus the persistent cache
   -- reproduces the serial numbers bit-for-bit, and

@@ -8,9 +8,10 @@ engine configurations, and compare against the baseline models.
 import numpy as np
 import pytest
 
-from repro import DataType, FlatMemory, MVEMachine, default_config, simulate_kernel
+from repro import DataType, FlatMemory, MVEMachine, default_config, simulate_trace
 from repro.baselines import KernelProfile, NeonModel
 from repro.compiler import compile_trace
+from repro.core.simulator import replay_trace
 from repro.sram import get_scheme
 from repro.workloads import create_kernel
 
@@ -43,7 +44,8 @@ class TestEndToEndCustomKernel:
     def test_compile_then_simulate(self):
         machine, *_ = self.build()
         compiled = compile_trace(machine.trace)
-        result, _ = simulate_kernel(compiled.trace, compile_first=False)
+        config = default_config()
+        (result,) = replay_trace(compiled.trace, [(config, get_scheme(config.scheme_name))])
         assert result.total_cycles > 0
         assert result.vector_instructions["memory"] == 3
         assert result.time_ms > 0 and result.energy_nj > 0
@@ -52,7 +54,7 @@ class TestEndToEndCustomKernel:
         machine, *_ = self.build()
         cycles = {}
         for scheme in ("bs", "bh", "bp", "ac"):
-            result, _ = simulate_kernel(machine.trace, scheme=get_scheme(scheme))
+            result, _ = simulate_trace(machine.trace, scheme=get_scheme(scheme))
             cycles[scheme] = result.compute_cycles
         # bit-parallel trades lanes for latency; associative is slowest on mul
         assert cycles["ac"] > cycles["bs"]
@@ -62,8 +64,8 @@ class TestEndToEndCustomKernel:
 class TestEndToEndWorkloads:
     def test_workload_through_simulator_and_neon(self):
         kernel = create_kernel("skia_srcover", scale=0.1)
-        trace = kernel.trace_mve()
-        mve, compiled = simulate_kernel(trace)
+        trace = kernel.capture("mve")
+        mve, compiled = simulate_trace(trace)
         neon = NeonModel().run(kernel.profile())
         assert kernel.validate()
         assert mve.total_cycles > 0 and neon.total_cycles > 0
@@ -74,8 +76,8 @@ class TestEndToEndWorkloads:
         kernel = create_kernel("fir_l", scale=1.0)
         config8 = default_config().with_arrays(8)
         config64 = default_config().with_arrays(64)
-        small, _ = simulate_kernel(kernel.trace_mve(simd_lanes=config8.simd_lanes), config8)
-        large, _ = simulate_kernel(kernel.trace_mve(simd_lanes=config64.simd_lanes), config64)
+        small, _ = simulate_trace(kernel.capture("mve", config8.simd_lanes), config8)
+        large, _ = simulate_trace(kernel.capture("mve", config64.simd_lanes), config64)
         assert large.total_cycles < small.total_cycles
 
     def test_low_precision_kernels_gain_more_than_fp32(self):
@@ -87,17 +89,17 @@ class TestEndToEndWorkloads:
         fp32_kernel.setup()
         int8_speedup = (
             neon.run(int8_kernel.profile()).time_ms
-            / simulate_kernel(int8_kernel.trace_mve())[0].time_ms
+            / simulate_trace(int8_kernel.capture("mve"))[0].time_ms
         )
         fp32_speedup = (
             neon.run(fp32_kernel.profile()).time_ms
-            / simulate_kernel(fp32_kernel.trace_mve())[0].time_ms
+            / simulate_trace(fp32_kernel.capture("mve"))[0].time_ms
         )
         assert int8_speedup > fp32_speedup
 
     def test_dimension_level_masking_reduces_active_elements(self):
         kernel = create_kernel("csum", scale=0.1)
-        trace = kernel.trace_mve()
+        trace = kernel.capture("mve")
         from repro.isa import MemoryInstruction
 
         masked_stores = [
@@ -113,14 +115,14 @@ class TestEndToEndWorkloads:
         """Representative kernels fit the physical register file without spills."""
         for name in ("gemm", "intra", "skia_srcover"):
             kernel = create_kernel(name, scale=0.1)
-            _, compiled = simulate_kernel(kernel.trace_mve())
+            _, compiled = simulate_trace(kernel.capture("mve"))
             assert compiled.spill_count == 0, f"{name} unexpectedly spilled"
 
 
 class TestReproducibility:
     def test_same_seed_same_cycles(self):
-        a = simulate_kernel(create_kernel("gemm", scale=0.1, seed=3).trace_mve())[0]
-        b = simulate_kernel(create_kernel("gemm", scale=0.1, seed=3).trace_mve())[0]
+        a = simulate_trace(create_kernel("gemm", scale=0.1, seed=3).capture("mve"))[0]
+        b = simulate_trace(create_kernel("gemm", scale=0.1, seed=3).capture("mve"))[0]
         assert a.total_cycles == b.total_cycles
         assert a.energy_nj == pytest.approx(b.energy_nj)
 
@@ -128,6 +130,6 @@ class TestReproducibility:
         kernel = create_kernel("gemm", scale=0.1)
         kernel.setup()
         p1 = kernel.profile()
-        kernel.trace_mve()
+        kernel.capture("mve")
         p2 = kernel.profile()
         assert p1.total_ops == p2.total_ops

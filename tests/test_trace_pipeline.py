@@ -22,7 +22,8 @@ import pytest
 from repro.compiler.pipeline import compile_trace
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
-from repro.core.simulator import simulate_kernel, simulate_trace
+from repro.core.replay import register_file_for
+from repro.core.simulator import replay_trace, simulate_trace
 from repro.core.traces import TraceArtifact, TraceSpec, TraceStore
 from repro.experiments import ExperimentOptions
 from repro.experiments.figure8 import figure8_sweep_spec
@@ -68,17 +69,21 @@ def registered_jobs() -> list[KernelJob]:
     return list(dict.fromkeys(jobs))
 
 
+def uncached_simulation(trace, config, scheme=None):
+    """The seed's fused compile-and-time step: an un-memoized compile for
+    ``config``'s register file, then a warm replay of the compiled trace."""
+    compiled = compile_trace(trace, register_file=register_file_for(config))
+    scheme = scheme or get_scheme(config.scheme_name)
+    (result,) = replay_trace(compiled.trace, [(config, scheme)])
+    return result, compiled
+
+
 def legacy_fused(job: KernelJob):
-    """The seed pipeline, verbatim: build the kernel, trace it with full
-    value recording, compile and simulate in one fused step."""
+    """The seed pipeline: build the kernel, capture it with full value
+    recording, compile (no memo) and simulate in one fused step."""
     kernel = get_kernel_class(job.kernel)(scale=job.scale, **dict(job.kwargs))
-    if job.kind == "rvv":
-        trace = kernel.trace_rvv(simd_lanes=job.config.simd_lanes)
-    else:
-        trace = kernel.trace_mve(simd_lanes=job.config.simd_lanes)
-    result, compiled = simulate_kernel(
-        trace, config=job.config, scheme=get_scheme(job.scheme_name)
-    )
+    trace = kernel.capture(job.kind, job.config.simd_lanes, record_values=True)
+    result, compiled = uncached_simulation(trace, job.config, get_scheme(job.scheme_name))
     return result, compiled.spill_count
 
 
@@ -182,7 +187,7 @@ class TestRecordValuesParity:
         captured = get_kernel_class(name)(scale=scale).capture(kind, record_values=False)
         assert captured == recording
 
-        with_values, _ = simulate_kernel(recording)
+        with_values, _ = uncached_simulation(recording, default_config())
         without_values, _ = simulate_trace(captured)
         assert without_values.to_dict() == with_values.to_dict()
 

@@ -1,6 +1,8 @@
 """Workload-suite tests: registry, functional validation of every kernel,
 trace properties, baseline profiles and RVV lowerings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,17 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_kernel_class("not_a_kernel")
 
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            create_kernel("gemm", scale=0)
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")], ids=repr)
+    def test_invalid_scale_rejected(self, scale):
+        message = f"scale must be a number > 0 (got {scale!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            create_kernel("gemm", scale=scale)
+
+    def test_unknown_kind_rejected(self):
+        kernel = create_kernel("csum", scale=SCALE)
+        message = "unknown kind 'avx' (choose from mve, rvv)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernel.capture("avx")
 
     def test_kernel_metadata(self):
         for name in ALL_KERNELS:
@@ -72,7 +82,7 @@ class TestTraces:
     @pytest.mark.parametrize("name", ALL_KERNELS)
     def test_trace_is_nonempty_and_typed(self, name):
         kernel = create_kernel(name, scale=SCALE)
-        trace = kernel.trace_mve()
+        trace = kernel.capture("mve")
         assert trace, f"{name} produced an empty trace"
         categories = {
             entry.category
@@ -104,29 +114,26 @@ class TestRvvLowerings:
 
     def test_unsupported_kernel_raises(self):
         kernel = create_kernel("memcpy", scale=SCALE)
-        from repro.intrinsics import MVEMachine
-
         assert "memcpy" not in rvv_kernel_names()
         with pytest.raises(NotImplementedError):
-            kernel.setup()
-            kernel.run_rvv(MVEMachine(kernel.memory))
+            kernel.capture("rvv")
 
     @pytest.mark.parametrize("name", ["gemm", "spmm", "intra", "fir_v"])
     def test_rvv_needs_more_vector_instructions_for_multidim(self, name):
         kernel = create_kernel(name, scale=SCALE)
         mve_vector = sum(
-            1 for e in kernel.trace_mve() if not isinstance(e, ScalarBlock)
+            1 for e in kernel.capture("mve") if not isinstance(e, ScalarBlock)
         )
         rvv_vector = sum(
-            1 for e in kernel.trace_rvv() if not isinstance(e, ScalarBlock)
+            1 for e in kernel.capture("rvv") if not isinstance(e, ScalarBlock)
         )
         assert rvv_vector > mve_vector
 
     @pytest.mark.parametrize("name", ["csum", "lpack"])
     def test_rvv_similar_for_1d_kernels(self, name):
         kernel = create_kernel(name, scale=SCALE)
-        mve_vector = sum(1 for e in kernel.trace_mve() if not isinstance(e, ScalarBlock))
-        rvv_vector = sum(1 for e in kernel.trace_rvv() if not isinstance(e, ScalarBlock))
+        mve_vector = sum(1 for e in kernel.capture("mve") if not isinstance(e, ScalarBlock))
+        rvv_vector = sum(1 for e in kernel.capture("rvv") if not isinstance(e, ScalarBlock))
         assert rvv_vector <= mve_vector * 2
 
 
@@ -157,11 +164,7 @@ class TestSpecificKernels:
 
     def test_checksum_matches_direct_sum(self):
         kernel = create_kernel("csum", scale=0.1)
-        kernel.setup()
-        from repro.intrinsics import MVEMachine
-
-        machine = MVEMachine(kernel.memory)
-        kernel.run_mve(machine)
+        kernel.capture("mve", record_values=True)
         assert int(kernel.output()[0]) == int(kernel._data_ref.astype(np.int64).sum())
 
     def test_dct_is_invertible_shape(self):
