@@ -55,22 +55,13 @@ class MVEControllerModel:
         self.geometry = geometry
         self.scheme = scheme
 
-    def _active_elements(self, instruction) -> int:
-        lengths = getattr(instruction, "shape_lengths", ())
-        if not lengths:
-            return self.geometry.bitlines
-        total = 1
-        for length in lengths:
-            total *= length
-        mask = getattr(instruction, "mask", ())
-        if mask:
-            inner = total // lengths[-1]
-            return inner * sum(mask)
-        return total
-
     def placement(self, instruction, element_bits: int) -> InstructionPlacement:
         """Compute lane/CB occupancy and repeat count for an instruction."""
-        active_elements = self._active_elements(instruction)
+        if getattr(instruction, "shape_lengths", ()):
+            active_elements = instruction.active_elements()
+        else:
+            # Moves carry no shape snapshot: they occupy every bit-line.
+            active_elements = self.geometry.bitlines
         scheme_lanes = self.scheme.lanes(self.geometry, element_bits)
         bitline_lanes = self.geometry.bitlines
         lanes_per_cb = self.geometry.lanes_per_control_block

@@ -23,8 +23,10 @@ The decomposition leans on three invariants of the timing models:
   row-buffer classification, which the walk prices under every variant.
 * **Placement and SRAM latencies are stateless.**  Per-instruction lane/CB
   placement, compute latencies and TMU fill/drain cycles are pure functions
-  of (scheme, engine geometry, instruction), so one pass per distinct
-  compute key covers every config using it.
+  of (scheme, engine geometry, instruction pattern), so one pass per
+  distinct compute key covers every config using it, and inside a pass
+  each distinct pattern (instruction class, opcode, dtype, shape, mask,
+  store flag) is priced once -- a trace issues a few patterns many times.
 * **The core/engine timeline is cheap.**  Given per-entry durations, the
   queue-backpressure recurrence is a small scalar loop, so it runs per
   config without dominating.
@@ -51,6 +53,8 @@ spill traffic (see :func:`replay_group_key`).
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -110,6 +114,20 @@ _OP_CONFIG = 1
 _OP_ENGINE = 2
 
 
+def _pattern_key(instruction: MVEInstruction) -> tuple:
+    """Everything the compute pass reads from an engine instruction:
+    placement, TMU, SRAM-row and compute pricing are functions of this key
+    (and of the pass's compute key) alone."""
+    return (
+        type(instruction),
+        instruction.opcode,
+        instruction.dtype,
+        getattr(instruction, "shape_lengths", ()),
+        getattr(instruction, "mask", ()),
+        getattr(instruction, "is_store", False),
+    )
+
+
 class _StaticTrace:
     """Per-entry skeleton of one compiled trace, independent of any config."""
 
@@ -123,6 +141,15 @@ class _StaticTrace:
         #: position among memory instructions (-1 for compute)
         self.engine_entries: list[tuple[MVEInstruction, int]] = []
         self.memory_instructions: list[MemoryInstruction] = []
+        #: one representative instruction per distinct :func:`_pattern_key`
+        self.patterns: list[MVEInstruction] = []
+        #: pattern index of each engine entry, and of each memory instruction
+        self.entry_patterns: list[int] = []
+        self.memory_patterns: list[int] = []
+        #: the compute pass's energy addends in trace order: 0 for the
+        #: controller's per-instruction term, 1 + p for compute pattern p's
+        self.energy_terms: list[int] = []
+        pattern_index: dict[tuple, int] = {}
 
         vector_counts = {category.value: 0 for category in InstructionCategory}
         spills = 0
@@ -142,13 +169,23 @@ class _StaticTrace:
             if isinstance(instruction, MemoryInstruction) and instruction.is_spill:
                 spills += 1
             cpu_nj += 1 * coefficients.scalar_instruction_pj / 1000.0
+            self.energy_terms.append(0)
             if category is InstructionCategory.CONFIG:
                 self.ops.append((_OP_CONFIG, 0))
                 continue
+            key = _pattern_key(instruction)
+            pattern = pattern_index.get(key)
+            if pattern is None:
+                pattern = pattern_index[key] = len(self.patterns)
+                self.patterns.append(instruction)
+            self.entry_patterns.append(pattern)
             memory_index = -1
             if category is InstructionCategory.MEMORY:
                 memory_index = len(self.memory_instructions)
                 self.memory_instructions.append(instruction)
+                self.memory_patterns.append(pattern)
+            else:
+                self.energy_terms.append(1 + pattern)
             self.ops.append((_OP_ENGINE, len(self.engine_entries)))
             self.engine_entries.append((instruction, memory_index))
 
@@ -252,19 +289,19 @@ def _memory_data_energy(
 # --------------------------------------------------------------------- #
 
 
-class _ComputePass:
-    """Per-entry engine-side latencies for one (scheme, geometry, knobs) key."""
+class _ComputePass(NamedTuple):
+    """Engine-side latencies for one (scheme, geometry, knobs) key.
 
-    def __init__(self, n_engine: int, n_memory: int) -> None:
-        #: duration of each compute entry (None for memory entries)
-        self.compute_durations: list[Optional[float]] = [None] * n_engine
-        #: per-engine-entry utilization fractions
-        self.lane_utilization: list[float] = [0.0] * n_engine
-        self.cb_utilization: list[float] = [0.0] * n_engine
-        #: per-memory-instruction TMU and SRAM-row components
-        self.tmu_cycles: list[int] = [0] * n_memory
-        self.sram_row_cycles: list[float] = [0.0] * n_memory
-        self.compute_nj: float = 0.0
+    Durations and utilization fractions hold one value per engine entry (a
+    memory entry's duration is None); TMU and SRAM-row cycles hold one per
+    memory instruction."""
+
+    compute_durations: list[Optional[float]]
+    lane_utilization: list[float]
+    cb_utilization: list[float]
+    tmu_cycles: list[int]
+    sram_row_cycles: list[float]
+    compute_nj: float
 
 
 def _run_compute_pass(
@@ -273,8 +310,9 @@ def _run_compute_pass(
     config: MachineConfig,
     coefficients: EnergyCoefficients,
 ) -> _ComputePass:
-    """Evaluate every placement-, scheme- and TMU-dependent quantity once for
-    all configs sharing this compute key."""
+    """Evaluate every placement-, scheme- and TMU-dependent quantity once per
+    distinct instruction pattern for all configs sharing this compute key,
+    then gather the per-entry lists in trace order."""
     controller = MVEControllerModel(config.engine, scheme)
     tmu = TransposeMemoryUnit(config.tmu)
     multiplier = config.sram_cycle_multiplier
@@ -282,45 +320,54 @@ def _run_compute_pass(
     dispatch = config.controller_dispatch_cycles
     energy_factor = scheme.energy_per_cycle_factor
 
-    result = _ComputePass(len(static.engine_entries), len(static.memory_instructions))
-    compute_nj = 0.0
-    for op, payload in static.ops:
-        if op != _OP_ENGINE:
-            if op == _OP_CONFIG:
-                compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
-            continue
-        compute_nj += 1 * coefficients.controller_instruction_pj / 1000.0
-        instruction, memory_index = static.engine_entries[payload]
+    n_patterns = len(static.patterns)
+    lane_utilization = [0.0] * n_patterns
+    cb_utilization = [0.0] * n_patterns
+    durations: list[Optional[float]] = [None] * n_patterns
+    tmu_cycles = [0] * n_patterns
+    row_cycles = [0.0] * n_patterns
+    # Energy addends: the controller's per-instruction term, then one per
+    # pattern (only compute patterns' terms are ever added).
+    energy = [1 * coefficients.controller_instruction_pj / 1000.0] + [0.0] * n_patterns
+    for pattern, instruction in enumerate(static.patterns):
         element_bits = instruction.dtype.bits
         placement = controller.placement(instruction, element_bits)
-        result.lane_utilization[payload] = placement.lane_utilization
-        result.cb_utilization[payload] = placement.cb_utilization
-        if memory_index >= 0:
+        lane_utilization[pattern] = placement.lane_utilization
+        cb_utilization[pattern] = placement.cb_utilization
+        if instruction.category is InstructionCategory.MEMORY:
             active_elements = instruction.active_elements()
             active_cbs = max(1, placement.active_control_blocks)
             elements_per_cb = (active_elements + active_cbs - 1) // active_cbs
             if instruction.is_store:
-                cycles = tmu.drain_cycles(elements_per_cb, element_bits)
+                tmu_cycles[pattern] = tmu.drain_cycles(elements_per_cb, element_bits)
             else:
-                cycles = tmu.fill_cycles(elements_per_cb, element_bits)
-            result.tmu_cycles[memory_index] = cycles
-            result.sram_row_cycles[memory_index] = (
-                controller.memory_row_cycles(instruction) * multiplier
-            )
+                tmu_cycles[pattern] = tmu.fill_cycles(elements_per_cb, element_bits)
+            row_cycles[pattern] = controller.memory_row_cycles(instruction) * multiplier
         else:
             sram_cycles = controller.compute_sram_cycles(
                 instruction, element_bits, float_factor, placement
             )
-            result.compute_durations[payload] = sram_cycles * multiplier + dispatch
-            compute_nj += (
+            durations[pattern] = sram_cycles * multiplier + dispatch
+            energy[1 + pattern] = (
                 sram_cycles
                 * placement.active_lanes
                 * coefficients.sram_cycle_per_lane_pj
                 * energy_factor
                 / 1000.0
             )
-    result.compute_nj = compute_nj
-    return result
+
+    # Plain left-to-right addition in trace order: a reordered (or
+    # compensated, as ``sum`` is on floats since Python 3.12) sum is not
+    # bit-identical to a per-config walk.
+    compute_nj = reduce(add, map(energy.__getitem__, static.energy_terms), 0.0)
+    return _ComputePass(
+        compute_durations=list(map(durations.__getitem__, static.entry_patterns)),
+        lane_utilization=list(map(lane_utilization.__getitem__, static.entry_patterns)),
+        cb_utilization=list(map(cb_utilization.__getitem__, static.entry_patterns)),
+        tmu_cycles=list(map(tmu_cycles.__getitem__, static.memory_patterns)),
+        sram_row_cycles=list(map(row_cycles.__getitem__, static.memory_patterns)),
+        compute_nj=compute_nj,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -126,9 +126,6 @@ class MVEMachine:
     def _shape(self) -> VectorShape:
         return self.cr.shape
 
-    def _mask_tuple(self) -> tuple[bool, ...]:
-        return tuple(self.cr.active_mask())
-
     def _check_shape_fits(self, shape: VectorShape) -> None:
         if shape.total_elements > self.simd_lanes:
             raise ValueError(
@@ -245,7 +242,7 @@ class MVEMachine:
             random_bases=random_bases,
             resolved_strides=tuple(strides),
             shape_lengths=shape.lengths,
-            mask=self._mask_tuple(),
+            mask=self.cr.mask_snapshot(),
         )
 
     def _active_lane_mask(self, shape: VectorShape) -> np.ndarray:
@@ -369,7 +366,7 @@ class MVEMachine:
                 sources=(),
                 immediate=float(value),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)
@@ -413,7 +410,7 @@ class MVEMachine:
                 dest=register,
                 sources=(a.register, b.register),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)
@@ -442,7 +439,7 @@ class MVEMachine:
                 sources=(a.register,),
                 immediate=float(immediate),
                 shape_lengths=shape.lengths,
-                mask=self._mask_tuple(),
+                mask=self.cr.mask_snapshot(),
             )
         )
         return MDV(register, dtype, shape, values)

@@ -144,8 +144,34 @@ class MoveInstruction(MVEInstruction):
         return f"{self.opcode.value}_{self.dtype.suffix} v{self.dest}, v{self.src}"
 
 
+class _DimensionMasked:
+    """Element counting shared by the instructions that snapshot the logical
+    shape (``shape_lengths``) and the highest-dimension mask (``mask``).
+
+    ``mask`` is ``()`` whenever every element of the highest dimension is
+    enabled; otherwise it holds one bool per element of that dimension."""
+
+    shape_lengths: tuple[int, ...]
+    mask: tuple[bool, ...]
+
+    @property
+    def total_elements(self) -> int:
+        total = 1
+        for length in self.shape_lengths:
+            total *= length
+        return total
+
+    def active_elements(self) -> int:
+        """Number of elements the instruction touches after dimension masking."""
+        if not self.shape_lengths:
+            return 0
+        if not self.mask:
+            return self.total_elements
+        return self.total_elements // self.shape_lengths[-1] * sum(self.mask)
+
+
 @dataclass
-class MemoryInstruction(MVEInstruction):
+class MemoryInstruction(MVEInstruction, _DimensionMasked):
     """Multi-dimensional strided or random vector load/store.
 
     For strided accesses ``base_address`` is a single byte address.  For
@@ -167,28 +193,11 @@ class MemoryInstruction(MVEInstruction):
     resolved_strides: tuple[int, ...] = ()
     #: snapshot of the logical shape at emission time
     shape_lengths: tuple[int, ...] = ()
-    #: snapshot of the highest-dimension mask at emission time
+    #: highest-dimension mask at emission time, ``()`` when nothing is
+    #: masked off (see :class:`_DimensionMasked`)
     mask: tuple[bool, ...] = ()
     #: set by the register allocator for spill/fill traffic it inserts
     is_spill: bool = False
-
-    @property
-    def total_elements(self) -> int:
-        total = 1
-        for length in self.shape_lengths:
-            total *= length
-        return total
-
-    def active_elements(self) -> int:
-        """Number of elements actually transferred after dimension masking."""
-        if not self.shape_lengths:
-            return 0
-        inner = 1
-        for length in self.shape_lengths[:-1]:
-            inner *= length
-        if not self.mask:
-            return self.total_elements
-        return inner * sum(self.mask)
 
     def assembly(self) -> str:
         modes = ",".join(str(int(m)) for m in self.stride_modes)
@@ -199,7 +208,7 @@ class MemoryInstruction(MVEInstruction):
 
 
 @dataclass
-class ArithmeticInstruction(MVEInstruction):
+class ArithmeticInstruction(MVEInstruction, _DimensionMasked):
     """Element-wise arithmetic / comparison / shift on all SIMD lanes."""
 
     dtype: DataType = DataType.INT32
@@ -208,6 +217,8 @@ class ArithmeticInstruction(MVEInstruction):
     immediate: Optional[float] = None
     #: snapshot of the logical shape at emission time (for utilization stats)
     shape_lengths: tuple[int, ...] = ()
+    #: highest-dimension mask at emission time, ``()`` when nothing is
+    #: masked off (see :class:`_DimensionMasked`)
     mask: tuple[bool, ...] = ()
 
     def assembly(self) -> str:

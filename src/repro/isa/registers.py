@@ -164,6 +164,14 @@ class ControlRegisters:
     def shape(self) -> VectorShape:
         return VectorShape(tuple(self.dim_lengths[: self.dim_count]))
 
+    def _mask_groups(self) -> tuple[int, int, int]:
+        """(highest-dimension length, mask bits covering it, elements per bit)."""
+        length = self.dim_lengths[self.dim_count - 1]
+        if length <= MAX_MASK_ELEMENTS:
+            return length, length, 1
+        group = (length + MAX_MASK_ELEMENTS - 1) // MAX_MASK_ELEMENTS
+        return length, (length + group - 1) // group, group
+
     def active_mask(self) -> list[bool]:
         """Mask bits for the configured highest dimension.
 
@@ -172,13 +180,22 @@ class ControlRegisters:
         contiguous group of elements (coarser masking granularity), which is
         how the controller keeps the CR size bounded.
         """
-        length = self.shape.highest_dim_length
-        if length <= MAX_MASK_ELEMENTS:
+        length, bits, group = self._mask_groups()
+        if group == 1:
             return self.dim_mask[:length]
-        group = (length + MAX_MASK_ELEMENTS - 1) // MAX_MASK_ELEMENTS
-        groups = (length + group - 1) // group
-        expanded = np.repeat(np.asarray(self.dim_mask[:groups], dtype=bool), group)
+        expanded = np.repeat(np.asarray(self.dim_mask[:bits], dtype=bool), group)
         return expanded[:length].tolist()
+
+    def mask_snapshot(self) -> tuple[bool, ...]:
+        """The mask a vector instruction records: ``()`` when every element
+        of the highest dimension is enabled, else :meth:`active_mask`.
+
+        Only the CR bits covering the highest dimension are tested, so the
+        common unmasked case never expands the register."""
+        _, bits, _ = self._mask_groups()
+        if all(self.dim_mask[:bits]):
+            return ()
+        return tuple(self.active_mask())
 
     def copy(self) -> "ControlRegisters":
         clone = ControlRegisters(

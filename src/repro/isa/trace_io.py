@@ -14,12 +14,16 @@ The round trip is exact: ``decode_trace(encode_trace(trace)) == trace``
 entry for entry (dataclass equality), including empty-vs-populated masks,
 ``None`` immediates and scalar-block notes.  Exactness is what lets the
 staged pipeline replay a cached trace through the timing simulator and
-reproduce the fused capture+simulate path bit for bit.
+reproduce the fused capture+simulate path bit for bit.  The envelope also
+carries a SHA-256 of the npz bytes, checked before unzipping: a zip
+member's CRC-32 does not cover its local header, so a flipped byte there
+could otherwise decode to a trace equal to the original.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import io
 from typing import Sequence
 
@@ -44,7 +48,7 @@ __all__ = [
 ]
 
 #: codec identifier embedded in every payload; bump on incompatible changes
-TRACE_CODEC = "npz-columnar-v1"
+TRACE_CODEC = "npz-columnar-v2"
 
 #: entry-kind discriminator column values
 _KIND_SCALAR = 0
@@ -203,10 +207,12 @@ def encode_trace(trace: Sequence[TraceEntry]) -> dict:
     """Encode a trace into its JSON-safe columnar payload."""
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **trace_columns(trace))
+    npz = buffer.getvalue()
     payload = {
         "codec": TRACE_CODEC,
         "entries": len(trace),
-        "npz_b64": base64.b64encode(buffer.getvalue()).decode("ascii"),
+        "sha256": hashlib.sha256(npz).hexdigest(),
+        "npz_b64": base64.b64encode(npz).decode("ascii"),
     }
     notes = scalar_notes(trace)
     if notes:
@@ -234,15 +240,17 @@ def decode_trace(payload: dict) -> list[TraceEntry]:
         raise ValueError(f"unsupported trace payload: {payload.get('codec') if isinstance(payload, dict) else payload!r}")
     try:
         raw = base64.b64decode(payload["npz_b64"])
+        if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
+            raise ValueError("corrupt trace payload: checksum mismatch")
         with np.load(io.BytesIO(raw)) as archive:
             columns = {name: archive[name] for name in archive.files}
     except ValueError:
         raise
     except Exception as error:
-        # Truncated/bit-flipped column data surfaces as zipfile.BadZipFile,
-        # zlib.error, OSError, ... depending on where the corruption lands.
-        # Normalize to ValueError: "corrupt payload" is one condition to
-        # callers, which degrade it to a recapture.
+        # A missing envelope field or an unreadable archive surfaces as
+        # KeyError, zipfile.BadZipFile, zlib.error, OSError, ...  Normalize
+        # to ValueError: "corrupt payload" is one condition to callers,
+        # which degrade it to a recapture.
         raise ValueError(f"corrupt trace payload: {error}") from error
 
     return entries_from_columns(

@@ -34,10 +34,6 @@ class TransposeMemoryUnit:
 
     def __init__(self, config: TMUConfig | None = None):
         self.config = config or TMUConfig()
-        self.elements_transposed = 0
-
-    def reset(self) -> None:
-        self.elements_transposed = 0
 
     def fill_cycles(self, num_elements: int, element_bits: int) -> int:
         """Cycles to route ``num_elements`` words into the TMU and write the
@@ -53,7 +49,6 @@ class TransposeMemoryUnit:
             # The final partial batch only routes the elements it actually
             # holds, not the unit's full capacity.
             cycles += math.ceil(remainder / cfg.crossbar_elements_per_cycle) + stream
-        self.elements_transposed += num_elements
         return cycles
 
     def drain_cycles(self, num_elements: int, element_bits: int) -> int:

@@ -349,7 +349,6 @@ class MVESimulator:
             self.hierarchy.reset()
         else:
             self.hierarchy.reset_stats()
-        self.tmu.reset()
 
         core_time = 0.0
         engine_free = 0.0

@@ -16,7 +16,9 @@ simulator of ``tests/oracle.py``, bit-for-bit:
   per distinct spec regardless of ``--jobs``, and an eight-config
   single-trace sweep replays exactly once, and
 * a memory pass walks a trace's whole footprint stream at once: a warm
-  replay, like Neon's steady-state footprint, makes two L2 walks.
+  replay, like Neon's steady-state footprint, makes two L2 walks, and
+* a compute pass places each distinct instruction pattern once, not each
+  engine entry.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from repro.compiler.pipeline import compile_trace_cached
 from repro.core.address_gen import line_footprints
 from repro.core.cache import ResultStore
 from repro.core.config import default_config
+from repro.core.controller import MVEControllerModel
 from repro.core.replay import replay_group_key
 from repro.core.simulator import replay_trace, simulate_trace, simulate_trace_batch
 from repro.core.traces import TraceSpec
@@ -40,7 +43,7 @@ from repro.experiments.sweep import (
     batch_partitions,
     simulate_traced_group,
 )
-from repro.isa import MemoryInstruction
+from repro.isa import ArithmeticInstruction, MemoryInstruction, MoveInstruction
 from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig, VectorCache, vector_cache
 from repro.sram.array import EngineGeometry, SramArrayGeometry
 from repro.sram.schemes import SCHEME_NAMES, get_scheme
@@ -283,3 +286,43 @@ class TestOneWalkPerPass:
         NeonModel().run(profile)
         lines = -(-profile.bytes_read // 64) + -(-profile.bytes_written // 64)
         assert l2_batches == [lines, lines]
+
+
+class TestOnePricingPerPattern:
+    """The compute pass prices each distinct instruction pattern once per
+    compute key, pinned with call counts on the controller rather than
+    wall time."""
+
+    def test_placement_runs_once_per_pattern_per_scheme(self, gemm_trace, monkeypatch):
+        calls = []
+        placement = MVEControllerModel.placement
+
+        def counting(controller, instruction, element_bits):
+            calls.append(instruction)
+            return placement(controller, instruction, element_bits)
+
+        monkeypatch.setattr(MVEControllerModel, "placement", counting)
+        compiled = compile_trace_cached(gemm_trace).trace
+        engine = [
+            entry
+            for entry in compiled
+            if isinstance(entry, (MemoryInstruction, ArithmeticInstruction, MoveInstruction))
+        ]
+        patterns = {
+            (
+                type(entry),
+                entry.opcode,
+                entry.dtype,
+                getattr(entry, "shape_lengths", ()),
+                getattr(entry, "mask", ()),
+                getattr(entry, "is_store", False),
+            )
+            for entry in engine
+        }
+        assert len(engine) > 2 * len(patterns)
+        members = [
+            (default_config().with_scheme(name), get_scheme(name))
+            for name in ("bit-serial", "bit-parallel")
+        ]
+        replay_trace(compiled, members)
+        assert len(calls) == 2 * len(patterns)

@@ -71,6 +71,31 @@ class TestMaskProperties:
         mask = cr.active_mask()
         assert len(mask) == length
 
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=8192),
+        st.sets(st.integers(0, 255), max_size=16),
+    )
+    def test_instruction_mask_is_empty_unless_an_element_is_off(
+        self, inner, length, masked_off
+    ):
+        """Beyond 256 elements each CR bit covers a group of elements; an
+        instruction records ``()`` exactly when no covering bit is off."""
+        machine = MVEMachine(simd_lanes=inner * length, record_values=False)
+        machine.vsetdimc(2)
+        machine.vsetdiml(0, inner)
+        machine.vsetdiml(1, length)
+        for element in masked_off:
+            machine.vunsetmask(element)
+        machine.vsetdup(DataType.INT32, 1)
+        machine.vsld(DataType.INT32, 0x1000, (1, 2))
+        group = -(-length // 256)
+        covered_off = any(bit * group < length for bit in masked_off)
+        enabled = sum(machine.cr.active_mask())
+        for instruction in machine.trace[-2:]:
+            assert (instruction.mask == ()) is not covered_off
+            assert instruction.active_elements() == inner * enabled
+
 
 def _machine_with(values, dtype):
     memory = FlatMemory()

@@ -171,11 +171,3 @@ class TestTMU:
     def test_drain_symmetric(self):
         tmu = TransposeMemoryUnit()
         assert tmu.drain_cycles(512, 16) == tmu.fill_cycles(512, 16)
-
-    def test_transpose_counter(self):
-        tmu = TransposeMemoryUnit()
-        tmu.fill_cycles(100, 8)
-        tmu.fill_cycles(50, 8)
-        assert tmu.elements_transposed == 150
-        tmu.reset()
-        assert tmu.elements_transposed == 0

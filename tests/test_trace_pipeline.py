@@ -199,6 +199,9 @@ class TestRecordValuesParity:
         for spec in specs:
             recording = spec.capture(record_values=True).trace
             assert spec.capture().trace == recording, spec.describe()
+            # A mask is recorded only when it masks some element off.
+            masks = [getattr(entry, "mask", ()) for entry in recording]
+            assert all(not mask or False in mask for mask in masks), spec.describe()
 
     def test_capture_default_skips_memory_traffic(self):
         """record_values=False must not write kernel outputs (that is what
