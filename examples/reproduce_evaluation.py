@@ -6,8 +6,8 @@ a reduced dataset scale and prints the measured values next to the paper's.
 Kernel simulations are sharded over worker processes (``--jobs``) and both
 the per-kernel simulations and the assembled experiment results are
 answered from the persistent sweep cache on repeat runs (disable with
-``--no-cache``); the same code paths are exercised with asserts by
-``pytest benchmarks/ --benchmark-only`` and served by ``python -m repro``.
+``--no-cache``); the same experiments are asserted against the paper's
+claims by ``tests/test_experiments.py`` and served by ``python -m repro``.
 """
 
 import argparse
@@ -63,11 +63,16 @@ def main() -> None:
           f"energy {fig8.mean_energy_ratio:.2f}x (paper 5.2x)")
 
     fig9 = run("figure9")
-    gemm_cross = fig9.gemm_crossover_flops
-    spmm_cross = fig9.spmm_crossover_flops
-    print("Figure 9 : GPU overtakes MVE at "
-          f"{gemm_cross / 1e6 if gemm_cross else float('nan'):.1f}M GEMM ops (paper ~6.0M), "
-          f"{spmm_cross / 1e6 if spmm_cross else float('nan'):.1f}M SpMM ops (paper ~4.6M)")
+
+    def crossover(kernel, points, flops):
+        if flops is None:
+            largest = max(point.flops for point in points)
+            return f"no {kernel} crossover up to {largest / 1e6:.1f}M ops"
+        return f"GPU overtakes MVE at {flops / 1e6:.1f}M {kernel} ops"
+
+    print(f"Figure 9 : {crossover('GEMM', fig9.gemm_points, fig9.gemm_crossover_flops)} "
+          f"(paper ~6.0M), "
+          f"{crossover('SpMM', fig9.spmm_points, fig9.spmm_crossover_flops)} (paper ~4.6M)")
 
     fig10 = run("figure10")
     print(f"Figure 10: speedup over RVV {fig10.mean_speedup_over_rvv:.2f}x (paper 2.0x)")

@@ -5,8 +5,9 @@ readers.  The protocol is deliberately tiny -- JSON records addressed by
 hex cache key, stdlib only:
 
 ==========================  ===============================================
-``GET  /v1/entry/K``        200 + the record, or 404 on a miss
-``HEAD /v1/entry/K``        200 / 404 without a body
+``GET  /v1/entry/K``        200 + the record, or 404 on a miss (absent,
+                            corrupt or of another cache schema)
+``HEAD /v1/entry/K``        200 / 404 without a body, same rule
 ``GET  /v1/stats``          entry count and request counters, as JSON
 ``GET  /v1/experiments``    registered experiments with per-store-key
                             availability (``?scale=`` selects the options)
@@ -114,7 +115,7 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"bad route or key: {self.path}"})
             return
         self.server.count("gets")
-        record = self.backend.load(key)
+        record = self.backend.load_checked(key)
         if record is None:
             self.server.count("misses")
             self._send_json(404, {"error": "miss"})
@@ -288,7 +289,7 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
             self._send_empty(400)
             return
         self.server.count("heads")
-        self._send_empty(200 if self.backend.contains(key) else 404)
+        self._send_empty(404 if self.backend.load_checked(key) is None else 200)
 
 
 class CacheServer(ThreadingHTTPServer):

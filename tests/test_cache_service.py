@@ -92,6 +92,19 @@ class TestProtocol:
         }
         assert request(server, "HEAD", f"/v1/entry/{KEY_A}") == (200, b"")
 
+    def test_records_of_another_schema_are_misses(self, server):
+        """A record the store itself rejects -- written under another cache
+        schema, e.g. a trace left at a live key by a schema bump -- is a
+        miss through every door: the store, GET and HEAD."""
+        record = {"schema": CACHE_SCHEMA_VERSION - 1, "result": {"total_cycles": 7.0}}
+        assert server.backend.store(KEY_A, record)
+        assert ResultStore(server.backend.root).load(KEY_A) is None
+        assert request(server, "GET", f"/v1/entry/{KEY_A}")[0] == 404
+        assert request(server, "HEAD", f"/v1/entry/{KEY_A}") == (404, b"")
+        stats = server_stats(server)
+        assert stats["misses"] == 1
+        assert stats["hits_served"] == 0
+
     def test_stats_counts_requests_and_entries(self, server):
         ResultStore(server.backend.root).store(KEY_A, {"result": {}})
         request(server, "GET", f"/v1/entry/{KEY_A}")

@@ -1,6 +1,8 @@
 """Unit tests for the core architecture models: address generation, scalar
 blocks, controller, timing simulator, energy and area."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,21 @@ class TestSimulator:
         warm, _ = simulate_trace(trace, warm_cache=True)
         cold, _ = simulate_trace(trace, warm_cache=False)
         assert warm.data_access_cycles <= cold.data_access_cycles
+        assert warm.total_cycles <= cold.total_cycles
+
+    @pytest.mark.parametrize("kernel", ["csum", "gemm", "webp_dither"])
+    def test_deeper_instruction_queue_never_adds_cycles(self, kernel):
+        """A deeper Intrinsic-Q lets the core run further ahead of the
+        engine, so total cycles never rise with its depth."""
+        trace = TraceSpec(kernel, "mve", 0.25).capture().trace
+        cycles = [
+            simulate_trace(
+                trace,
+                config=dataclasses.replace(default_config(), instruction_queue_entries=entries),
+            )[0].total_cycles
+            for entries in (1, 2, 4, 16, 64, 256)
+        ]
+        assert cycles == sorted(cycles, reverse=True), cycles
 
     def test_scheme_changes_compute_time(self):
         trace = self.small_trace(n=8192, dtype=DataType.INT32)
@@ -337,6 +354,16 @@ class TestAreaModel:
         small = AreaModel(num_arrays=16).report()
         large = AreaModel(num_arrays=64).report()
         assert large.total_mm2 > small.total_mm2
+
+    def test_area_falls_as_control_blocks_grow(self):
+        """More arrays per control block means fewer FSMs: overhead falls
+        with every doubling, so the paper's 4-array block sits well below a
+        per-array FSM."""
+        overheads = [
+            AreaModel(num_arrays=32, arrays_per_control_block=arrays).report().overhead_percent
+            for arrays in (1, 2, 4, 8)
+        ]
+        assert all(a > b for a, b in zip(overheads, overheads[1:])), overheads
 
 
 class TestMachineConfig:

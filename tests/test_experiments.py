@@ -2,8 +2,10 @@
 
 The figures are read with ``run_experiment`` from the session's warm store
 (``tests/conftest.py``, every experiment at scale 0.1), so they check the
-full experiments without simulating them again; the full-scale runs live in
-``benchmarks/``.
+full experiments without simulating them again, and each figure asserts the
+paper's qualitative claim about it.  Only figures 7 and 8 size their kernels
+by scale; their mean gains are checked at :data:`HALF_SCALE`, the CLI's
+default, through the same store.
 """
 
 import dataclasses
@@ -28,16 +30,26 @@ from repro.experiments import (
     table5_area,
     table5_summary,
 )
+from repro.experiments.figure12 import FIGURE12_KERNELS, FIGURE12B_KERNELS
 from repro.sram.array import EngineGeometry, SramArrayGeometry
+from repro.sram.schemes import SCHEME_NAMES
+
+#: the scale at which figures 7 and 8 are held to the paper's claims: at the
+#: warm store's 0.1 the kernels are too small for Figure 7's mean speedup
+#: over Neon to clear 1.5x (it is 1.10x)
+HALF_SCALE = 0.5
 
 
 @pytest.fixture(scope="module")
 def run(warm_store_dir):
-    """``run(name)``: the experiment at the warm store's scale, answered
-    from the store."""
+    """``run(name, scale=0.1)``: the experiment, answered from (or added
+    to) the session's warm store."""
     runner = build_runner(jobs=1, store=ResultStore(warm_store_dir))
-    options = ExperimentOptions(scale=0.1)
-    return lambda name: run_experiment(name, runner=runner, options=options)
+
+    def _run(name, scale=0.1):
+        return run_experiment(name, runner=runner, options=ExperimentOptions(scale=scale))
+
+    return _run
 
 
 class TestTables:
@@ -87,6 +99,12 @@ class TestFigure7:
         lib = by_name["Skia"]
         assert lib.normalized_time_percent == pytest.approx(100.0 / lib.speedup)
 
+    def test_mve_beats_neon_on_time_and_energy(self, run):
+        """Paper: 2.9x mean speedup and 8.8x mean energy reduction."""
+        result = run("figure7", scale=HALF_SCALE)
+        assert result.mean_speedup > 1.5
+        assert result.mean_energy_ratio > 3.0
+
 
 class TestFigure8And9:
     def test_figure8_subset(self, run):
@@ -96,6 +114,10 @@ class TestFigure8And9:
         for name in ("csum", "gemm"):
             assert by_name[name].time_ratio_with_transfer > 0
             assert 0 <= by_name[name].gpu_transfer_fraction <= 1
+
+    def test_gpu_slower_than_mve(self, run):
+        """Paper: the GPU takes 9.3x MVE's time, data transfer included."""
+        assert run("figure8", scale=HALF_SCALE).mean_time_ratio > 1.0
 
     def test_figure9_crossover_shape(self, run):
         result = run("figure9")
@@ -110,7 +132,8 @@ class TestFigure8And9:
 
 class TestFigure10And11:
     def test_mve_not_slower_than_rvv(self, run):
-        assert run("figure10").mean_speedup_over_rvv >= 1.0
+        # Paper: 2.0x mean speedup over RVV on the same engine.
+        assert run("figure10").mean_speedup_over_rvv > 1.2
 
     def test_multidim_kernels_benefit_more(self, run):
         by_name = {row.kernel: row for row in run("figure10").kernels}
@@ -122,12 +145,17 @@ class TestFigure10And11:
         assert result.mean_vector_reduction == fig10.mean_vector_instruction_reduction
         for mix in result.kernels:
             assert sum(mix.rvv_counts.values()) >= sum(mix.mve_counts.values()) * 0.5
+        # Paper: MVE needs 2.3x fewer vector and 2.0x fewer scalar instructions.
+        assert result.mean_vector_reduction > 1.0
+        assert result.mean_scalar_reduction > 1.0
 
 
 class TestFigure12And13:
-    def test_duality_cache_slower(self, run):
-        by_name = {row.kernel: row for row in run("figure12a").rows}
-        assert by_name["fir_s"].dc_over_mve_time > 1.0
+    @pytest.mark.parametrize("kernel", FIGURE12_KERNELS)
+    def test_duality_cache_slower(self, run, kernel):
+        # Paper: the Duality Cache SIMT model takes ~1.5x MVE's time.
+        (row,) = [row for row in run("figure12a").rows if row.kernel == kernel]
+        assert row.dc_over_mve_time > 1.0
 
     def test_duality_cache_compiles_for_the_runner_register_file(self):
         """The SIMT input is register-allocated for the runner's register
@@ -147,24 +175,33 @@ class TestFigure12And13:
         assert row.dc_over_mve_time == dc.total_cycles / mve.result.total_cycles
         assert row.dc_breakdown == dc.breakdown_fractions()
 
-    def test_scalability_improves_with_arrays(self, run):
-        points = {
-            point.num_arrays: point
+    @pytest.mark.parametrize("kernel", FIGURE12B_KERNELS)
+    def test_scalability_improves_with_arrays(self, run, kernel):
+        times = {
+            point.num_arrays: point.normalized_time
             for point in run("figure12b").points
-            if point.kernel == "fir_l"
+            if point.kernel == kernel
         }
-        assert points[8].normalized_time == 1.0
-        assert points[32].normalized_time < 1.0
+        assert times[8] == 1.0
+        assert times[32] < 1.0, times
+        # Paper: 64 arrays run every kernel 3.0-6.7x faster than 8.
+        assert times[64] < times[8], times
 
     def test_precision_sweep_lower_is_faster(self, run):
         by_name = {p.precision: p for p in run("figure12c").points}
         assert by_name["INT16"].normalized_time < by_name["FLOAT32"].normalized_time
         assert by_name["INT16"].speedup_over_neon > by_name["FLOAT32"].speedup_over_neon
+        assert by_name["INT16"].speedup_over_neon > by_name["INT32"].speedup_over_neon
+        assert by_name["FLOAT16"].normalized_time < by_name["FLOAT32"].normalized_time
 
-    def test_figure13_all_schemes_benefit(self, run):
-        result = run("figure13")
-        bs = result.speedup_for("bit-serial")
-        ac = result.speedup_for("associative")
-        assert bs >= 1.0
-        # associative computing benefits least from the multi-dimensional ISA
-        assert bs >= ac
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_figure13_all_schemes_benefit(self, run, scheme):
+        # Paper: MVE speeds up bit-serial 3.8x, bit-hybrid 2.8x,
+        # bit-parallel 1.8x and associative computing 1.2x over RVV.
+        assert run("figure13").speedup_for(scheme) >= 1.0
+
+    def test_figure13_associative_benefits_least(self, run):
+        # Paper: associative computing benefits least from the
+        # multi-dimensional ISA, its arithmetic latency dominating.
+        speedups = {row.scheme: row.speedup for row in run("figure13").schemes}
+        assert speedups["associative"] == min(speedups.values()), speedups
