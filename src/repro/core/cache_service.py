@@ -8,6 +8,7 @@ hex cache key, stdlib only:
 ``GET  /v1/entry/K``        200 + the record, or 404 on a miss (absent,
                             corrupt or of another cache schema)
 ``HEAD /v1/entry/K``        200 / 404 without a body, same rule
+``HEAD`` on any other path  GET's status and headers, without the body
 ``GET  /v1/stats``          entry count and request counters, as JSON
 ``GET  /v1/experiments``    registered experiments with per-store-key
                             availability (``?scale=`` selects the options)
@@ -285,8 +286,9 @@ class CacheRequestHandler(BaseHTTPRequestHandler):
     def do_HEAD(self) -> None:
         key = self._entry_key()
         if key is None:
-            self.server.count("bad_requests")
-            self._send_empty(400)
+            # Every other route answers as GET does (status, ETag,
+            # Content-Length); ``_send_body`` leaves the body out.
+            self.do_GET()
             return
         self.server.count("heads")
         self._send_empty(404 if self.backend.load_checked(key) is None else 200)

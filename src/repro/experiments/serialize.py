@@ -15,6 +15,7 @@ and exportable from the CLI.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -91,14 +92,23 @@ def _from_hint(hint: Any, value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> tuple:
+    """``(name, hint)`` per dataclass field of ``cls``, resolved once per class.
+
+    Under ``from __future__ import annotations`` every hint is a string that
+    :func:`get_type_hints` compiles and evaluates, which costs far more than
+    rebuilding the instance it describes.
+    """
+    hints = get_type_hints(cls)
+    return tuple((field.name, hints.get(field.name, Any)) for field in dataclasses.fields(cls))
+
+
 def dataclass_from_dict(cls: type, data: dict) -> Any:
     """Instantiate ``cls`` from :func:`dataclass_to_dict` output (inverse)."""
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        if field.name in data:
-            kwargs[field.name] = _from_hint(hints.get(field.name, Any), data[field.name])
-    return cls(**kwargs)
+    return cls(**{
+        name: _from_hint(hint, data[name]) for name, hint in _field_hints(cls) if name in data
+    })
 
 
 class SerializableResult:

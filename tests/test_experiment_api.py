@@ -20,6 +20,7 @@ from repro.experiments import (
     get_experiment,
     run_experiment,
     run_tables,
+    serialize,
 )
 from repro.experiments.figure7 import Figure7Result, LibraryComparison
 from repro.experiments.figure8 import Figure8Result, GpuComparison
@@ -231,6 +232,31 @@ class TestResultSerialization:
         assert restored == result
         # Nested dataclasses are rebuilt as their classes, not dicts.
         assert restored.to_dict() == result.to_dict()
+
+    def test_type_hints_resolve_once_per_class(self, monkeypatch):
+        """``from_dict`` resolves each class's (string) annotations once in
+        total, not once per nested instance or per call."""
+        synthetic = next(r for r in SYNTHETIC_RESULTS if isinstance(r, Figure12Result))
+        result = Figure12Result(
+            duality_cache=synthetic.duality_cache * 2,
+            scalability=synthetic.scalability * 2,
+            precision=synthetic.precision * 2,
+            mean_dc_slowdown=synthetic.mean_dc_slowdown,
+        )
+        resolved = []
+        get_type_hints = serialize.get_type_hints
+
+        def counting_get_type_hints(cls):
+            resolved.append(cls.__name__)
+            return get_type_hints(cls)
+
+        monkeypatch.setattr(serialize, "get_type_hints", counting_get_type_hints)
+        serialize._field_hints.cache_clear()
+        for _ in range(2):
+            assert roundtrip(result) == result
+        assert sorted(resolved) == [
+            "DualityCacheComparison", "Figure12Result", "PrecisionPoint", "ScalabilityPoint",
+        ]
 
     def test_tuple_fields_survive_roundtrip(self):
         point = SweepPoint(kernel="gemm", shape=(128, 64, 64), flops=1.0,

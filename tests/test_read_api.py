@@ -60,9 +60,9 @@ def read_server(warm_store_dir):
     srv.server_close()
 
 
-def fetch(url, headers=None):
-    """(status, headers, body) for a GET, without raising on 3xx/4xx."""
-    request = urllib.request.Request(url, headers=headers or {})
+def fetch(url, headers=None, method="GET"):
+    """(status, headers, body) of one request, without raising on 3xx/4xx."""
+    request = urllib.request.Request(url, headers=headers or {}, method=method)
     try:
         with urllib.request.urlopen(request) as response:
             return response.status, dict(response.headers), response.read()
@@ -196,6 +196,22 @@ class TestConditionalRequests:
         assert loads == []  # the 304 never touched the record
         after = read_server.stats()["experiment_not_modified"]
         assert after == revalidated_before + 1
+
+    def test_head_mirrors_get_without_the_body(self, read_server):
+        url = f"{read_server.url}/v1/experiments/tables?scale={SCALE}"
+        _, get_headers, get_body = fetch(url)
+        status, headers, body = fetch(url, method="HEAD")
+        assert status == 200
+        assert body == b""
+        assert headers["ETag"] == get_headers["ETag"]
+        assert headers["Content-Length"] == str(len(get_body))
+        status, _, body = fetch(
+            url, headers={"If-None-Match": headers["ETag"]}, method="HEAD"
+        )
+        assert status == 304 and body == b""
+        for path in ("/v1/experiments", "/v1/stats"):
+            status, _, body = fetch(read_server.url + path, method="HEAD")
+            assert (status, body) == (200, b""), path
 
     def test_csv_and_json_etags_never_validate_each_other(self, read_server):
         url = f"{read_server.url}/v1/experiments/tables?scale={SCALE}"
