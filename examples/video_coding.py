@@ -12,8 +12,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import simulate_trace
-from repro.sram import SCHEME_NAMES, get_scheme
+from repro.core import default_config, simulate_trace
+from repro.sram import SCHEME_NAMES
 from repro.workloads import create_kernel
 
 KERNELS = ("dct", "idct", "satd", "intra")
@@ -39,7 +39,8 @@ def main() -> None:
 
     print("\nForward DCT across in-SRAM computing schemes:")
     for scheme_name in SCHEME_NAMES:
-        result, _ = simulate_trace(traces["dct"], scheme=get_scheme(scheme_name))
+        config = default_config().with_scheme(scheme_name)
+        result, _ = simulate_trace(traces["dct"], config=config)
         print(f"  {scheme_name:13s}: {result.total_cycles:10.0f} cycles "
               f"(compute {result.compute_cycles:10.0f})")
 

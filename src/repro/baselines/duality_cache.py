@@ -36,7 +36,6 @@ from ..isa.instructions import (
     ScalarBlock,
     TraceEntry,
 )
-from ..sram.schemes import get_scheme
 
 __all__ = ["to_simt_trace", "DualityCacheModel"]
 
@@ -147,9 +146,5 @@ class DualityCacheModel:
         self.config = config or default_config()
 
     def run(self, compiled_trace: Sequence[TraceEntry]) -> SimulationResult:
-        (result,) = replay_trace(
-            to_simt_trace(compiled_trace),
-            [(self.config, get_scheme(self.config.scheme_name))],
-            warm_cache=False,
-        )
+        (result,) = replay_trace(to_simt_trace(compiled_trace), [self.config], warm_cache=False)
         return result

@@ -1,8 +1,8 @@
 """Content-addressed result store for simulation outcomes.
 
 Simulating one kernel trace is deterministic: the result is a pure function
-of the kernel (name, scale, constructor kwargs), the lowering (MVE or RVV),
-the compute scheme and the full :class:`~repro.core.config.MachineConfig`.
+of the kernel (name, scale, constructor kwargs), the lowering (MVE or RVV)
+and the full :class:`~repro.core.config.MachineConfig`, scheme included.
 The store exploits that by hashing all of those inputs -- plus a fingerprint
 of the simulator source tree, so any code change invalidates every entry --
 into a cache key, and keeping one small JSON record per key.

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from ..memory.cache import HierarchyConfig
 from ..sram.array import EngineGeometry
+from ..sram.schemes import get_scheme
 from ..sram.tmu import TMUConfig
 
 __all__ = ["MachineConfig", "default_config"]
@@ -38,6 +39,9 @@ class MachineConfig:
     # In-cache vector engine
     engine: EngineGeometry = field(default_factory=EngineGeometry)
     tmu: TMUConfig = field(default_factory=TMUConfig)
+    #: the in-SRAM compute scheme; aliases canonicalize (``bs`` and
+    #: ``BIT_SERIAL`` are ``bit-serial``) and an unknown name raises
+    #: ``ValueError``
     scheme_name: str = "bit-serial"
     #: core cycles per SRAM compute cycle (Blade-style mobile compute caches
     #: run at the core clock; raise this to model a slower SRAM domain)
@@ -51,6 +55,9 @@ class MachineConfig:
     #: core-side cycles to decode, commit and send one MVE instruction to the
     #: L2-side controller (ROB-head issue over the core/L2 interface)
     vector_issue_cycles: float = 10.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "scheme_name", get_scheme(self.scheme_name).name)
 
     @property
     def simd_lanes(self) -> int:

@@ -41,13 +41,16 @@ recurrence) follows a per-config walk of the trace, so results are
 **bit-identical** to the per-config reference simulator that the parity
 suites keep in ``tests/oracle.py``.
 
-Axes that batch together: compute scheme, SRAM-cycle/float-latency knobs,
-cache geometry, ``l2_compute_ways``, DRAM structure and timing, TMU and
-queue/dispatch parameters.  Axes that split the batch: anything changing the
-captured trace (kernel, scale, SIMD lanes) -- those are different
-:class:`~repro.core.traces.TraceSpec` groups already -- and the register-file
-geometry (array count/rows/cols), which changes the compiled kernel and its
-spill traffic (see :func:`replay_group_key`).
+Every axis is a :class:`~repro.core.config.MachineConfig` field -- the
+compute scheme is ``config.scheme_name`` -- so the entry points take
+configs and nothing beside them.  Axes that batch together: compute scheme,
+SRAM-cycle/float-latency knobs, cache geometry, ``l2_compute_ways``, DRAM
+structure and timing, TMU and queue/dispatch parameters.  Axes that split
+the batch: anything changing the captured trace (kernel, scale, SIMD
+lanes) -- those are different :class:`~repro.core.traces.TraceSpec` groups
+already -- and the register-file geometry (array count/rows/cols), which
+changes the compiled kernel and its spill traffic (see
+:func:`replay_group_key`).
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from ..isa.instructions import (
 from ..isa.registers import PhysicalRegisterFile
 from ..memory.cache import make_hierarchy
 from ..memory.dram import DRAMConfig, DRAMModel
-from ..sram.schemes import ComputeScheme, get_scheme
+from ..sram.schemes import get_scheme
 from ..sram.tmu import TransposeMemoryUnit
 from .address_gen import line_footprints
 from .config import MachineConfig
@@ -305,14 +308,12 @@ class _ComputePass(NamedTuple):
 
 
 def _run_compute_pass(
-    static: _StaticTrace,
-    scheme: ComputeScheme,
-    config: MachineConfig,
-    coefficients: EnergyCoefficients,
+    static: _StaticTrace, config: MachineConfig, coefficients: EnergyCoefficients
 ) -> _ComputePass:
     """Evaluate every placement-, scheme- and TMU-dependent quantity once per
     distinct instruction pattern for all configs sharing this compute key,
     then gather the per-entry lists in trace order."""
+    scheme = get_scheme(config.scheme_name)
     controller = MVEControllerModel(config.engine, scheme)
     tmu = TransposeMemoryUnit(config.tmu)
     multiplier = config.sram_cycle_multiplier
@@ -471,11 +472,9 @@ def _scalar_block_cycles(static: _StaticTrace, scalar_ipc: float) -> list[float]
 # --------------------------------------------------------------------- #
 
 
-def _compute_key(config: MachineConfig, scheme: ComputeScheme) -> tuple:
+def _compute_key(config: MachineConfig) -> tuple:
     return (
-        type(scheme),
-        scheme.name,
-        getattr(scheme, "segment_bits", None),
+        config.scheme_name,
         config.engine,
         config.tmu,
         config.sram_cycle_multiplier,
@@ -497,12 +496,12 @@ def _memory_key(config: MachineConfig) -> tuple:
 
 def replay_trace(
     trace: Sequence[TraceEntry],
-    members: Sequence[tuple[MachineConfig, ComputeScheme]],
+    configs: Sequence[MachineConfig],
     warm_cache: bool = True,
 ) -> list[SimulationResult]:
     """Time ``trace`` exactly as given -- no compile step -- under every
-    (config, scheme) member, sharing the memory and compute passes across
-    the axis.  Results come back in member order.
+    config, sharing the memory and compute passes across the axis.  Results
+    come back in config order.
 
     ``warm_cache=True`` reports a second, steady-state run after one that
     fills the hierarchy; ``False`` reports the cold run.
@@ -513,7 +512,7 @@ def replay_trace(
     # Memory passes: one hierarchy replay per cache/DRAM-structure key, with
     # DRAM-timing variants priced inside the same pass.
     memory_groups: dict[tuple, dict] = {}
-    for config, _ in members:
+    for config in configs:
         group = memory_groups.setdefault(
             _memory_key(config), {"hierarchy": config.hierarchy, "variants": []}
         )
@@ -530,17 +529,17 @@ def replay_trace(
 
     # Compute passes: one per (scheme, engine geometry, knobs) key.
     compute_passes: dict[tuple, _ComputePass] = {}
-    for config, scheme in members:
-        key = _compute_key(config, scheme)
+    for config in configs:
+        key = _compute_key(config)
         if key not in compute_passes:
-            compute_passes[key] = _run_compute_pass(static, scheme, config, coefficients)
+            compute_passes[key] = _run_compute_pass(static, config, coefficients)
 
     pair_cache: dict[tuple, _PairDurations] = {}
     scalar_cache: dict[float, list[float]] = {}
     results: list[SimulationResult] = []
-    for config, scheme in members:
+    for config in configs:
         memory_key = _memory_key(config)
-        compute_key = _compute_key(config, scheme)
+        compute_key = _compute_key(config)
         memory = memory_passes[memory_key]
         compute = compute_passes[compute_key]
         pair_key = (memory_key, config.hierarchy.dram, compute_key)
@@ -592,10 +591,9 @@ def replay_trace(
 def simulate_trace_batch(
     trace: Sequence[TraceEntry],
     configs: Sequence[MachineConfig],
-    schemes: Optional[Sequence[Optional[ComputeScheme]]] = None,
-    warm_cache: bool = True,
 ) -> list[tuple[SimulationResult, CompiledKernel]]:
-    """Replay one captured trace under every configuration in ``configs``.
+    """Replay one captured trace, warm, under every configuration in
+    ``configs``.
 
     Returns ``(result, compiled)`` pairs in input order.  Configs sharing
     register-file geometry share the compiled kernel (via
@@ -603,19 +601,7 @@ def simulate_trace_batch(
     hierarchy key, compute pass per scheme/geometry key, cheap per-config
     timeline); geometry changes split the batch, exactly as
     :func:`replay_group_key` describes.
-
-    ``schemes`` optionally pins a scheme object per config (defaulting to
-    ``get_scheme(config.scheme_name)``).
     """
-    if schemes is None:
-        schemes = [None] * len(configs)
-    if len(schemes) != len(configs):
-        raise ValueError("schemes must match configs one-to-one")
-    members = [
-        (config, scheme if scheme is not None else get_scheme(config.scheme_name))
-        for config, scheme in zip(configs, schemes)
-    ]
-
     by_geometry: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         by_geometry.setdefault(replay_group_key(config), []).append(index)
@@ -625,9 +611,7 @@ def simulate_trace_batch(
         compiled = compile_trace_cached(
             trace, register_file=register_file_for(configs[indices[0]])
         )
-        results = replay_trace(
-            compiled.trace, [members[index] for index in indices], warm_cache
-        )
+        results = replay_trace(compiled.trace, [configs[index] for index in indices])
         for index, result in zip(indices, results):
             replays[index] = (result, compiled)
     return replays

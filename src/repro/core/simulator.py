@@ -9,7 +9,8 @@ simulator.  It consumes a compiled MVE instruction trace and models:
   write-buffer disambiguation of MVE stores are not modeled,
 * the MVE controller instruction queue decoupling the core from the engine,
 * control blocks executing in-SRAM micro-ops with latencies from the
-  configured compute scheme (bit-serial by default),
+  compute scheme the config names (``config.scheme_name``, bit-serial by
+  default),
 * vector memory accesses flowing through the L2/LLC/DRAM hierarchy with
   MSHR-limited parallelism, and through the Transpose Memory Unit, and
 * the resulting energy, following the classification of Figure 7.
@@ -23,9 +24,11 @@ This module is the compile-and-time entry to the config-batched replay of
 :func:`simulate_trace_batch`) compiles a captured trace through the
 geometry-keyed compile memo and reports a warm replay; :func:`replay_trace`
 times a trace exactly as given, with no compile step (an already-compiled
-trace, or a transformed one such as Duality Cache's SIMT form).  A single
-configuration is a batch of one.  :func:`compile_trace` is the un-memoized
-compile step, re-exported beside them.
+trace, or a transformed one such as Duality Cache's SIMT form), warm or
+cold.  All three take machine configurations only: a config carries every
+timing parameter, its compute scheme included.  A single configuration is
+a batch of one.  :func:`compile_trace` is the un-memoized compile step,
+re-exported beside them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Optional, Sequence
 
 from ..compiler.pipeline import CompiledKernel, compile_trace
 from ..isa.instructions import TraceEntry
-from ..sram.schemes import ComputeScheme
 from .config import MachineConfig, default_config
 from .replay import replay_trace, simulate_trace_batch
 from .results import SimulationResult
@@ -43,10 +45,7 @@ __all__ = ["compile_trace", "replay_trace", "simulate_trace", "simulate_trace_ba
 
 
 def simulate_trace(
-    trace: Sequence[TraceEntry],
-    config: Optional[MachineConfig] = None,
-    scheme: Optional[ComputeScheme] = None,
-    warm_cache: bool = True,
+    trace: Sequence[TraceEntry], config: Optional[MachineConfig] = None
 ) -> tuple[SimulationResult, CompiledKernel]:
     """Compile a captured trace (scheduler + register allocation) and time
     it under one configuration.
@@ -54,11 +53,10 @@ def simulate_trace(
     The compile step goes through the geometry-keyed compile memo, so a
     trace replayed under configurations that keep the register-file
     geometry reuses the scheduled, register-allocated kernel and only
-    re-runs the timing model.  ``warm_cache=True`` reports a second,
-    steady-state run after one that fills the cache hierarchy -- the
-    equivalent of the paper's repeated kernel invocations on the phone,
-    where inputs already live in the caches.
+    re-runs the timing model.  The result is a second, steady-state run
+    after one that fills the cache hierarchy -- the equivalent of the
+    paper's repeated kernel invocations on the phone, where inputs already
+    live in the caches.
     """
-    config = config or default_config()
-    ((result, compiled),) = simulate_trace_batch(trace, [config], [scheme], warm_cache)
+    ((result, compiled),) = simulate_trace_batch(trace, [config or default_config()])
     return result, compiled

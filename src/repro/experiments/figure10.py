@@ -90,13 +90,11 @@ class Figure10Result(SerializableResult):
 
 def figure10_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE+RVV job set :func:`assemble_figure10` reads (fixed shapes)."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure10",
         kernels=[(name, kernel_run_parameters(name)) for name, _ in FIGURE10_KERNELS],
         kinds=("mve", "rvv"),
-        schemes=(config.scheme_name,),
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 

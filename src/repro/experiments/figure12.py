@@ -117,25 +117,21 @@ class Figure12cResult(SerializableResult):
 
 def figure12a_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE job set :func:`assemble_figure12a` reads (fixed shapes)."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure12a",
         kernels=[(name, _KERNEL_PARAMS[name]) for name in FIGURE12_KERNELS],
-        schemes=(config.scheme_name,),
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 
 def figure12b_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE job set :func:`assemble_figure12b` reads: each kernel at
     every engine size."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure12b",
         kernels=[(name, _KERNEL_PARAMS[name]) for name in FIGURE12B_KERNELS],
-        schemes=(config.scheme_name,),
         array_counts=FIGURE12B_ARRAY_COUNTS,
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 

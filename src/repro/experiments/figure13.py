@@ -68,10 +68,11 @@ def assemble_figure13(runner: ExperimentRunner, options: ExperimentOptions) -> F
         ratios = []
         mve_fracs = {"idle": [], "compute": [], "data_access": []}
         rvv_fracs = {"idle": [], "compute": [], "data_access": []}
+        config = runner.config.with_scheme(scheme)
         for name in FIGURE13_KERNELS:
             params = kernel_run_parameters(name)
-            mve = runner.run_mve(name, scheme_name=scheme, **params)
-            rvv = runner.run_rvv(name, scheme_name=scheme, **params)
+            mve = runner.run_mve(name, config=config, **params)
+            rvv = runner.run_rvv(name, config=config, **params)
             ratios.append(mve.result.total_cycles / rvv.result.total_cycles)
             for key in mve_fracs:
                 mve_fracs[key].append(mve.result.breakdown_fractions()[key])

@@ -18,7 +18,6 @@ __all__ = ["LibraryComparison", "Figure7Result", "assemble_figure7", "figure7_sw
 def figure7_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE job set :func:`assemble_figure7` reads: every suite kernel
     at ``options.scale``."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure7",
         kernels=[
@@ -26,8 +25,7 @@ def figure7_sweep_spec(options: ExperimentOptions) -> SweepSpec:
             for library in library_names()
             for name in kernels_in_library(library)
         ],
-        schemes=(config.scheme_name,),
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 

@@ -40,15 +40,13 @@ _KERNEL_SCALES = {"satd": 0.25, "dct": 0.25, "idct": 0.25}
 
 def figure8_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE job set :func:`assemble_figure8` reads."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure8",
         kernels=[
             (name, {"scale": _KERNEL_SCALES.get(name, options.scale)})
             for name in FIGURE8_KERNELS
         ],
-        schemes=(config.scheme_name,),
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 

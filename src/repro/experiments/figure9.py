@@ -83,7 +83,6 @@ class Figure9Result(SerializableResult):
 
 def figure9_sweep_spec(options: ExperimentOptions) -> SweepSpec:
     """The MVE job set :func:`assemble_figure9` reads (fixed paper shapes)."""
-    config = options.resolved_config()
     return SweepSpec(
         name="figure9",
         kernels=[
@@ -93,8 +92,7 @@ def figure9_sweep_spec(options: ExperimentOptions) -> SweepSpec:
             ("spmm", {"scale": 1.0, "n": n, "k": k, "m": m, "nnz": nnz})
             for n, k, m, nnz in SPMM_SWEEP
         ],
-        schemes=(config.scheme_name,),
-        base_config=config,
+        base_config=options.resolved_config(),
     )
 
 

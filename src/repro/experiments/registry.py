@@ -301,7 +301,7 @@ def run_experiment(
         )
     if options.config is None:
         options = replace(options, config=runner.config)
-    elif config_digest(options.config) != config_digest(runner.config):
+    elif options.config != runner.config:
         # The spec/assemble contract keys every job on the runner's config;
         # honour an explicit override by rebinding the runner (sharing its
         # engine, so memo and store stay warm).

@@ -1,9 +1,9 @@
 """The query layer experiment assemblers read through.
 
 ``run_mve``/``run_rvv`` resolve a :class:`KernelJob` keyed by the *full*
-machine configuration, the scheme, the kernel and its parameters on the
-:class:`ParallelSweepEngine`, which answers from its memo or persistent
-store before it simulates, and return the engine's
+machine configuration (compute scheme included), the kernel and its
+parameters on the :class:`ParallelSweepEngine`, which answers from its
+memo or persistent store before it simulates, and return the engine's
 :class:`~repro.experiments.sweep.JobOutcome` (result, spills, source).
 ``run_neon``/``run_gpu`` evaluate the analytic baseline models on a kernel's
 work profile: they are cheap, so they are computed on every call and never
@@ -43,20 +43,15 @@ class ExperimentRunner:
         kind: str = "mve",
         scale: Optional[float] = None,
         config: Optional[MachineConfig] = None,
-        scheme_name: Optional[str] = None,
         **kernel_kwargs,
     ) -> KernelJob:
         """The fully-resolved simulation job for one runner request."""
-        scale = scale if scale is not None else self.default_scale
-        config = config or self.config
-        scheme_name = scheme_name or config.scheme_name
         return KernelJob(
             kernel=name,
             kind=kind,
-            scale=scale,
+            scale=scale if scale is not None else self.default_scale,
             kwargs=kernel_kwargs,
-            scheme_name=scheme_name,
-            config=config,
+            config=config or self.config,
         )
 
     def captured_trace(self, job: KernelJob):
@@ -75,12 +70,11 @@ class ExperimentRunner:
         name: str,
         scale: Optional[float] = None,
         config: Optional[MachineConfig] = None,
-        scheme_name: Optional[str] = None,
         **kernel_kwargs,
     ) -> JobOutcome:
         """Simulate the MVE implementation of a kernel."""
         return self.engine.run_one(
-            self.job(name, "mve", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
+            self.job(name, "mve", scale=scale, config=config, **kernel_kwargs)
         )
 
     def run_rvv(
@@ -88,12 +82,11 @@ class ExperimentRunner:
         name: str,
         scale: Optional[float] = None,
         config: Optional[MachineConfig] = None,
-        scheme_name: Optional[str] = None,
         **kernel_kwargs,
     ) -> JobOutcome:
         """Simulate the 1D (RVV) lowering of a kernel on the same engine."""
         return self.engine.run_one(
-            self.job(name, "rvv", scale=scale, config=config, scheme_name=scheme_name, **kernel_kwargs)
+            self.job(name, "rvv", scale=scale, config=config, **kernel_kwargs)
         )
 
     def profile(

@@ -1,9 +1,10 @@
 """Declarative kernel sweeps with staged execution and persistent caching.
 
 This is the execution engine underneath every experiment module: a sweep is
-the Cartesian product of kernels x lowerings x schemes x machine configs,
-each point an independent, deterministic simulation job.  Execution is
-staged, mirroring the paper's capture-once/replay-many methodology:
+the Cartesian product of kernels x lowerings x machine configs (whose axes
+include the compute scheme and the array count), each point an independent,
+deterministic simulation job.  Execution is staged, mirroring the paper's
+capture-once/replay-many methodology:
 
 * **Capture** -- jobs are grouped by :class:`~repro.core.traces.TraceSpec`
   (kernel, lowering, scale, kwargs, SIMD lanes); each distinct trace is
@@ -57,7 +58,6 @@ from ..core.simulator import simulate_trace
 from ..core.traces import TraceSpec, TraceStore
 from ..isa.instructions import TraceEntry
 from ..isa.trace_io import decode_trace
-from ..sram.schemes import get_scheme
 from .adapters import LocalPoolAdapter
 
 __all__ = [
@@ -105,29 +105,26 @@ class KernelJob:
     CLI) shares one check and equal requests share one cache key: the
     capture fields go through :class:`~repro.core.traces.TraceSpec`
     (kernel, kind and lowering, a float ``scale`` above zero, ``kwargs``
-    sorted by name), and ``scheme_name`` becomes the scheme's canonical
-    name (``bs`` and ``BIT_SERIAL`` both become ``bit-serial``).  A bad
-    request raises ``ValueError``.
+    sorted by name), and the config names its own canonical compute scheme
+    (:class:`~repro.core.config.MachineConfig` checks it).  A bad request
+    raises ``ValueError``.
     """
 
     kernel: str
     kind: str = "mve"  # "mve" or "rvv"
     scale: float = 0.5
     kwargs: tuple[tuple[str, Any], ...] = ()
-    scheme_name: str = "bit-serial"
     config: MachineConfig = field(default_factory=default_config)
 
     def __post_init__(self):
         spec = self.trace_spec()
         object.__setattr__(self, "scale", spec.scale)
         object.__setattr__(self, "kwargs", spec.kwargs)
-        scheme = get_scheme(self.scheme_name).name
-        object.__setattr__(self, "scheme_name", scheme)
-        # Normalize so scheme_name and config.scheme_name never disagree:
-        # the simulation only reads scheme_name, and without this two jobs
-        # describing the same simulation would hash to different cache keys.
-        if self.config.scheme_name != scheme:
-            object.__setattr__(self, "config", self.config.with_scheme(scheme))
+
+    @property
+    def scheme_name(self) -> str:
+        """The compute scheme this job simulates: its config's."""
+        return self.config.scheme_name
 
     def cache_key(self) -> str:
         """Content hash identifying this job's result in the persistent store."""
@@ -138,7 +135,6 @@ class KernelJob:
                 "kind": self.kind,
                 "scale": self.scale,
                 "kwargs": list(self.kwargs),
-                "scheme": self.scheme_name,
                 "config": config_digest(self.config),
             }
         )
@@ -176,9 +172,7 @@ class JobOutcome:
 
 def simulate_traced_job(job: KernelJob, trace: Sequence[TraceEntry]) -> JobOutcome:
     """Replay an already-captured trace under one job's configuration."""
-    result, compiled = simulate_trace(
-        trace, config=job.config, scheme=get_scheme(job.scheme_name)
-    )
+    result, compiled = simulate_trace(trace, config=job.config)
     return JobOutcome(result=result, spills=compiled.spill_count)
 
 
@@ -205,11 +199,7 @@ def simulate_traced_group(
     Jobs replay through :func:`simulate_trace_batch`, which groups them by
     compiled-kernel geometry internally -- a K-config axis costs ~1
     decomposed replay instead of K."""
-    replays = simulate_trace_batch(
-        trace,
-        [job.config for job in jobs],
-        schemes=[get_scheme(job.scheme_name) for job in jobs],
-    )
+    replays = simulate_trace_batch(trace, [job.config for job in jobs])
     return [
         JobOutcome(result=result, spills=compiled.spill_count)
         for result, compiled in replays
@@ -486,49 +476,50 @@ class ParallelSweepEngine:
 
 @dataclass
 class SweepSpec:
-    """The Cartesian product of kernels x kinds x schemes x configurations.
+    """The Cartesian product of kernels x kinds x configurations.
 
     ``kernels`` maps a kernel name to its run parameters: ``scale`` is the
     job's dataset scale (:class:`KernelJob`'s default when absent), and
-    everything else is forwarded to the kernel constructor.  Adding a new
-    sweep axis means adding a field here and expanding it in :meth:`jobs`
-    -- the engine and cache key handle any ``MachineConfig`` change
-    automatically.
+    everything else is forwarded to the kernel constructor.  The configs
+    are ``base_config`` expanded over the engine-size and scheme axes.
+    Adding a new sweep axis means adding a field here and expanding it in
+    :meth:`configs` -- the engine and cache key handle any
+    ``MachineConfig`` change automatically.
     """
 
     name: str = "sweep"
     kernels: Sequence[tuple[str, Mapping[str, Any]]] = ()
     kinds: Sequence[str] = ("mve",)
-    schemes: Sequence[str] = ("bit-serial",)
+    #: compute-scheme axis; None keeps the base config's scheme
+    schemes: Optional[Sequence[str]] = None
     #: engine-size axis; None keeps the base config's array count
     array_counts: Optional[Sequence[int]] = None
     base_config: MachineConfig = field(default_factory=default_config)
 
     def configs(self) -> list[MachineConfig]:
-        if not self.array_counts:
-            return [self.base_config]
-        return [self.base_config.with_arrays(count) for count in self.array_counts]
+        """Every configuration of the arrays x schemes axes; a bad scheme
+        raises the config's ``ValueError``."""
+        sized = [self.base_config]
+        if self.array_counts:
+            sized = [self.base_config.with_arrays(count) for count in self.array_counts]
+        if not self.schemes:
+            return sized
+        return [config.with_scheme(scheme) for config in sized for scheme in self.schemes]
 
     def jobs(self) -> list[KernelJob]:
         """Every point of the product; a bad axis value raises the
-        ``ValueError`` of the job it would build."""
+        ``ValueError`` of the config or job it would build."""
         expanded: list[KernelJob] = []
         for kernel, params in self.kernels:
             kwargs = dict(params)
             scale = kwargs.pop("scale", KernelJob.scale)
             for config in self.configs():
-                for scheme in self.schemes:
-                    for kind in self.kinds:
-                        expanded.append(
-                            KernelJob(
-                                kernel=kernel,
-                                kind=kind,
-                                scale=scale,
-                                kwargs=kwargs,
-                                scheme_name=scheme,
-                                config=config,
-                            )
+                for kind in self.kinds:
+                    expanded.append(
+                        KernelJob(
+                            kernel=kernel, kind=kind, scale=scale, kwargs=kwargs, config=config
                         )
+                    )
         return expanded
 
 

@@ -9,20 +9,21 @@ the content-addressed :class:`~repro.core.cache.ResultStore` without ever
 serializing a :class:`~repro.core.config.MachineConfig`.
 
 Every point compiles down to the existing sweep machinery: ``job(point)``
-is a :class:`~repro.experiments.sweep.KernelJob`, and jobs canonicalize
-themselves, so exploration jobs hash to the same cache keys an equivalent
-hand-written sweep would, and every downstream stage (trace store, batched
-replay, the worker pool) works unchanged.  The space validates its
-kernel, lowering and scale through :class:`~repro.core.traces.TraceSpec`,
-and scheme-axis values through :func:`~repro.sram.schemes.get_scheme`
-(which also canonicalizes them: ``scheme=bs`` and ``scheme=bit-serial``
-are one search with one state key).
+is a :class:`~repro.experiments.sweep.KernelJob` on the point's config,
+and jobs canonicalize themselves, so exploration jobs hash to the same
+cache keys an equivalent hand-written sweep would, and every downstream
+stage (trace store, batched replay, the worker pool) works unchanged.  The
+space validates its kernel, lowering and scale through
+:class:`~repro.core.traces.TraceSpec`, and scheme-axis values through
+:func:`~repro.sram.schemes.get_scheme` (which also canonicalizes them:
+``scheme=bs`` and ``scheme=bit-serial`` are one search with one state key).
 
 Axes are interpreted by a fixed registry of appliers over the *default*
-configuration; values stay primitive in the stored state (DRAM variants
-are named presets, not serialized timing structs) so a checkpoint can never
-carry an unkeyed machine configuration -- the job cache keys, which embed
-the source fingerprint, remain the only trust anchor.
+configuration, the scheme axis included; values stay primitive in the
+stored state (DRAM variants are named presets, not serialized timing
+structs) so a checkpoint can never carry an unkeyed machine configuration
+-- the job cache keys, which embed the source fingerprint, remain the only
+trust anchor.
 """
 
 from __future__ import annotations
@@ -124,22 +125,26 @@ def _apply_dram(config: MachineConfig, value: Any) -> MachineConfig:
     )
 
 
-#: axis name -> applier over the default config; "scheme" is handled
-#: specially because it flows through KernelJob.scheme_name rather than the
-#: config applier chain
+def _apply_scheme(config: MachineConfig, value: Any) -> MachineConfig:
+    return config.with_scheme(str(value))
+
+
+#: axis name -> applier over the default config, scheme first and the rest
+#: by name
 _APPLIERS: dict[str, Callable[[MachineConfig, Any], MachineConfig]] = {
-    "num_arrays": _apply_num_arrays,
-    "arrays_per_control_block": _apply_arrays_per_cb,
-    "array_rows": _apply_array_rows,
+    "scheme": _apply_scheme,
     "array_cols": _apply_array_cols,
+    "array_rows": _apply_array_rows,
+    "arrays_per_control_block": _apply_arrays_per_cb,
+    "dram": _apply_dram,
     "l2_compute_ways": _apply_l2_compute_ways,
     "l2_size_kb": _apply_l2_size_kb,
     "l2_ways": _apply_l2_ways,
     "llc_size_kb": _apply_llc_size_kb,
-    "dram": _apply_dram,
+    "num_arrays": _apply_num_arrays,
 }
 
-AXIS_NAMES: tuple[str, ...] = ("scheme",) + tuple(sorted(_APPLIERS))
+AXIS_NAMES: tuple[str, ...] = tuple(_APPLIERS)
 
 
 @dataclass(frozen=True)
@@ -234,30 +239,24 @@ class SearchSpace:
 
     # -- compilation to the sweep machinery ------------------------------ #
 
-    def config_for(self, point: int) -> tuple[MachineConfig, str]:
-        """The point's machine configuration and scheme name.
+    def config_for(self, point: int) -> MachineConfig:
+        """The point's machine configuration.
 
         Built by folding the axis appliers over the *default* config -- the
         declarative form never carries a config, so two peers agreeing on
         the space dict and the source fingerprint agree on every job key.
         """
         config = default_config()
-        scheme = config.scheme_name
         for axis, index in zip(self.axes, self.point_indices(point)):
-            value = axis.values[index]
-            if axis.name == "scheme":
-                scheme = str(value)
-            else:
-                config = _APPLIERS[axis.name](config, value)
-        return config, scheme
+            config = _APPLIERS[axis.name](config, axis.values[index])
+        return config
 
     def job(self, point: int) -> KernelJob:
         """The point's simulation job; it keys like the same point of any
         hand-written sweep, because jobs canonicalize themselves."""
-        config, scheme = self.config_for(point)
         return KernelJob(
             kernel=self.kernel, kind=self.kind, scale=self.scale,
-            scheme_name=scheme, config=config,
+            config=self.config_for(point),
         )
 
     def jobs(self, points: list[int]) -> list[KernelJob]:

@@ -18,7 +18,6 @@ from repro.core.simulator import replay_trace
 from repro.intrinsics import MVEMachine
 from repro.isa import DataType, InstructionCategory, ScalarBlock
 from repro.memory import FlatMemory
-from repro.sram import get_scheme
 from repro.workloads import create_kernel, kernel_names
 
 from oracle import CacheHierarchy
@@ -169,8 +168,7 @@ class TestDualityCache:
 
     def test_simt_slower_than_simd(self):
         trace = self._compiled_trace()
-        config = default_config()
-        (mve,) = replay_trace(trace, [(config, get_scheme(config.scheme_name))])
+        (mve,) = replay_trace(trace, [default_config()])
         dc = DualityCacheModel().run(trace)
         assert dc.total_cycles > mve.total_cycles
 

@@ -7,8 +7,9 @@ simulator of ``tests/oracle.py``, bit-for-bit:
 * ``simulate_trace_batch`` reproduces the oracle exactly -- the full
   ``SimulationResult`` dict including cache/DRAM statistics, plus compile
   spill counts -- across the compute-scheme axis, the cache geometry axis,
-  the DRAM timing axis, mixed axes that force a compiled-kernel split
-  inside one batch, cold (``warm_cache=False``) replays and uncompiled
+  the DRAM timing axis and mixed axes that force a compiled-kernel split
+  inside one batch, and ``replay_trace`` does the same for cold
+  (``warm_cache=False``) replays of compiled traces and for uncompiled
   Duality Cache traces,
 * the sweep engine's replays match the oracle over the deduped job sets of
   every registered experiment, and
@@ -46,7 +47,7 @@ from repro.experiments.sweep import (
 from repro.isa import ArithmeticInstruction, MemoryInstruction, MoveInstruction
 from repro.memory import CacheConfig, DRAMConfig, HierarchyConfig, VectorCache, vector_cache
 from repro.sram.array import EngineGeometry, SramArrayGeometry
-from repro.sram.schemes import SCHEME_NAMES, get_scheme
+from repro.sram.schemes import SCHEME_NAMES
 from repro.workloads import create_kernel
 
 import oracle
@@ -69,13 +70,11 @@ def shrunk_rows_config():
     return dataclasses.replace(default_config(), engine=engine)
 
 
-def assert_batch_parity(trace, configs, warm_cache=True):
-    batched = simulate_trace_batch(trace, configs, warm_cache=warm_cache)
+def assert_batch_parity(trace, configs):
+    batched = simulate_trace_batch(trace, configs)
     assert len(batched) == len(configs)
     for config, (result, compiled) in zip(configs, batched):
-        expected, expected_compiled = oracle.simulate_trace(
-            trace, config=config, warm_cache=warm_cache
-        )
+        expected, expected_compiled = oracle.simulate_trace(trace, config=config)
         assert result.to_dict() == expected.to_dict()
         assert compiled.spill_count == expected_compiled.spill_count
 
@@ -129,9 +128,18 @@ class TestSimulateTraceBatchParity:
         assert_batch_parity(csum_trace, [default_config()])
 
     def test_cold_cache(self, gemm_trace):
+        """Cold replays time a compiled trace through ``replay_trace``, one
+        batch per compiled kernel."""
         base = default_config()
-        configs = [base, base.with_scheme("bit-parallel"), shrunk_rows_config()]
-        assert_batch_parity(gemm_trace, configs, warm_cache=False)
+        for configs in ([base, base.with_scheme("bit-parallel")], [shrunk_rows_config()]):
+            cold = [
+                oracle.simulate_trace(gemm_trace, config=config, warm_cache=False)
+                for config in configs
+            ]
+            results = replay_trace(cold[0][1].trace, configs, warm_cache=False)
+            assert [result.to_dict() for result in results] == [
+                expected.to_dict() for expected, _ in cold
+            ]
 
     def test_uncompiled_duality_cache_trace(self, gemm_trace):
         """Duality Cache times its SIMT transform of a compiled trace as
@@ -140,9 +148,7 @@ class TestSimulateTraceBatchParity:
         compiled = simulate_trace(gemm_trace, config=config)[1].trace
         simt = to_simt_trace(compiled)
         expected = oracle.MVESimulator(config=config).run(simt)
-        (result,) = replay_trace(
-            simt, [(config, get_scheme(config.scheme_name))], warm_cache=False
-        )
+        (result,) = replay_trace(simt, [config], warm_cache=False)
         assert result.to_dict() == expected.to_dict()
         assert DualityCacheModel(config).run(compiled).to_dict() == expected.to_dict()
 
@@ -168,9 +174,7 @@ class TestEngineEnvParity:
         for spec, jobs in trace_groups.items():
             trace = spec.capture().trace
             for job, got in zip(jobs, simulate_traced_group(jobs, trace)):
-                want, compiled = oracle.simulate_trace(
-                    trace, config=job.config, scheme=get_scheme(job.scheme_name)
-                )
+                want, compiled = oracle.simulate_trace(trace, config=job.config)
                 assert got.result.to_dict() == want.to_dict(), job.describe()
                 assert got.spills == compiled.spill_count, job.describe()
 
@@ -182,7 +186,6 @@ def eight_config_jobs():
         KernelJob(
             kernel="csum",
             scale=0.25,
-            scheme_name=scheme,
             config=dataclasses.replace(base.with_scheme(scheme), l2_compute_ways=ways),
         )
         for scheme in SCHEME_NAMES
@@ -241,7 +244,7 @@ class TestEngineCounters:
 
     def test_batch_partitions_split_on_register_geometry(self):
         jobs = [
-            KernelJob(kernel="csum", scale=0.25, scheme_name=scheme)
+            KernelJob(kernel="csum", scale=0.25, config=default_config().with_scheme(scheme))
             for scheme in SCHEME_NAMES
         ]
         assert [len(p) for p in batch_partitions(jobs)] == [len(jobs)]
@@ -276,7 +279,7 @@ class TestOneWalkPerPass:
         memory = [entry for entry in compiled.trace if isinstance(entry, MemoryInstruction)]
         lines = sum(footprint.size for footprint in line_footprints(memory))
         assert len(memory) > 2 and lines < vector_cache._SLICE_LINES
-        simulate_trace_batch(gemm_trace, [default_config()], warm_cache=True)
+        simulate_trace_batch(gemm_trace, [default_config()])
         assert l2_batches == [lines, lines]
 
     def test_neon_footprint_walks_the_l2_twice(self, l2_batches):
@@ -320,9 +323,6 @@ class TestOnePricingPerPattern:
             for entry in engine
         }
         assert len(engine) > 2 * len(patterns)
-        members = [
-            (default_config().with_scheme(name), get_scheme(name))
-            for name in ("bit-serial", "bit-parallel")
-        ]
-        replay_trace(compiled, members)
+        configs = [default_config().with_scheme(name) for name in ("bit-serial", "bit-parallel")]
+        replay_trace(compiled, configs)
         assert len(calls) == 2 * len(patterns)

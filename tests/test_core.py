@@ -30,7 +30,7 @@ from repro.isa import (
     ScalarBlock,
 )
 from repro.memory import FlatMemory
-from repro.sram import BitParallelScheme, BitSerialScheme, get_scheme
+from repro.sram import BitParallelScheme, BitSerialScheme
 from repro.workloads import kernel_names
 from repro.workloads.registry import rvv_kernel_names
 
@@ -132,10 +132,7 @@ class TestScalarCore:
 
     @staticmethod
     def scalar_cycles(block):
-        config = default_config()
-        (result,) = replay_trace(
-            [block], [(config, get_scheme(config.scheme_name))], warm_cache=False
-        )
+        (result,) = replay_trace([block], [default_config()], warm_cache=False)
         return result.total_cycles
 
     def test_scalar_block_cycles_scale_with_count(self):
@@ -248,9 +245,8 @@ class TestSimulator:
         assert int8.compute_cycles < int32.compute_cycles
 
     def test_warm_cache_faster_than_cold(self):
-        trace = self.small_trace(n=8192)
-        warm, _ = simulate_trace(trace, warm_cache=True)
-        cold, _ = simulate_trace(trace, warm_cache=False)
+        warm, compiled = simulate_trace(self.small_trace(n=8192))
+        (cold,) = replay_trace(compiled.trace, [default_config()], warm_cache=False)
         assert warm.data_access_cycles <= cold.data_access_cycles
         assert warm.total_cycles <= cold.total_cycles
 
@@ -270,8 +266,8 @@ class TestSimulator:
 
     def test_scheme_changes_compute_time(self):
         trace = self.small_trace(n=8192, dtype=DataType.INT32)
-        bs, _ = simulate_trace(trace, scheme=get_scheme("bs"))
-        ac, _ = simulate_trace(trace, scheme=get_scheme("ac"))
+        bs, _ = simulate_trace(trace, config=default_config().with_scheme("bs"))
+        ac, _ = simulate_trace(trace, config=default_config().with_scheme("ac"))
         assert ac.compute_cycles > bs.compute_cycles
 
     def test_more_arrays_reduce_repeats(self):

@@ -169,7 +169,7 @@ class TestSearchSpace:
         space = SearchSpace(
             kernel="csum", scale=SCALE, axes=(Axis("dram", ("lpddr4x", "lpddr5")),)
         )
-        base, fast = (space.config_for(point)[0] for point in (0, 1))
+        base, fast = (space.config_for(point) for point in (0, 1))
         assert fast.hierarchy.dram.t_cas < base.hierarchy.dram.t_cas
         # Wire form stays primitive: the preset name, never a struct.
         assert space.to_dict()["axes"][0]["values"] == ["lpddr4x", "lpddr5"]

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.cache import ResultStore
+from repro.core.config import default_config
 from repro.experiments.sweep import KernelJob, ParallelSweepEngine, execute_job
-from repro.sram.schemes import get_scheme
 
 import oracle
 
@@ -56,7 +56,7 @@ def job_for(case) -> KernelJob:
         kind=kind,
         scale=scale,
         kwargs=tuple(sorted(kwargs.items())),
-        scheme_name=scheme,
+        config=default_config().with_scheme(scheme),
     )
 
 
@@ -132,9 +132,7 @@ def test_scalar_cache_reference_matches_golden(case, serial_outcomes):
     per-line cache -- reproduces the production golden numbers bit-for-bit."""
     job = job_for(case)
     trace = job.trace_spec().capture().trace
-    result, compiled = oracle.simulate_trace(
-        trace, config=job.config, scheme=get_scheme(job.scheme_name)
-    )
+    result, compiled = oracle.simulate_trace(trace, config=job.config)
     production = serial_outcomes[case_id(case)]
     assert result.to_dict() == production.result.to_dict()
     assert compiled.spill_count == production.spills

@@ -12,7 +12,6 @@ from repro import DataType, FlatMemory, MVEMachine, default_config, simulate_tra
 from repro.baselines import KernelProfile, NeonModel
 from repro.compiler import compile_trace
 from repro.core.simulator import replay_trace
-from repro.sram import get_scheme
 from repro.workloads import create_kernel
 
 
@@ -44,8 +43,7 @@ class TestEndToEndCustomKernel:
     def test_compile_then_simulate(self):
         machine, *_ = self.build()
         compiled = compile_trace(machine.trace)
-        config = default_config()
-        (result,) = replay_trace(compiled.trace, [(config, get_scheme(config.scheme_name))])
+        (result,) = replay_trace(compiled.trace, [default_config()])
         assert result.total_cycles > 0
         assert result.vector_instructions["memory"] == 3
         assert result.time_ms > 0 and result.energy_nj > 0
@@ -54,7 +52,8 @@ class TestEndToEndCustomKernel:
         machine, *_ = self.build()
         cycles = {}
         for scheme in ("bs", "bh", "bp", "ac"):
-            result, _ = simulate_trace(machine.trace, scheme=get_scheme(scheme))
+            config = default_config().with_scheme(scheme)
+            result, _ = simulate_trace(machine.trace, config=config)
             cycles[scheme] = result.compute_cycles
         # bit-parallel trades lanes for latency; associative is slowest on mul
         assert cycles["ac"] > cycles["bs"]

@@ -10,8 +10,9 @@ import signal
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore, stable_hash
-from repro.core.config import default_config
+from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore, config_digest, stable_hash
+from repro.core.config import MachineConfig, default_config
+from repro.core.simulator import simulate_trace
 from repro.core.traces import TraceSpec
 from repro.experiments import ExperimentRunner
 from repro.experiments.registry import ExperimentOptions, get_experiment
@@ -92,9 +93,10 @@ class TestCacheKeying:
 
     def test_key_depends_on_kernel_parameters(self):
         assert SMALL_JOB.cache_key() != dataclasses.replace(SMALL_JOB, scale=0.5).cache_key()
+        bit_parallel = SMALL_JOB.config.with_scheme("bit-parallel")
         assert (
             SMALL_JOB.cache_key()
-            != dataclasses.replace(SMALL_JOB, scheme_name="bit-parallel").cache_key()
+            != dataclasses.replace(SMALL_JOB, config=bit_parallel).cache_key()
         )
         assert SMALL_JOB.cache_key() != dataclasses.replace(SMALL_JOB, kind="rvv").cache_key()
 
@@ -108,6 +110,8 @@ def request_keys(request) -> tuple:
         return request.cache_key(), request.trace_spec().cache_key()
     if isinstance(request, ExperimentOptions):
         return (get_experiment("figure7").cache_key(request),)
+    if isinstance(request, MachineConfig):
+        return (config_digest(request),)
     return (request.cache_key(),)
 
 
@@ -122,8 +126,8 @@ class TestRequestModel:
         [
             (lambda: KernelJob("csum", scale=1), lambda: KernelJob("csum", scale=1.0)),
             (
-                lambda: KernelJob("csum", scheme_name="bs"),
-                lambda: KernelJob("csum", scheme_name="bit-serial"),
+                lambda: MachineConfig(scheme_name="bs"),
+                lambda: MachineConfig(scheme_name="bit-serial"),
             ),
             (lambda: ExperimentOptions(scale=1), lambda: ExperimentOptions(scale=1.0)),
             (
@@ -139,9 +143,9 @@ class TestRequestModel:
         assert request_keys(left) == request_keys(right)
 
     def test_fields_are_canonical(self):
-        job = KernelJob("gemm", scale=1, kwargs={"n": 64, "k": 32}, scheme_name="BIT_PARALLEL")
+        job = KernelJob("gemm", scale=1, kwargs={"n": 64, "k": 32})
         assert type(job.scale) is float and job.kwargs == (("k", 32), ("n", 64))
-        assert job.scheme_name == job.config.scheme_name == "bit-parallel"
+        assert MachineConfig(scheme_name="BIT_PARALLEL").scheme_name == "bit-parallel"
         assert type(ExperimentOptions(scale=1).scale) is float
 
     @pytest.mark.parametrize(
@@ -153,7 +157,7 @@ class TestRequestModel:
                 f"memcpy has no RVV lowering; kernels with one: {', '.join(rvv_kernel_names())}",
             ),
             (lambda: TraceSpec("csum", kind="avx"), "unknown kind 'avx' (choose from mve, rvv)"),
-            (lambda: KernelJob("csum", scheme_name="nope"), "unknown scheme 'nope' (choose from "),
+            (lambda: MachineConfig(scheme_name="nope"), "unknown scheme 'nope' (choose from "),
             *[
                 (lambda scale=scale: KernelJob("csum", scale=scale), "scale must be a number > 0")
                 for scale in (0, -1, math.nan, math.inf)
@@ -234,7 +238,7 @@ def pool_jobs(schemes):
     """Two kernels x two schemes: two trace groups, so the pool path (which
     requires more than one task) always engages."""
     return [
-        KernelJob(kernel=kernel, scale=0.25, scheme_name=scheme)
+        KernelJob(kernel=kernel, scale=0.25, config=default_config().with_scheme(scheme))
         for kernel in ("csum", "gemm")
         for scheme in schemes
     ]
@@ -418,15 +422,31 @@ class TestSweepSpec:
         (job,) = spec.jobs()
         assert job.config.scheme_name == "bit-parallel"
 
-    def test_job_normalizes_scheme_into_config(self):
-        # Directly-constructed jobs hash identically to spec/runner jobs
-        # for the same simulation (scheme_name wins over config.scheme_name).
-        direct = KernelJob(kernel="csum", scheme_name="bit-parallel")
+    def test_job_simulates_its_configs_scheme(self):
+        """Regression: a job's own ``scheme_name`` field (default
+        bit-serial) overrode its config's, so a job on a bit-parallel
+        config simulated and keyed bit-serial."""
+        bit_parallel = default_config().with_scheme("bit-parallel")
+        direct = KernelJob(kernel="csum", config=bit_parallel)
         (from_spec,) = SweepSpec(
             kernels=[("csum", {"scale": 0.5})], schemes=("bit-parallel",)
         ).jobs()
+        assert direct.scheme_name == "bit-parallel"
         assert direct == from_spec
         assert direct.cache_key() == from_spec.cache_key()
+        trace = direct.trace_spec().capture().trace
+        outcome = ParallelSweepEngine().run_one(direct)
+        simulated = outcome.result.to_dict()
+        assert simulated == simulate_trace(trace, config=bit_parallel)[0].to_dict()
+        assert simulated != simulate_trace(trace)[0].to_dict()
+
+    def test_schemes_default_keeps_the_base_configs_scheme(self):
+        """Regression: ``schemes`` defaulted to bit-serial and overrode the
+        base config's scheme, as ``array_counts=None`` never did its
+        arrays."""
+        bit_parallel = default_config().with_scheme("bit-parallel")
+        (job,) = SweepSpec(kernels=[("csum", {})], base_config=bit_parallel).jobs()
+        assert job.config == bit_parallel and job.scheme_name == "bit-parallel"
 
 
 class TestRunnerKeying:

@@ -38,7 +38,7 @@ from repro.experiments.sweep import (
 from repro.intrinsics.machine import TraceStats
 from repro.isa.instructions import ScalarBlock
 from repro.isa.trace_io import decode_trace, encode_trace
-from repro.sram.schemes import SCHEME_NAMES, get_scheme
+from repro.sram.schemes import SCHEME_NAMES
 from repro.workloads import get_kernel_class
 
 from test_config_batch import shrunk_rows_config
@@ -69,12 +69,11 @@ def registered_jobs() -> list[KernelJob]:
     return list(dict.fromkeys(jobs))
 
 
-def uncached_simulation(trace, config, scheme=None):
+def uncached_simulation(trace, config):
     """The seed's fused compile-and-time step: an un-memoized compile for
     ``config``'s register file, then a warm replay of the compiled trace."""
     compiled = compile_trace(trace, register_file=register_file_for(config))
-    scheme = scheme or get_scheme(config.scheme_name)
-    (result,) = replay_trace(compiled.trace, [(config, scheme)])
+    (result,) = replay_trace(compiled.trace, [config])
     return result, compiled
 
 
@@ -83,7 +82,7 @@ def legacy_fused(job: KernelJob):
     recording, compile (no memo) and simulate in one fused step."""
     kernel = get_kernel_class(job.kernel)(scale=job.scale, **dict(job.kwargs))
     trace = kernel.capture(job.kind, job.config.simd_lanes, record_values=True)
-    result, compiled = uncached_simulation(trace, job.config, get_scheme(job.scheme_name))
+    result, compiled = uncached_simulation(trace, job.config)
     return result, compiled.spill_count
 
 
@@ -271,14 +270,13 @@ class TestCaptureCounting:
         assert first.traces_captured == 1
 
         second = ParallelSweepEngine(jobs=1, store=store)
-        outcome = second.run_one(
-            KernelJob(kernel="gemm", scale=0.25, scheme_name="bit-parallel")
+        bit_parallel = KernelJob(
+            kernel="gemm", scale=0.25, config=default_config().with_scheme("bit-parallel")
         )
+        outcome = second.run_one(bit_parallel)
         assert second.traces_captured == 0
         assert second.trace_store_hits == 1
-        result, spills = legacy_fused(
-            KernelJob(kernel="gemm", scale=0.25, scheme_name="bit-parallel")
-        )
+        result, spills = legacy_fused(bit_parallel)
         assert outcome.result.to_dict() == result.to_dict()
         assert outcome.spills == spills
 
