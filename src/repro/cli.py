@@ -27,13 +27,12 @@ dynamic instruction mix, without ever touching the timing simulator::
     python -m repro trace diff csum --against scale=0.25,lanes=4096
 
 ``explore`` searches the machine-configuration space adaptively for the
-Pareto frontier of cycles vs area vs energy, checkpointing after every
-round so a killed search resumes with zero re-simulation::
+Pareto frontier of cycles vs area vs energy and prints (or exports) it.
+Every point's result lands in the store, so rerunning a killed search, or
+one with a bigger budget, re-simulates nothing it has simulated before::
 
-    python -m repro explore run csum --budget 128 --seed 7
-    python -m repro explore status csum --seed 7
-    python -m repro explore frontier csum --seed 7
-    python -m repro explore export csum --seed 7 --export csv
+    python -m repro explore run csum --budget 128
+    python -m repro explore run csum --budget 128 --export csv
 
 Per-job progress streams to stderr as results complete (``--no-progress``
 disables it).  ``cache`` shows or clears the persistent store (location:
@@ -534,11 +533,13 @@ def _space_from_args(args: argparse.Namespace):
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    """``explore {run,status,frontier,export}``: adaptive Pareto search.
+    """``explore run``: adaptive Pareto search.
 
-    ``run`` searches (resuming any checkpoint for the same space, seed,
-    strategy and objectives); the other actions inspect the checkpointed
-    :class:`SearchState` without simulating anything.
+    A search is a pure function of its space, strategy, objectives, budget
+    and round limit (and of ``--seed`` and ``--batch`` under ``--strategy
+    random``), answered from the store wherever an earlier run simulated a
+    point.  Prints the summary line and the frontier table, or with
+    ``--export`` writes the frontier document instead.
     """
     from .explore import Explorer
 
@@ -562,68 +563,21 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as error:
         raise SystemExit(f"explore: {error}") from None
 
-    if args.action == "run":
-        if not args.no_progress:
-            print(f"exploring {space.describe()}", file=sys.stderr)
-        on_result = None if args.no_progress else _progress(sys.stderr)
-        summary = explorer.run(
-            budget=args.budget, max_rounds=args.rounds, on_result=on_result
-        )
-        line = f"explore {space.kernel} [{args.strategy}]: {summary.describe()}"
-        if args.export:
-            payload = explore_export_payload(
-                space, summary.state, elapsed_s=summary.elapsed_s
-            )
-            _write_export(payload, args.export, args.out)
-            print(line, file=sys.stderr)
-        else:
-            print(line)
+    if not args.no_progress:
+        print(f"exploring {space.describe()}", file=sys.stderr)
+    on_result = None if args.no_progress else _progress(sys.stderr)
+    summary = explorer.run(
+        budget=args.budget, max_rounds=args.rounds, on_result=on_result
+    )
+    line = f"explore {space.kernel} [{args.strategy}]: {summary.describe()}"
+    state = summary.state
+    if args.export:
+        payload = explore_export_payload(space, state, elapsed_s=summary.elapsed_s)
+        _write_export(payload, args.export, args.out)
+        print(line, file=sys.stderr)
         return 0
 
-    state = explorer.load_state()
-    if state is None:
-        raise SystemExit(
-            f"explore {args.action}: no saved search for this space/seed/"
-            "strategy/objectives (run `explore run` first)"
-        )
-
-    if args.action == "export":
-        payload = explore_export_payload(space, state)
-        _write_export(payload, args.export or "json", args.out)
-        return 0
-
-    if args.action == "status":
-        status = "converged" if state.done else "resumable"
-        print(f"{space.describe()}")
-        print(
-            f"strategy {state.strategy}, seed {state.seed}, "
-            f"objectives {', '.join(state.objectives)}"
-        )
-        print(
-            f"evaluated {len(state.evaluated)}/{space.size} configs "
-            f"({state.simulated_total} simulated ever), frontier "
-            f"{len(state.frontier)} points, {len(state.rounds)} rounds [{status}]"
-        )
-        if state.rounds:
-            print()
-            print(
-                format_table(
-                    ["round", "proposed", "simulated", "frontier", "changed"],
-                    [
-                        [
-                            record.index,
-                            record.proposed,
-                            record.simulated,
-                            record.frontier_size,
-                            "yes" if record.frontier_changed else "",
-                        ]
-                        for record in state.rounds
-                    ],
-                )
-            )
-        return 0
-
-    # frontier: the surviving points with their axis values and objectives
+    print(line)
     axis_names = [axis.name for axis in space.axes]
     rows = [
         [member.point]
@@ -914,9 +868,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="adaptive Pareto search over the machine-configuration space",
     )
     explorep.add_argument(
-        "action", choices=("run", "status", "frontier", "export"),
-        help="run: search (resumes any checkpoint); status/frontier/export: "
-        "inspect the checkpointed state without simulating",
+        "action", choices=("run",),
+        help="run: search, answering every point simulated before from the store",
     )
     explorep.add_argument(
         "kernel", nargs="?", default="csum", help="kernel to explore (default: csum)"
@@ -936,7 +889,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--strategy", choices=STRATEGY_NAMES, default="frontier",
         help="sampling strategy (default: frontier-neighborhood refinement)",
     )
-    explorep.add_argument("--seed", type=int, default=0, help="deterministic search seed")
+    explorep.add_argument(
+        "--seed", type=int, default=0,
+        help="sampling seed; only --strategy random reads it (default: 0)",
+    )
     explorep.add_argument(
         "--objectives", default="cycles,area,energy",
         help="comma-separated Pareto objectives: cycles, time_us, area, energy "
@@ -944,11 +900,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     explorep.add_argument(
         "--budget", type=int, default=64,
-        help="stop after this many evaluated configs, resumable (default: 64)",
+        help="stop after this many evaluated configs (default: 64)",
     )
     explorep.add_argument("--rounds", type=int, default=64, help="max search rounds (default: 64)")
     explorep.add_argument(
-        "--batch", type=int, default=16, help="per-round proposal cap (default: 16)"
+        "--batch", type=int, default=16,
+        help="points sampled per round; only --strategy random reads it (default: 16)",
     )
     explorep.add_argument(
         "--jobs", type=int, default=default_job_count(),

@@ -33,9 +33,7 @@ __all__ = [
     "code_fingerprint",
     "config_digest",
     "functional_fingerprint",
-    "load_cached_result",
     "stable_hash",
-    "store_cached_result",
 ]
 
 _ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
@@ -116,33 +114,6 @@ def stable_hash(payload: Any) -> str:
     """SHA-256 of the canonical JSON encoding of ``payload``."""
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
     return hashlib.sha256(encoded.encode()).hexdigest()
-
-
-def load_cached_result(store: Optional["ResultStore"], key: str, result_type):
-    """Deserialize the ``{"result": ...}`` payload stored under ``key`` via
-    ``result_type.from_dict``, or None on a missing store, a miss, or a
-    payload that no longer matches the expected shape.
-
-    Single source of truth for the result-payload schema and its
-    corruption tolerance, shared by every cached producer (simulation jobs,
-    baseline models, raw traces, assembled experiment results).
-    """
-    if store is None:
-        return None
-    payload = store.load(key)
-    if payload is None:
-        return None
-    try:
-        return result_type.from_dict(payload["result"])
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def store_cached_result(store: Optional["ResultStore"], key: str, result) -> None:
-    """Persist ``result`` (anything with ``to_dict``) under ``key``; the
-    inverse of :func:`load_cached_result`."""
-    if store is not None:
-        store.store(key, {"result": result.to_dict()})
 
 
 class ResultStore:

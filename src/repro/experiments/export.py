@@ -91,12 +91,13 @@ def sweep_export_payload(sweep) -> dict:
 
 
 def explore_export_payload(space, state, elapsed_s: float = 0.0) -> dict:
-    """The JSON document ``explore export`` / ``explore run --export`` writes.
+    """The JSON document ``explore run --export`` writes.
 
     ``space`` is a :class:`~repro.explore.space.SearchSpace` and ``state``
-    the :class:`~repro.explore.state.SearchState` to publish; the frontier
-    rows carry the full serialized :class:`PointMetrics` (cycles, time,
-    energy breakdown, area report) per surviving point.
+    the :class:`~repro.explore.state.SearchState` of the run to publish
+    (``simulated`` and ``rounds`` count that run's); the frontier rows
+    carry the full serialized :class:`PointMetrics` (cycles, time, energy
+    breakdown, area report) per surviving point.
     """
     return {
         "schema": EXPORT_SCHEMA_VERSION,
@@ -109,8 +110,8 @@ def explore_export_payload(space, state, elapsed_s: float = 0.0) -> dict:
             "objectives": list(state.objectives),
             "space_size": space.size,
             "evaluated": len(state.evaluated),
-            "simulated": state.simulated_total,
-            "rounds": len(state.rounds),
+            "simulated": state.simulated,
+            "rounds": state.rounds,
             "done": state.done,
         },
         "space": space.to_dict(),

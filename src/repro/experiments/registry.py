@@ -28,14 +28,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-from ..core.cache import (
-    ResultStore,
-    code_fingerprint,
-    config_digest,
-    load_cached_result,
-    stable_hash,
-    store_cached_result,
-)
+from ..core.cache import ResultStore, code_fingerprint, config_digest, stable_hash
 from ..core.config import MachineConfig, default_config
 from ..core.traces import positive_scale
 from .runner import ExperimentRunner
@@ -290,8 +283,10 @@ def run_experiment(
     processes when the runner's engine has ``jobs > 1``), with ``on_result``
     streaming per-job progress, before the experiment assembles.  With
     ``use_cache`` and a store attached, the assembled result itself is
-    answered from / persisted to the store, keyed by experiment name,
-    options and the source fingerprint.
+    answered from / persisted to the store as ``{"result": to_dict()}``,
+    keyed by experiment name, options and the source fingerprint; a stored
+    result that no longer deserializes is a miss, reassembled and
+    overwritten.
     """
     experiment = get_experiment(name)
     options = options or ExperimentOptions()
@@ -312,12 +307,16 @@ def run_experiment(
         )
     store = runner.engine.store if use_cache else None
     key = experiment.cache_key(options)
-    cached = load_cached_result(store, key, experiment.result_type)
-    if cached is not None:
-        return cached
+    record = store.load(key) if store is not None else None
+    if record is not None:
+        try:
+            return experiment.result_type.from_dict(record["result"])
+        except (KeyError, TypeError, ValueError):
+            pass
     jobs = experiment.jobs(options)
     if jobs:
         runner.engine.run_jobs(jobs, on_result=on_result)
     result = experiment.assemble(runner, options)
-    store_cached_result(store, key, result)
+    if store is not None:
+        store.store(key, {"result": result.to_dict()})
     return result

@@ -4,9 +4,10 @@ The subsystem behind ``python -m repro explore``: declare a
 :class:`SearchSpace` (axes over scheme, engine geometry, cache/L2-compute
 geometry, DRAM variant), hand it to an :class:`Explorer`, and get back the
 Pareto frontier of cycles vs area vs energy -- evaluating (and above all
-*simulating*) far fewer points than the full grid, with search state
-checkpointed in the content-addressed store so a killed search resumes
-with zero re-simulation.
+*simulating*) far fewer points than the full grid.  A search keeps no
+state of its own: every point's result lives in the content-addressed
+store, so rerunning a search -- after a kill, or with a bigger budget --
+re-simulates nothing it has simulated before.
 """
 
 from .explorer import ExploreSummary, Explorer, exhaustive_frontier
@@ -18,7 +19,7 @@ from .pareto import (
     metrics_from_outcome,
 )
 from .space import AXIS_NAMES, Axis, DRAM_PRESETS, SearchSpace, default_space
-from .state import RoundRecord, SearchState, load_state, save_state, state_key
+from .state import SearchState
 from .strategy import STRATEGY_NAMES, Strategy, get_strategy
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "FrontierPoint",
     "ParetoFrontier",
     "PointMetrics",
-    "RoundRecord",
     "STRATEGY_NAMES",
     "SearchSpace",
     "SearchState",
@@ -39,8 +39,5 @@ __all__ = [
     "default_space",
     "exhaustive_frontier",
     "get_strategy",
-    "load_state",
     "metrics_from_outcome",
-    "save_state",
-    "state_key",
 ]

@@ -8,10 +8,12 @@ One :class:`Explorer` round is
    through the sweep engine's ``run_jobs`` (results persist to the store
    *before* each callback, so a round is kill-safe; the engine memoizes
    one outcome per evaluated point), each arrival folding into the
-   :class:`~repro.explore.pareto.ParetoFrontier` incrementally, and
-3. **checkpoint** -- the updated :class:`SearchState` is written back to
-   the store.
+   :class:`~repro.explore.pareto.ParetoFrontier` incrementally.
 
+Every run starts at round 0 and is a pure function of the space, strategy,
+objectives, budget and round limit (and, for ``random``, of seed and
+batch), so a rerun -- after a kill, or with a bigger budget -- proposes
+the same points and the store answers every one simulated before.
 Warm-store answers count as *evaluated* but not *simulated*; the run
 summary reports both against the space size, which is how "finds the
 frontier while simulating measurably fewer configs" is made a checkable
@@ -29,7 +31,7 @@ from ..core.cache import ResultStore
 from ..experiments.sweep import KernelJob, OnResult, ParallelSweepEngine
 from .pareto import DEFAULT_OBJECTIVES, FrontierPoint, ParetoFrontier, metrics_from_outcome
 from .space import SearchSpace
-from .state import RoundRecord, SearchState, load_state, save_state, state_key
+from .state import SearchState
 from .strategy import Strategy, get_strategy
 
 __all__ = ["ExploreSummary", "Explorer", "exhaustive_frontier"]
@@ -40,14 +42,16 @@ DEFAULT_BATCH = 16
 
 @dataclass
 class ExploreSummary:
-    """What one ``Explorer.run`` call did (on top of any resumed state)."""
+    """What one ``Explorer.run`` call did."""
 
     state: SearchState
     space_size: int
-    #: fresh simulations performed by *this* call (resume health: a fully
-    #: warm rerun reports 0 here)
-    simulated_this_run: int
     elapsed_s: float
+
+    @property
+    def simulated_this_run(self) -> int:
+        """Fresh simulations of this call (a fully warm rerun reports 0)."""
+        return self.state.simulated
 
     @property
     def evaluated(self) -> int:
@@ -62,10 +66,9 @@ class ExploreSummary:
         status = "converged" if state.done else "budget exhausted (resumable)"
         return (
             f"frontier {self.frontier_size} points | evaluated {self.evaluated}"
-            f"/{self.space_size} configs ({state.simulated_total} simulated ever, "
-            f"{self.space_size - self.evaluated} never simulated) | "
-            f"{self.simulated_this_run} simulated this run | "
-            f"{len(state.rounds)} rounds, {status} | {self.elapsed_s:.1f}s"
+            f"/{self.space_size} configs ({self.space_size - self.evaluated} never "
+            f"evaluated) | {self.simulated_this_run} simulated this run | "
+            f"{state.rounds} rounds, {status} | {self.elapsed_s:.1f}s"
         )
 
 
@@ -93,28 +96,6 @@ class Explorer:
         self.batch = max(1, int(batch))
         self.log = log or (lambda message: None)
 
-    # -- state ----------------------------------------------------------- #
-
-    @property
-    def store(self) -> Optional[ResultStore]:
-        return self.engine.store
-
-    def state_key(self) -> str:
-        return state_key(self.space, self.seed, self.strategy.name, self.objectives)
-
-    def load_state(self) -> Optional[SearchState]:
-        return load_state(self.store, self.state_key())
-
-    def _fresh_state(self) -> SearchState:
-        return SearchState(
-            space=self.space.to_dict(),
-            seed=self.seed,
-            strategy=self.strategy.name,
-            objectives=self.objectives,
-        )
-
-    # -- the search loop ------------------------------------------------- #
-
     def run(
         self,
         budget: int = 64,
@@ -122,20 +103,19 @@ class Explorer:
         on_result: Optional[OnResult] = None,
     ) -> ExploreSummary:
         """Search until converged, or ``budget`` evaluated points /
-        ``max_rounds`` rounds -- whichever first.  Resumes any checkpoint
-        for (space, seed, strategy, objectives) transparently."""
+        ``max_rounds`` rounds -- whichever first.  Always starts at round
+        0; the store answers every point an earlier run simulated."""
         started = time.perf_counter()
-        state = self.load_state() or self._fresh_state()
+        state = SearchState(
+            seed=self.seed, strategy=self.strategy.name, objectives=self.objectives
+        )
         frontier = ParetoFrontier(self.objectives)
-        for member in state.frontier:
-            frontier.update(member)
-        simulated_this_run = 0
 
-        while not state.done and len(state.rounds) < max_rounds:
+        while not state.done and state.rounds < max_rounds:
             remaining_budget = budget - len(state.evaluated)
             if remaining_budget <= 0:
                 break
-            index = len(state.rounds)
+            index = state.rounds
             rng = random.Random(f"{self.seed}:{index}")
             proposals = self.strategy.propose(self.space, state, rng, self.batch)
             proposals = [
@@ -170,18 +150,9 @@ class Explorer:
 
             self.engine.run_jobs(jobs, on_result=fold)
             simulated = self.engine.computed - computed_before
-            simulated_this_run += simulated
+            state.simulated += simulated
             state.frontier = frontier.points
-            state.rounds.append(
-                RoundRecord(
-                    index=index,
-                    proposed=len(proposals),
-                    simulated=simulated,
-                    frontier_size=len(frontier),
-                    frontier_changed=changed,
-                )
-            )
-            save_state(self.store, self.state_key(), state)
+            state.rounds += 1
             self.log(
                 f"round {index} [{self.strategy.name}]: {len(proposals)} points "
                 f"({simulated} simulated), frontier {len(frontier)}"
@@ -189,11 +160,9 @@ class Explorer:
                 f"evaluated {len(state.evaluated)}/{self.space.size}"
             )
 
-        save_state(self.store, self.state_key(), state)
         return ExploreSummary(
             state=state,
             space_size=self.space.size,
-            simulated_this_run=simulated_this_run,
             elapsed_s=time.perf_counter() - started,
         )
 

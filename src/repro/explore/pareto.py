@@ -98,9 +98,11 @@ class ParetoFrontier:
             )
         if not objectives:
             raise ValueError("need at least one objective")
+        repeated = sorted({name for name in objectives if objectives.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated objectives {repeated}")
         self.objectives = tuple(objectives)
         self._members: list[tuple[tuple[float, ...], FrontierPoint]] = []
-        self._ids: set[int] = set()
 
     def vector(self, metrics: PointMetrics) -> tuple[float, ...]:
         return tuple(_OBJECTIVES[name](metrics) for name in self.objectives)
@@ -112,12 +114,9 @@ class ParetoFrontier:
     def update(self, point: FrontierPoint) -> bool:
         """Fold one point in; True iff the frontier changed.
 
-        Idempotent per point id (re-feeding a checkpointed frontier is a
-        no-op), and a dominated arrival leaves the set untouched -- so the
-        peak cost of a round is O(frontier x arrivals), independent of how
-        many points the search has evaluated."""
-        if point.point in self._ids:
-            return False
+        A dominated arrival leaves the set untouched, so the peak cost of a
+        round is O(frontier x arrivals), independent of how many points the
+        search has evaluated."""
         vector = self.vector(point.metrics)
         if any(self._dominates(held, vector) for held, _ in self._members):
             return False
@@ -127,7 +126,6 @@ class ParetoFrontier:
             if not self._dominates(vector, held)
         ]
         self._members.append((vector, point))
-        self._ids = {member.point for _, member in self._members}
         return True
 
     @property

@@ -4,9 +4,8 @@ A :class:`SearchSpace` is the explorer's input: one kernel/lowering plus a
 list of named :class:`Axis` objects, each a finite ordered set of primitive
 values (ints, floats, or names).  Points are addressed by a single integer
 id in mixed-radix order (first axis most significant), so a space is fully
-described by a small JSON dict -- which is what lets search state live in
-the content-addressed :class:`~repro.core.cache.ResultStore` without ever
-serializing a :class:`~repro.core.config.MachineConfig`.
+described by a small JSON dict -- which is what the frontier export
+publishes in place of a serialized :class:`~repro.core.config.MachineConfig`.
 
 Every point compiles down to the existing sweep machinery: ``job(point)``
 is a :class:`~repro.experiments.sweep.KernelJob` on the point's config,
@@ -16,14 +15,13 @@ stage (trace store, batched replay, the worker pool) works unchanged.  The
 space validates its kernel, lowering and scale through
 :class:`~repro.core.traces.TraceSpec`, and scheme-axis values through
 :func:`~repro.sram.schemes.get_scheme` (which also canonicalizes them:
-``scheme=bs`` and ``scheme=bit-serial`` are one search with one state key).
+``scheme=bs`` and ``scheme=bit-serial`` are one search over the same jobs).
 
 Axes are interpreted by a fixed registry of appliers over the *default*
-configuration, the scheme axis included; values stay primitive in the
-stored state (DRAM variants are named presets, not serialized timing
-structs) so a checkpoint can never carry an unkeyed machine configuration
--- the job cache keys, which embed the source fingerprint, remain the only
-trust anchor.
+configuration, the scheme axis included; values stay primitive (DRAM
+variants are named presets, not serialized timing structs), so the wire
+form never carries a machine configuration -- the job cache keys, which
+embed the full config and the source fingerprint, address every result.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ A :class:`Strategy` proposes the next batch of point ids given the space
 and the search state; proposing nothing signals convergence.  All
 randomness comes from the per-round RNG the explorer hands in (seeded
 from the search seed and the round index), so a search is a pure function
-of (space, seed, strategy, objectives) -- resuming a killed search
-replays identical proposals and the warm store answers the overlap.
+of its space, strategy, objectives, budget and round limit (and, for
+``random``, of seed and batch) -- rerunning a killed search replays
+identical proposals and the warm store answers the overlap.
 
 Shipped strategies:
 

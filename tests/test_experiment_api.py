@@ -290,6 +290,17 @@ class TestRunExperiment:
         again = run_experiment("tables", runner=build_runner(jobs=1, store=store))
         assert again == result
 
+    def test_undecodable_stored_result_is_a_miss_and_is_overwritten(self, tmp_path):
+        store = ResultStore(tmp_path)
+        runner = build_runner(jobs=1, store=store)
+        options = ExperimentOptions(config=runner.config)
+        key = get_experiment("tables").cache_key(options)
+        store.store(key, {"result": {"bogus": 1}})
+        result = run_experiment("tables", runner=runner, options=options)
+        assert isinstance(result, TablesResult)
+        assert result == run_tables()
+        assert store.load(key)["result"] == result.to_dict()
+
     def test_no_cache_skips_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
         runner = build_runner(jobs=1, store=store)

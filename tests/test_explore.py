@@ -3,7 +3,8 @@
 The contract under test: an adaptive search finds the *exact* Pareto
 frontier of the exhaustive grid while evaluating (and above all
 simulating) fewer configurations; the frontier is invariant to the order
-results arrive in (hypothesis); a search SIGKILLed mid-round resumes to
+results arrive in (hypothesis); a search does not depend on earlier runs,
+so a rerun -- after a SIGKILL mid-round, or with a bigger budget -- reaches
 the identical frontier with zero re-simulation; and every round's results
 are persisted before its callbacks fold them in.
 
@@ -40,10 +41,10 @@ from repro.explore import (
     ParetoFrontier,
     PointMetrics,
     SearchSpace,
+    SearchState,
     default_space,
     exhaustive_frontier,
     get_strategy,
-    state_key,
 )
 from repro.workloads import rvv_kernel_names
 
@@ -174,17 +175,13 @@ class TestSearchSpace:
         # Wire form stays primitive: the preset name, never a struct.
         assert space.to_dict()["axes"][0]["values"] == ["lpddr4x", "lpddr5"]
 
-    def test_key_embeds_space_identity(self):
-        """Checkpoints live under state_key, which embeds the space."""
-        space, other = small_space(), tiny_space()
-        key = state_key(space, SEED, "frontier", DEFAULT_OBJECTIVES)
-        assert len(key) == 64
-        assert key != state_key(other, SEED, "frontier", DEFAULT_OBJECTIVES)
+    def test_describe_names_kernel_and_size(self):
+        space = small_space()
         assert "csum" in space.describe() and "16 points" in space.describe()
 
 
 # ---------------------------------------------------------------------- #
-#  ParetoFrontier: dominance, ties, idempotence, order invariance
+#  ParetoFrontier: dominance, ties, order invariance
 # ---------------------------------------------------------------------- #
 
 
@@ -216,12 +213,6 @@ class TestParetoFrontier:
         assert frontier.update(member(1, 100, 1.0, 50))
         assert [m.point for m in frontier.points] == [0, 1]
 
-    def test_update_is_idempotent_per_point_id(self):
-        frontier = ParetoFrontier()
-        assert frontier.update(member(3, 100, 1.0, 50))
-        assert not frontier.update(member(3, 100, 1.0, 50))
-        assert len(frontier) == 1
-
     def test_incomparable_points_coexist(self):
         frontier = ParetoFrontier(objectives=("cycles", "area"))
         frontier.update(member(0, 100, 2.0, 0))
@@ -233,6 +224,16 @@ class TestParetoFrontier:
             ParetoFrontier(objectives=("cycles", "beauty"))
         with pytest.raises(ValueError, match="at least one"):
             ParetoFrontier(objectives=())
+
+    def test_repeated_objectives_are_rejected(self, tmp_path):
+        """Regression: `--objectives cycles,cycles` ran and exported
+        `cycles` twice; it now exits with one `explore: ...` line."""
+        with pytest.raises(ValueError, match=r"repeated objectives \['cycles'\]"):
+            ParetoFrontier(objectives=("cycles", "area", "cycles"))
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(explore_argv(tmp_path, "run", "--objectives", "cycles,cycles"))
+        assert excinfo.value.code == "explore: repeated objectives ['cycles']"
+        assert not any(tmp_path.glob("*/*.json"))
 
     @given(
         st.lists(
@@ -270,11 +271,7 @@ class TestStrategies:
 
         space = small_space()
         strategy = get_strategy("frontier")
-        from repro.explore.state import SearchState
-
-        state = SearchState(
-            space=space.to_dict(), seed=0, strategy="frontier", objectives=DEFAULT_OBJECTIVES
-        )
+        state = SearchState(seed=0, strategy="frontier", objectives=DEFAULT_OBJECTIVES)
         seeds = strategy.propose(space, state, random.Random(0), batch=99)
         values = [space.point_values(point) for point in seeds]
         assert {v["scheme"] for v in values} == {"bit-serial", "bit-parallel"}
@@ -312,18 +309,45 @@ class TestAdaptiveSearch:
             first.state.frontier
         )
 
-    def test_resume_with_a_bigger_budget_continues_the_checkpoint(self, tmp_path):
+    def test_a_search_does_not_depend_on_earlier_runs(self, tmp_path):
+        """A budget-16 search after a budget-4 one on the same store
+        evaluates what a fresh budget-16 search does, and simulates exactly
+        the points the first run did not."""
         space = small_space()
         store = ResultStore(tmp_path / "cache")
-        partial = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=4)
-        assert not partial.state.done
-        evaluated_then = len(partial.state.evaluated)
-        assert 0 < evaluated_then <= 4
-        # Budget is not part of the state key: the bigger run resumes and
-        # only simulates the points the partial run never touched.
-        resumed = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
-        assert resumed.state.done
-        assert resumed.simulated_this_run == len(resumed.state.evaluated) - evaluated_then
+        first = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=4)
+        assert not first.state.done
+        simulated = []
+
+        def record(job, outcome, completed, total):
+            if outcome.source == "computed":
+                simulated.append(job)
+
+        second = Explorer(space, store=store, jobs=1, seed=SEED).run(
+            budget=space.size, on_result=record
+        )
+        fresh = Explorer(
+            space, store=ResultStore(tmp_path / "fresh"), jobs=1, seed=SEED
+        ).run(budget=space.size)
+        assert sorted(second.state.evaluated) == sorted(fresh.state.evaluated)
+        assert frontier_dicts(second.state.frontier) == frontier_dicts(fresh.state.frontier)
+        assert second.state.done == fresh.state.done
+        unseen = set(second.state.evaluated) - set(first.state.evaluated)
+        assert set(simulated) == set(space.jobs(sorted(unseen)))
+        assert second.simulated_this_run == len(unseen)
+
+    def test_store_holds_only_job_results_and_traces(self, tmp_path):
+        """A search keeps no record of its own: after it, the store holds
+        one result per evaluated point and the traces they replayed."""
+        space = small_space()
+        store = ResultStore(tmp_path / "cache")
+        summary = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
+        jobs = space.jobs(sorted(summary.state.evaluated))
+        expected = {job.cache_key() for job in jobs} | {
+            job.trace_spec().cache_key() for job in jobs
+        }
+        stored = {path.stem for path in (tmp_path / "cache").glob("*/*.json")}
+        assert stored == expected
 
     def test_random_strategy_stays_deterministic_per_seed(self, tmp_path):
         space = small_space()
@@ -365,11 +389,11 @@ KILLED_CHILD = textwrap.dedent(
 
 class TestKillAndResume:
     def test_sigkill_mid_round_resumes_with_zero_resimulation(self, tmp_path):
-        """The child is SIGKILLed inside the third on_result callback --
-        after those results hit the store but before any checkpoint is
-        written.  The resumed search replays the same seeded proposals,
-        answers the three completed points from the store, and converges
-        to the reference frontier having simulated exactly the rest."""
+        """The child is SIGKILLed inside the third on_result callback,
+        after those results hit the store.  The rerun replays the same
+        proposals, answers the three completed points from the store, and
+        converges to the reference frontier having simulated exactly the
+        rest."""
         space = small_space()
         reference = Explorer(
             space, store=ResultStore(tmp_path / "reference"), jobs=1, seed=SEED
@@ -481,7 +505,7 @@ class TestMetricsSerialization:
 
 
 # ---------------------------------------------------------------------- #
-#  CLI: run/status/frontier/export, resume summary, schema golden
+#  CLI: run, its frontier table and export, rerun summary, schema golden
 # ---------------------------------------------------------------------- #
 
 CLI_AXES = [
@@ -510,32 +534,36 @@ class TestExploreCLI:
         captured = capsys.readouterr()
         assert "0 simulated this run" in captured.out
 
-    def test_status_frontier_and_export_actions(self, tmp_path, capsys):
+    def test_run_prints_the_frontier_and_inspection_actions_are_gone(
+        self, tmp_path, capsys
+    ):
         cache_dir = tmp_path / "cache"
         assert cli_main(
             explore_argv(cache_dir, "run", "--budget", "8", "--no-progress")
         ) == 0
-        capsys.readouterr()
-
-        assert cli_main(explore_argv(cache_dir, "status")) == 0
-        out = capsys.readouterr().out
-        assert "strategy frontier, seed 7" in out
-        assert "round" in out and "proposed" in out
-
-        assert cli_main(explore_argv(cache_dir, "frontier")) == 0
         out = capsys.readouterr().out
         assert "Pareto frontier" in out
-        assert "num_arrays" in out and "area_mm2" in out
+        assert "num_arrays" in out and "l2_compute_ways" in out and "area_mm2" in out
 
         out_path = tmp_path / "frontier.json"
         assert cli_main(
-            explore_argv(cache_dir, "export", "--out", str(out_path))
+            explore_argv(
+                cache_dir, "run", "--budget", "8", "--no-progress",
+                "--export", "json", "--out", str(out_path),
+            )
         ) == 0
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == 1
         assert payload["explore"]["kernel"] == "csum"
+        assert payload["explore"]["simulated"] == 0  # answered from the store
         assert payload["space"]["axes"][0]["name"] == "scheme"
         assert payload["frontier"]
+
+        for action in ("status", "frontier", "export"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(explore_argv(cache_dir, action))
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_csv_export_rows_are_frontier_points(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -552,9 +580,7 @@ class TestExploreCLI:
         assert all(float(row["metrics.cycles"]) > 0 for row in rows)
         assert "metrics.area.total_mm2" in rows[0]
 
-    def test_inspection_without_state_or_bad_flags_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no saved search"):
-            cli_main(explore_argv(tmp_path / "empty", "status"))
+    def test_bad_flags_exit_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="bad --axis"):
             cli_main(
                 ["--cache-dir", str(tmp_path), "explore", "run", "csum",
@@ -584,20 +610,23 @@ class TestExploreCLI:
         )
         assert not any(cache_dir.glob("*/*.json"))
 
-    def test_scheme_aliases_name_one_search(self, tmp_path):
+    def test_scheme_aliases_name_one_search(self, tmp_path, capsys):
         """Regression: `--axis scheme=bs,bp` was rejected although `run
         --schemes bs` accepted the alias.  Aliases now canonicalize, so the
-        alias search and the canonical one share one saved state."""
+        canonical search after the alias one simulates nothing."""
         cache_dir = tmp_path / "cache"
-        shared = ["--axis", "num_arrays=8,16", "--scale", str(SCALE)]
+        shared = ["--axis", "num_arrays=8,16", "--scale", str(SCALE),
+                  "--budget", "4", "--jobs", "1", "--no-progress"]
         assert cli_main(
             ["--cache-dir", str(cache_dir), "explore", "run", "csum",
-             "--axis", "scheme=bs,bp", *shared, "--budget", "4", "--jobs", "1",
-             "--no-progress"]
+             "--axis", "scheme=bs,bp", *shared]
         ) == 0
-        canonical = ["--cache-dir", str(cache_dir), "explore", "status", "csum",
-                     "--axis", "scheme=bit-serial,bit-parallel", *shared]
-        assert cli_main(canonical) == 0
+        capsys.readouterr()
+        assert cli_main(
+            ["--cache-dir", str(cache_dir), "explore", "run", "csum",
+             "--axis", "scheme=bit-serial,bit-parallel", *shared]
+        ) == 0
+        assert "0 simulated this run" in capsys.readouterr().out
 
     def test_export_schema_matches_golden(self, tmp_path):
         """The frontier export schema is pinned alongside the experiment
