@@ -3,23 +3,29 @@
 The MVE controller computes one byte address per SIMD lane from the base
 address(es), resolved per-dimension strides and the dimension-level mask
 (Algorithm 1 and Equation 1).  The timing simulator uses the resulting set
-of touched cache lines to drive the cache/DRAM model.  This is the only
-expansion of Algorithm 1: the functional machine calls
-:func:`element_addresses` too, when it records values.
+of touched cache lines to drive the cache/DRAM model.
+:func:`element_addresses` is the one per-element expansion of Algorithm 1:
+the functional machine calls it when it records values, and
+:func:`cache_line_addresses` builds one instruction's lines from it.
 
-A strided access's element addresses are its base address plus offsets that
-depend only on the access *pattern* -- shape, resolved strides, element size
-and mask -- and a trace issues the same few patterns over and over (a
-cold evaluation's 24,720 strided accesses share 81).  :func:`line_footprints`
-therefore expands each pattern once per trace and shifts its sorted, unique
-offsets by each access's base address; random accesses, whose pointers
-differ per access, are expanded one by one.
+A memory access's element offsets depend only on its access *pattern* --
+shape, resolved strides, element size and mask -- and a trace issues the
+same few patterns over and over (a cold evaluation's 24,720 strided
+accesses share 81).  :func:`line_footprints` therefore expands each
+pattern once per trace into a sorted offset table and derives from it one
+*line table* per base offset within a line: the sorted, distinct lines the
+pattern touches, relative to the line of its base.  A strided access is
+then its base's line plus one line table.  A random access (a gather or
+scatter through a pointer table) applies the same rule to each pointer,
+with the pattern's lower dimensions as one row of the table, and its
+footprint is the sorted, distinct union of its active pointers' rows.  No
+access is expanded element by element.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,15 +64,14 @@ def element_addresses(instruction: MemoryInstruction) -> np.ndarray:
     return addresses
 
 
-def _distinct_lines(sorted_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Base addresses of the lines holding already-sorted byte addresses."""
-    lines = sorted_addresses // line_bytes
-    if lines.size == 0:
-        return lines
-    keep = np.empty(lines.size, dtype=bool)
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-decreasing array, in order."""
+    if ordered.size == 0:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    return lines[keep] * line_bytes
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -> np.ndarray:
@@ -74,30 +79,88 @@ def cache_line_addresses(instruction: MemoryInstruction, line_bytes: int = 64) -
 
     Returns a sorted, deduplicated int64 array: one block of the stream
     :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.walk` takes.
+    This per-element reference is what :func:`line_footprints` must equal.
     """
-    return _distinct_lines(np.sort(element_addresses(instruction)), line_bytes)
+    return _distinct(np.sort(element_addresses(instruction)) // line_bytes) * line_bytes
+
+
+class _LineTables:
+    """The line tables of one access pattern (see the module docstring).
+
+    ``offsets`` holds the pattern's sorted, distinct element byte offsets
+    from its base (a strided access) or from each pointer (one row of a
+    random access)."""
+
+    def __init__(self, offsets: np.ndarray, line_bytes: int):
+        self.offsets = offsets
+        self.line_bytes = line_bytes
+        self._tables: dict[int, np.ndarray] = {}
+        self._rows: Optional[np.ndarray] = None
+
+    def table(self, residue: int) -> np.ndarray:
+        """Sorted, distinct line indices, relative to the base's line, of
+        an access whose base sits ``residue`` bytes into its line."""
+        table = self._tables.get(residue)
+        if table is None:
+            table = _distinct((residue + self.offsets) // self.line_bytes)
+            self._tables[residue] = table
+        return table
+
+    def rows(self) -> np.ndarray:
+        """Every residue's table as one ``(line_bytes, width)`` array, a
+        shorter table padded with its last line (a repeat the union drops)."""
+        if self._rows is None:
+            tables = [self.table(residue) for residue in range(self.line_bytes)]
+            rows = np.empty((self.line_bytes, max(t.size for t in tables)), dtype=np.int64)
+            for residue, table in enumerate(tables):
+                rows[residue, : table.size] = table
+                rows[residue, table.size :] = table[-1]
+            self._rows = rows
+        return self._rows
+
+
+def _pattern_offsets(instruction: MemoryInstruction) -> np.ndarray:
+    """Sorted, distinct element offsets of an instruction's pattern: from
+    the base of a strided access, from one pointer of a random one."""
+    if instruction.is_random:
+        row = instruction.shape_lengths[:-1] + (1,)
+        pattern = replace(instruction, shape_lengths=row, random_bases=(0,), mask=())
+    else:
+        pattern = replace(instruction, base_address=0)
+    return _distinct(np.sort(element_addresses(pattern)))
 
 
 def line_footprints(
     instructions: Sequence[MemoryInstruction], line_bytes: int = 64
 ) -> list[np.ndarray]:
     """:func:`cache_line_addresses` of every instruction, array for array
-    equal, with strided accesses built from one offset table per pattern."""
-    offsets_by_pattern: dict[tuple, np.ndarray] = {}
+    equal, built from one line-table set per access pattern."""
+    patterns: dict[tuple, _LineTables] = {}
     footprints = []
     for instruction in instructions:
-        if instruction.is_random:
-            footprints.append(cache_line_addresses(instruction, line_bytes))
+        if not instruction.shape_lengths:
+            footprints.append(np.zeros(0, dtype=np.int64))
             continue
-        pattern = (
+        is_random = instruction.is_random
+        key = (
+            is_random,
             instruction.shape_lengths,
             instruction.resolved_strides,
             instruction.dtype.bytes,
-            instruction.mask,
+            () if is_random else instruction.mask,
         )
-        offsets = offsets_by_pattern.get(pattern)
-        if offsets is None:
-            offsets = np.unique(element_addresses(replace(instruction, base_address=0)))
-            offsets_by_pattern[pattern] = offsets
-        footprints.append(_distinct_lines(instruction.base_address + offsets, line_bytes))
+        tables = patterns.get(key)
+        if tables is None:
+            tables = patterns[key] = _LineTables(_pattern_offsets(instruction), line_bytes)
+        if not is_random:
+            line, residue = divmod(instruction.base_address, line_bytes)
+            footprints.append((line + tables.table(residue)) * line_bytes)
+            continue
+        pointers = np.asarray(instruction.random_bases, dtype=np.int64)
+        if instruction.mask:
+            pointers = pointers[np.asarray(instruction.mask, dtype=bool)]
+        lines, residues = np.divmod(pointers, line_bytes)
+        union = (lines[:, None] + tables.rows()[residues]).ravel()
+        union.sort()
+        footprints.append(_distinct(union) * line_bytes)
     return footprints

@@ -18,6 +18,7 @@ that.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -105,9 +106,24 @@ def functional_fingerprint() -> str:
     return _functional_fingerprint
 
 
-def config_digest(config: MachineConfig) -> dict:
-    """The full machine configuration as a plain, JSON-serializable dict."""
+@functools.lru_cache(maxsize=1024)
+def _config_fields(config: MachineConfig) -> dict:
+    # Configs are frozen and hashable, so one deep copy per config serves
+    # every cache key built from it.
     return dataclasses.asdict(config)
+
+
+def _copy_dicts(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {key: _copy_dicts(item) for key, item in value.items()}
+    return value
+
+
+def config_digest(config: MachineConfig) -> dict:
+    """The full machine configuration as a plain, JSON-serializable dict:
+    ``dataclasses.asdict(config)``, built once per config.  Every call gets
+    its own dicts (the leaves are immutable scalars)."""
+    return _copy_dicts(_config_fields(config))
 
 
 def stable_hash(payload: Any) -> str:

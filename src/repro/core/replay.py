@@ -15,8 +15,8 @@ The decomposition leans on three invariants of the timing models:
   channel/bank/row/burst layout) -- never on latencies.  Configs sharing
   those walk one hierarchy, and they walk the trace's whole footprint
   stream at once: every memory instruction's lines
-  (:func:`~repro.core.address_gen.line_footprints`, one offset table per
-  strided access pattern) with its store flag go through
+  (:func:`~repro.core.address_gen.line_footprints`, built from per-pattern
+  line tables, never element by element) with its store flag go through
   :meth:`~repro.memory.vector_cache.VectorCacheHierarchy.walk` -- the Neon
   baseline's walk too -- once to fill a warm cache and once to measure.
   Configs differing only in DRAM *timing* additionally share the

@@ -201,7 +201,9 @@ class _PrecisionSweepKernel:
         self.out = self.memory.allocate(dtype, count)
 
     def trace(self, simd_lanes: int = 8192):
-        machine = MVEMachine(self.memory, simd_lanes=simd_lanes)
+        """The kernel's instruction trace, captured value-free like
+        :meth:`~repro.workloads.base.Kernel.capture`."""
+        machine = MVEMachine(self.memory, simd_lanes=simd_lanes, record_values=False)
         elementwise_1d(
             machine,
             self.dtype,

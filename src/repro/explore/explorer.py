@@ -31,7 +31,7 @@ from ..core.cache import ResultStore
 from ..experiments.sweep import KernelJob, OnResult, ParallelSweepEngine
 from .pareto import DEFAULT_OBJECTIVES, FrontierPoint, ParetoFrontier, metrics_from_outcome
 from .space import SearchSpace
-from .state import SearchState
+from .state import BUDGET_SPENT, CONVERGED, ROUND_LIMIT, SearchState
 from .strategy import Strategy, get_strategy
 
 __all__ = ["ExploreSummary", "Explorer", "exhaustive_frontier"]
@@ -63,12 +63,11 @@ class ExploreSummary:
 
     def describe(self) -> str:
         state = self.state
-        status = "converged" if state.done else "budget exhausted (resumable)"
         return (
             f"frontier {self.frontier_size} points | evaluated {self.evaluated}"
             f"/{self.space_size} configs ({self.space_size - self.evaluated} never "
             f"evaluated) | {self.simulated_this_run} simulated this run | "
-            f"{state.rounds} rounds, {status} | {self.elapsed_s:.1f}s"
+            f"{state.rounds} rounds, {state.stopped} | {self.elapsed_s:.1f}s"
         )
 
 
@@ -103,17 +102,22 @@ class Explorer:
         on_result: Optional[OnResult] = None,
     ) -> ExploreSummary:
         """Search until converged, or ``budget`` evaluated points /
-        ``max_rounds`` rounds -- whichever first.  Always starts at round
-        0; the store answers every point an earlier run simulated."""
+        ``max_rounds`` rounds -- whichever first; ``state.stopped`` says
+        which.  Always starts at round 0; the store answers every point an
+        earlier run simulated."""
         started = time.perf_counter()
         state = SearchState(
             seed=self.seed, strategy=self.strategy.name, objectives=self.objectives
         )
         frontier = ParetoFrontier(self.objectives)
 
-        while not state.done and state.rounds < max_rounds:
+        while True:
             remaining_budget = budget - len(state.evaluated)
             if remaining_budget <= 0:
+                state.stopped = BUDGET_SPENT
+                break
+            if state.rounds >= max_rounds:
+                state.stopped = ROUND_LIMIT
                 break
             index = state.rounds
             rng = random.Random(f"{self.seed}:{index}")
@@ -124,7 +128,7 @@ class Explorer:
                 if point not in state.evaluated
             ]
             if not proposals:
-                state.done = True
+                state.stopped = CONVERGED
                 break
             proposals = proposals[:remaining_budget]
             jobs = self.space.jobs(proposals)

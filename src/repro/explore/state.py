@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 from .pareto import FrontierPoint
 
-__all__ = ["SearchState"]
+__all__ = ["SearchState", "CONVERGED", "BUDGET_SPENT", "ROUND_LIMIT"]
+
+#: why a search stopped (:attr:`SearchState.stopped`): the strategy
+#: proposed nothing new, every point of the budget was evaluated, or the
+#: round limit was reached
+CONVERGED = "converged"
+BUDGET_SPENT = "budget spent"
+ROUND_LIMIT = "round limit reached"
 
 
 @dataclass
@@ -35,6 +42,10 @@ class SearchState:
     rounds: int = 0
     #: fresh simulations (vs points answered by the store or the engine memo)
     simulated: int = 0
-    #: the strategy proposed nothing new: the search converged (vs merely
-    #: running out of budget or rounds)
-    done: bool = False
+    #: why the search stopped (one of the reasons above); ``""`` while it runs
+    stopped: str = ""
+
+    @property
+    def done(self) -> bool:
+        """The search converged (vs stopping on its budget or round limit)."""
+        return self.stopped == CONVERGED

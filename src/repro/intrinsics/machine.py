@@ -4,11 +4,17 @@ This is the reproduction's stand-in for the paper's intrinsic library plus
 DynamoRIO trace capture.  Kernels are written against the methods of
 :class:`MVEMachine`; every call
 
-1. computes the numerically-correct result on a flat memory model (so the
-   kernel can be validated against a numpy reference), and
-2. appends the corresponding :class:`~repro.isa.instructions.MVEInstruction`
+1. appends the corresponding :class:`~repro.isa.instructions.MVEInstruction`
    to the machine's trace, which the timing simulator and the compiler later
-   consume.
+   consume, and
+2. on a value-recording machine (``record_values=True``), computes the
+   numerically-correct result on a flat memory model, so the kernel can be
+   validated against a numpy reference.
+
+A timing capture records no values: loads read no payload, stores write
+none, moves and arithmetic compute nothing, and every :class:`MDV` it hands
+out carries no lane values.  The instruction stream is the same either
+way, because no kernel branches on vector values.
 
 Scalar work that the CPU core performs between vector instructions (loop
 control, pointer arithmetic, mask value computation) is accounted for with
@@ -88,7 +94,11 @@ class TraceStats:
 
 
 class MVEMachine:
-    """Functional simulator and trace recorder for the MVE intrinsic API."""
+    """Functional simulator and trace recorder for the MVE intrinsic API.
+
+    ``record_values=False`` makes a trace recorder only (see the module
+    docstring): its :class:`MDV` handles have no values to read.
+    """
 
     def __init__(
         self,
@@ -280,8 +290,9 @@ class MVEMachine:
         instruction = self._memory_instruction(
             shape, dtype, base_address, stride_modes, is_store=False, is_random=is_random
         )
-        values = np.zeros(shape.total_elements, dtype=dtype.numpy_dtype)
+        values = None
         if self.record_values:
+            values = np.zeros(shape.total_elements, dtype=dtype.numpy_dtype)
             lane_mask = self._active_lane_mask(shape)
             if lane_mask.any():
                 values[lane_mask] = self.memory.read_elements(
@@ -324,7 +335,7 @@ class MVEMachine:
         """Copy a vector register."""
         shape = self._shape()
         register = self._new_register()
-        values = self._conform(source, shape)
+        values = self._conform(source, shape) if self.record_values else None
         self._emit(
             MoveInstruction(
                 Opcode.COPY, dtype=source.dtype, dest=register, src=source.register
@@ -336,7 +347,9 @@ class MVEMachine:
         """Convert a vector register to another element type."""
         shape = self._shape()
         register = self._new_register()
-        values = self._conform(source, shape).astype(dtype.numpy_dtype)
+        values = None
+        if self.record_values:
+            values = self._conform(source, shape).astype(dtype.numpy_dtype)
         self._emit(
             MoveInstruction(
                 Opcode.CONVERT,
@@ -357,7 +370,9 @@ class MVEMachine:
         shape = self._shape()
         self._check_shape_fits(shape)
         register = self._new_register()
-        values = np.full(shape.total_elements, value, dtype=dtype.numpy_dtype)
+        values = None
+        if self.record_values:
+            values = np.full(shape.total_elements, value, dtype=dtype.numpy_dtype)
         self._emit(
             ArithmeticInstruction(
                 Opcode.SET_DUP,
@@ -394,15 +409,17 @@ class MVEMachine:
         self._check_shape_fits(shape)
         dtype = result_dtype or a.dtype
         register = self._new_register()
-        lhs = self._conform(a, shape)
-        rhs = self._conform(b, shape)
-        if dtype.is_float:
-            values = compute(lhs.astype(dtype.numpy_dtype), rhs.astype(dtype.numpy_dtype))
-            values = np.asarray(values, dtype=dtype.numpy_dtype)
-        else:
-            # Integer ops wrap around modulo 2^bits like the hardware does.
-            wide = compute(lhs.astype(np.int64), rhs.astype(np.int64))
-            values = np.asarray(wide).astype(dtype.numpy_dtype)
+        values = None
+        if self.record_values:
+            lhs = self._conform(a, shape)
+            rhs = self._conform(b, shape)
+            if dtype.is_float:
+                values = compute(lhs.astype(dtype.numpy_dtype), rhs.astype(dtype.numpy_dtype))
+                values = np.asarray(values, dtype=dtype.numpy_dtype)
+            else:
+                # Integer ops wrap around modulo 2^bits like the hardware does.
+                wide = compute(lhs.astype(np.int64), rhs.astype(np.int64))
+                values = np.asarray(wide).astype(dtype.numpy_dtype)
         self._emit(
             ArithmeticInstruction(
                 opcode,
@@ -426,11 +443,13 @@ class MVEMachine:
         self._check_shape_fits(shape)
         dtype = a.dtype
         register = self._new_register()
-        operand = self._conform(a, shape)
-        if dtype.is_float:
-            values = np.asarray(compute(operand), dtype=dtype.numpy_dtype)
-        else:
-            values = np.asarray(compute(operand.astype(np.int64))).astype(dtype.numpy_dtype)
+        values = None
+        if self.record_values:
+            operand = self._conform(a, shape)
+            if dtype.is_float:
+                values = np.asarray(compute(operand), dtype=dtype.numpy_dtype)
+            else:
+                values = np.asarray(compute(operand.astype(np.int64))).astype(dtype.numpy_dtype)
         self._emit(
             ArithmeticInstruction(
                 opcode,

@@ -4,14 +4,16 @@ In the paper's C/C++ programming model, MVE values are declared as ``__mdv``
 variables concatenated with a data-type suffix (``__mdvdw``, ``__mdvf``,
 ...).  Here an :class:`MDV` is the Python equivalent: a handle to a virtual
 vector register produced by the functional machine.  It carries the element
-type, the logical shape it was created under, and (for the functional
-simulator) the concrete element values laid out in SIMD-lane order
-(dimension 0 fastest-varying).
+type, the logical shape it was created under and, when the machine records
+values, the concrete element values laid out in SIMD-lane order
+(dimension 0 fastest-varying).  A machine built with
+``record_values=False`` (every timing capture) hands out handles without
+values: the instruction stream needs only register, type and shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,22 +23,44 @@ from ..isa.registers import VectorShape
 __all__ = ["MDV"]
 
 
-@dataclass
 class MDV:
-    """A virtual multi-dimensional vector register value."""
+    """A virtual multi-dimensional vector register value.
 
-    register: int
-    dtype: DataType
-    shape: VectorShape
-    values: np.ndarray
+    ``values=None`` makes a value-free handle: :attr:`values` (and
+    everything read through it) then raises ``ValueError``.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=self.dtype.numpy_dtype).reshape(-1)
-        if self.values.size != self.shape.total_elements:
+    __slots__ = ("register", "dtype", "shape", "_values")
+
+    def __init__(
+        self,
+        register: int,
+        dtype: DataType,
+        shape: VectorShape,
+        values: Optional[np.ndarray] = None,
+    ):
+        self.register = register
+        self.dtype = dtype
+        self.shape = shape
+        if values is not None:
+            values = np.asarray(values, dtype=dtype.numpy_dtype).reshape(-1)
+            if values.size != shape.total_elements:
+                raise ValueError(
+                    f"value count {values.size} does not match shape "
+                    f"{shape.lengths} ({shape.total_elements} elements)"
+                )
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        """Lane values in SIMD-lane order (dimension 0 fastest-varying)."""
+        if self._values is None:
             raise ValueError(
-                f"value count {self.values.size} does not match shape "
-                f"{self.shape.lengths} ({self.shape.total_elements} elements)"
+                f"v{self.register} carries no lane values: it was produced by "
+                "an MVEMachine with record_values=False (capture with "
+                "record_values=True to read values)"
             )
+        return self._values
 
     @property
     def total_elements(self) -> int:

@@ -292,6 +292,7 @@ class TestAdaptiveSearch:
             space, store=store, jobs=1, strategy="frontier", seed=SEED
         ).run(budget=space.size, max_rounds=64)
         assert summary.state.done
+        assert summary.state.stopped == "converged"
         assert len(summary.state.evaluated) < space.size  # measurably fewer
         # Ground truth shares the store, so it only simulates the skipped
         # interior points.
@@ -317,6 +318,8 @@ class TestAdaptiveSearch:
         store = ResultStore(tmp_path / "cache")
         first = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=4)
         assert not first.state.done
+        assert first.state.stopped == "budget spent"
+        assert "1 rounds, budget spent |" in first.describe()
         simulated = []
 
         def record(job, outcome, completed, total):
@@ -524,6 +527,24 @@ def explore_argv(cache_dir, action, *extra):
 
 
 class TestExploreCLI:
+    def test_summary_names_the_round_limit(self, tmp_path, capsys):
+        """CI's 16-point axes stopped by ``--rounds 1`` with budget left
+        say so, not that the budget ran out."""
+        assert cli_main(
+            [
+                "--cache-dir", str(tmp_path / "cache"), "explore", "run", "csum",
+                "--scale", "0.25", "--seed", "7", "--jobs", "1", "--no-progress",
+                "--axis", "scheme=bit-serial,bit-parallel",
+                "--axis", "num_arrays=8,16,32,64",
+                "--axis", "l2_compute_ways=2,4",
+                "--rounds", "1", "--budget", "999",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "/16 configs" in out
+        assert "1 rounds, round limit reached |" in out
+        assert "budget" not in out
+
     def test_run_reports_and_resume_simulates_nothing(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert cli_main(explore_argv(cache_dir, "run", "--budget", "8")) == 0

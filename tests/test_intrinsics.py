@@ -320,6 +320,38 @@ class TestTraceBookkeeping:
 
 
 class TestMDV:
+    def test_value_free_machine_hands_out_handles_without_values(self):
+        """record_values=False builds no lane values: every handle has
+        none, reading one raises an error that names record_values, and
+        stores write nothing."""
+        memory = FlatMemory()
+        machine = MVEMachine(memory, record_values=False)
+        data = memory.allocate_array(np.arange(1, 9, dtype=np.int32), DataType.INT32)
+        pointers = np.asarray([data.address + 4 * i for i in (3, 1)], dtype=np.uint64)
+        table = memory.allocate_array(pointers, DataType.UINT64)
+        out = memory.allocate(DataType.INT32, 8)
+        machine.vsetdimc(1)
+        machine.vsetdiml(0, 8)
+        loaded = machine.vsld(DataType.INT32, data.address, (1,))
+        handles = [
+            loaded,
+            machine.vadd(loaded, loaded),
+            machine.vshl_imm(loaded, 1),
+            machine.vcpy(loaded),
+            machine.vcvt(loaded, DataType.FLOAT32),
+            machine.vsetdup(DataType.INT16, 3),
+        ]
+        machine.vsst(handles[1], out.address, (1,))
+        machine.vsetdiml(0, 2)
+        handles.append(machine.vrld(DataType.INT32, table.address, (1,)))
+        assert len(machine.trace) == 11
+        for handle in handles:
+            with pytest.raises(ValueError, match="record_values=False"):
+                handle.values
+            with pytest.raises(ValueError, match="record_values"):
+                handle.as_ndarray()
+        assert not out.read().any()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MDV(0, DataType.INT32, VectorShape((4,)), np.zeros(3, dtype=np.int32))

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.address_gen import cache_line_addresses, line_footprints
 from repro.intrinsics import MVEMachine
 from repro.isa import DataType, VectorShape, resolve_strides
+from repro.isa.instructions import MemoryInstruction, Opcode
 from repro.isa.registers import ControlRegisters
 from repro.memory import FlatMemory
 
@@ -331,6 +333,86 @@ class TestMemoryProperties:
             machine, vector, len(values), scratch.address, stop_at=2
         )
         assert int(reduced.values[:remaining].sum()) == int(np.sum(values))
+
+
+#: a region far enough from address 0 that negative strides stay positive
+_REGION = 1 << 16
+
+
+@st.composite
+def _pattern_shape(draw) -> tuple:
+    """(lengths, resolved strides, dtype): 1-3 dims, zero and negative strides."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=dims, max_size=dims)))
+    strides = tuple(draw(st.lists(st.integers(-6, 6), min_size=dims, max_size=dims)))
+    return lengths, strides, draw(st.sampled_from(list(DataType)))
+
+
+@st.composite
+def _access_pattern(draw, line_bytes: int, shape: tuple) -> list:
+    """Memory instructions sharing one access pattern of ``shape``: strided
+    or random, an optional partial mask, and bases at every offset within
+    a line (strided) or pointer tables with repeated and interleaved rows
+    (random)."""
+    lengths, strides, dtype = shape
+    is_random = draw(st.booleans())
+    mask = draw(
+        st.just(())
+        | st.lists(st.booleans(), min_size=lengths[-1], max_size=lengths[-1]).map(tuple)
+    )
+    if is_random:
+        # A few pointers a line or two apart, repeated and interleaved.
+        pool = draw(st.lists(st.integers(0, 3 * line_bytes), min_size=1, max_size=4))
+        tables = draw(
+            st.lists(
+                st.lists(st.sampled_from(pool), min_size=lengths[-1], max_size=lengths[-1]),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        placements = [(_REGION, tuple(_REGION + p for p in table)) for table in tables]
+        opcode = Opcode.RANDOM_LOAD
+    else:
+        placements = [(_REGION + offset, ()) for offset in range(line_bytes)]
+        opcode = Opcode.STRIDED_LOAD
+    return [
+        MemoryInstruction(
+            opcode,
+            dtype=dtype,
+            base_address=base,
+            is_random=is_random,
+            random_bases=pointers,
+            resolved_strides=strides,
+            shape_lengths=lengths,
+            mask=mask,
+        )
+        for base, pointers in placements
+    ]
+
+
+class TestLineFootprintProperties:
+    @given(st.data(), st.sampled_from((32, 64, 128)))
+    def test_line_tables_equal_the_per_element_reference(self, data, line_bytes):
+        """``line_footprints`` (per-pattern line tables) equals the
+        per-instruction ``cache_line_addresses`` array for array.  The
+        patterns of one call share a table cache, and often a shape, so
+        strided and random patterns of one shape meet."""
+        shapes = data.draw(st.lists(_pattern_shape(), min_size=1, max_size=2))
+        patterns = data.draw(
+            st.lists(
+                st.sampled_from(shapes).flatmap(
+                    lambda shape: _access_pattern(line_bytes, shape)
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        instructions = data.draw(st.permutations([i for p in patterns for i in p]))
+        built = line_footprints(instructions, line_bytes)
+        for instruction, lines in zip(instructions, built, strict=True):
+            np.testing.assert_array_equal(
+                lines, cache_line_addresses(instruction, line_bytes), strict=True
+            )
 
 
 class TestCacheEngineParity:

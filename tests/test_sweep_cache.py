@@ -10,12 +10,18 @@ import signal
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.cache import CACHE_SCHEMA_VERSION, ResultStore, config_digest, stable_hash
+from repro.core.cache import (
+    CACHE_SCHEMA_VERSION,
+    ResultStore,
+    code_fingerprint,
+    config_digest,
+    stable_hash,
+)
 from repro.core.config import MachineConfig, default_config
 from repro.core.simulator import simulate_trace
 from repro.core.traces import TraceSpec
 from repro.experiments import ExperimentRunner
-from repro.experiments.registry import ExperimentOptions, get_experiment
+from repro.experiments.registry import ExperimentOptions, all_experiments, get_experiment
 from repro.experiments.sweep import (
     KernelJob,
     ParallelSweepEngine,
@@ -102,6 +108,45 @@ class TestCacheKeying:
 
     def test_stable_hash_is_order_insensitive(self):
         assert stable_hash({"a": 1, "b": 2}) == stable_hash({"b": 2, "a": 1})
+
+    def test_keys_equal_keys_built_from_a_fresh_asdict(self):
+        """``config_digest`` is built once per config, yet every registered
+        job's and experiment's key is the one a fresh ``dataclasses.asdict``
+        gives, so stores written before stay warm."""
+        fingerprint = code_fingerprint()
+        for experiment in all_experiments():
+            for options in (ExperimentOptions(), ExperimentOptions(scale=1.0)):
+                encoded = {
+                    "scale": options.scale,
+                    "config": dataclasses.asdict(options.resolved_config()),
+                }
+                if not experiment.uses_scale:
+                    del encoded["scale"]
+                assert experiment.cache_key(options) == stable_hash(
+                    {
+                        "experiment": experiment.name,
+                        "fingerprint": fingerprint,
+                        "options": encoded,
+                    }
+                )
+            for job in experiment.jobs():
+                assert job.cache_key() == stable_hash(
+                    {
+                        "fingerprint": fingerprint,
+                        "kernel": job.kernel,
+                        "kind": job.kind,
+                        "scale": job.scale,
+                        "kwargs": list(job.kwargs),
+                        "config": dataclasses.asdict(job.config),
+                    }
+                ), job.describe()
+
+    def test_config_digest_hands_out_its_own_dicts(self):
+        config = default_config()
+        digest = config_digest(config)
+        digest["scheme_name"] = "bit-parallel"
+        digest["engine"]["array"]["rows"] = 1
+        assert config_digest(config) == dataclasses.asdict(config)
 
 
 def request_keys(request) -> tuple:

@@ -214,6 +214,53 @@ class TestRecordValuesParity:
         assert kernel.validate()  # validate still records values
 
 
+class TestValueFreeCapture:
+    """A timing capture builds no lane values: the machine hands out
+    value-free handles and never expands Algorithm 1."""
+
+    @pytest.mark.parametrize("case", TestRecordValuesParity.CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_capture_builds_no_values(self, case, monkeypatch):
+        from repro.intrinsics import machine as machine_module
+
+        built = []
+
+        class RecordingMDV(machine_module.MDV):
+            __slots__ = ()
+
+            def __init__(self, register, dtype, shape, values=None):
+                super().__init__(register, dtype, shape, values)
+                built.append(values is not None)
+
+        def expanded(instruction):
+            raise AssertionError("a value-free capture expanded element addresses")
+
+        monkeypatch.setattr(machine_module, "MDV", RecordingMDV)
+        monkeypatch.setattr(machine_module, "element_addresses", expanded)
+        name, kind, scale = case
+        get_kernel_class(name)(scale=scale).capture(kind)
+        assert built and not any(built)
+
+    @pytest.mark.parametrize("dtype", ["FLOAT32", "INT32", "FLOAT16", "INT16"])
+    def test_precision_kernel_captures_value_free(self, dtype, monkeypatch):
+        """Fig 12c's synthetic kernel is a timing capture like any other:
+        its trace equals a recording run's, and it writes no output."""
+        from repro.experiments import figure12
+        from repro.intrinsics import MVEMachine
+        from repro.isa import DataType
+
+        kernel = figure12._PrecisionSweepKernel(DataType[dtype])
+        captured = kernel.trace()
+        assert not kernel.out.read().any()
+
+        def recording_machine(memory, simd_lanes, record_values):
+            return MVEMachine(memory, simd_lanes=simd_lanes, record_values=True)
+
+        monkeypatch.setattr(figure12, "MVEMachine", recording_machine)
+        recording_kernel = figure12._PrecisionSweepKernel(DataType[dtype])
+        assert captured == recording_kernel.trace()
+        assert recording_kernel.out.read().all()  # 1 * 1 + 1 in every element
+
+
 class TestCaptureCounting:
     """Acceptance: a cold multi-config sweep captures each distinct trace
     exactly once, and warm sweeps capture nothing."""
