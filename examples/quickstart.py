@@ -8,7 +8,7 @@ kernel:
 2. express the kernel with MVE intrinsics (multi-dimensional strided loads,
    arithmetic, dimension-level configuration),
 3. check the functional result against numpy,
-4. compile the recorded trace (register allocation + scheduling), and
+4. compile the recorded trace (register allocation), and
 5. simulate it on the in-cache engine and compare against the Neon model.
 """
 

@@ -13,7 +13,8 @@ Public API overview
 * :mod:`repro.memory` -- flat memory, DRAM timing, cache hierarchy.
 * :mod:`repro.sram` -- in-SRAM compute schemes (bit-serial, bit-parallel,
   bit-hybrid, associative) and the transpose memory unit.
-* :mod:`repro.compiler` -- liveness, list scheduling, register allocation.
+* :mod:`repro.compiler` -- liveness and register allocation over the
+  captured trace.
 * :mod:`repro.core` -- MVE controller and end-to-end timing/energy/area
   simulation; :func:`simulate_trace` compiles a captured trace and times it.
 * :mod:`repro.baselines` -- Arm Neon, mobile GPU, Duality Cache, RVV models.

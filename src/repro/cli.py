@@ -258,10 +258,15 @@ def _trace_spec(prefix: str, **fields):
 
 def _resolved_trace(engine: ParallelSweepEngine, spec):
     """``spec``'s trace through the engine's resolver (memo, store, then
-    capture), plus where it came from."""
+    capture), plus where it came from.  A capture the functional machine
+    rejects (e.g. too few lanes for the kernel's shape) is one line of
+    error."""
     captures = engine.traces_captured
     start = time.perf_counter()
-    trace = engine.captured_trace(spec)
+    try:
+        trace = engine.captured_trace(spec)
+    except ValueError as error:
+        raise SystemExit(f"trace: {error}") from None
     if engine.traces_captured == captures:
         return trace, "cache"
     return trace, f"captured in {time.perf_counter() - start:.2f}s"
@@ -566,9 +571,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if not args.no_progress:
         print(f"exploring {space.describe()}", file=sys.stderr)
     on_result = None if args.no_progress else _progress(sys.stderr)
-    summary = explorer.run(
-        budget=args.budget, max_rounds=args.rounds, on_result=on_result
-    )
+    try:
+        summary = explorer.run(
+            budget=args.budget, max_rounds=args.rounds, on_result=on_result
+        )
+    except ValueError as error:
+        # An axis value the machine model rejects, e.g. a register file that
+        # holds fewer than two registers.
+        raise SystemExit(f"explore: {error}") from None
     line = f"explore {space.kernel} [{args.strategy}]: {summary.describe()}"
     state = summary.state
     if args.export:

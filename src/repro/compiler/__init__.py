@@ -1,17 +1,12 @@
-"""Compiler support: liveness, list scheduling, greedy register allocation."""
+"""Compiler support: liveness and greedy register allocation over the captured trace."""
 
 from .liveness import LiveRange, LivenessInfo, analyze_liveness
-from .regalloc import AllocationResult, allocate_registers
-from .scheduler import schedule_trace
 from .pipeline import CompiledKernel, compile_trace
 
 __all__ = [
     "LiveRange",
     "LivenessInfo",
     "analyze_liveness",
-    "AllocationResult",
-    "allocate_registers",
-    "schedule_trace",
     "CompiledKernel",
     "compile_trace",
 ]

@@ -1,10 +1,11 @@
 """Liveness analysis over an MVE instruction trace.
 
 The trace produced by the functional machine is a straight-line program
-(loops are already unrolled dynamically), so liveness reduces to computing,
-for every virtual register, its definition index and last-use index.  The
+(loops are already unrolled dynamically), so liveness reduces to recording,
+for every virtual register, its definition index and use indices.  The
 compiler uses this both to pick the kernel element width (widest live
-register, Section III-G) and to drive register allocation.
+register, Section III-G) and to drive register allocation (furthest next
+use).
 """
 
 from __future__ import annotations
@@ -25,20 +26,10 @@ __all__ = ["LiveRange", "LivenessInfo", "analyze_liveness", "defined_register", 
 
 @dataclass
 class LiveRange:
-    """Definition point, uses, and element width of one virtual register."""
+    """Definition point and uses of one virtual register."""
 
-    register: int
     definition: int
     uses: list[int] = field(default_factory=list)
-    element_bits: int = 32
-
-    @property
-    def last_use(self) -> int:
-        return self.uses[-1] if self.uses else self.definition
-
-    @property
-    def length(self) -> int:
-        return self.last_use - self.definition
 
     def next_use_after(self, index: int) -> Optional[int]:
         for use in self.uses:
@@ -83,20 +74,17 @@ class LivenessInfo:
     """Result of :func:`analyze_liveness`."""
 
     ranges: dict[int, LiveRange]
-    max_live: int
     widest_bits: int
 
 
 def analyze_liveness(trace: Sequence[TraceEntry]) -> LivenessInfo:
-    """Compute live ranges, peak register pressure and widest element type."""
+    """Compute every virtual register's live range and the widest element type."""
     ranges: dict[int, LiveRange] = {}
     widest = 8
     for index, entry in enumerate(trace):
         defined = defined_register(entry)
         if defined is not None:
-            ranges[defined] = LiveRange(
-                register=defined, definition=index, element_bits=_entry_bits(entry)
-            )
+            ranges[defined] = LiveRange(definition=index)
             widest = max(widest, _entry_bits(entry))
         for reg in used_registers(entry):
             if reg in ranges:
@@ -104,20 +92,6 @@ def analyze_liveness(trace: Sequence[TraceEntry]) -> LivenessInfo:
             else:
                 # Register defined outside the analysed window (e.g. carried
                 # across a tile boundary); treat it as live from the start.
-                ranges[reg] = LiveRange(register=reg, definition=-1, uses=[index])
+                ranges[reg] = LiveRange(definition=-1, uses=[index])
                 widest = max(widest, _entry_bits(entry))
-
-    # Peak register pressure via a sweep over definition / last-use events.
-    events: list[tuple[int, int]] = []
-    for rng in ranges.values():
-        if not rng.uses:
-            continue
-        events.append((rng.definition, +1))
-        events.append((rng.last_use + 1, -1))
-    events.sort()
-    live = 0
-    max_live = 0
-    for _, delta in events:
-        live += delta
-        max_live = max(max_live, live)
-    return LivenessInfo(ranges=ranges, max_live=max_live, widest_bits=widest)
+    return LivenessInfo(ranges=ranges, widest_bits=widest)

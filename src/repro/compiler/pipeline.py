@@ -1,16 +1,17 @@
-"""Compilation pipeline: schedule, analyse liveness, allocate registers.
+"""The compile step and its memo.
 
-``compile_trace`` is the single entry point used by the timing simulator and
-the experiments: it takes the raw trace recorded by the functional machine
-and produces the trace that actually reaches the MVE controller, with the
-kernel-width config instruction and any spill traffic inserted.
+``compile_trace`` (defined in :mod:`.regalloc`) is the single compile step
+used by the timing simulator and the experiments: it takes the raw trace
+recorded by the functional machine and produces the trace that actually
+reaches the MVE controller, with the kernel-width config instruction and
+any spill traffic inserted.
 
 ``compile_trace_cached`` adds a small identity-keyed memo on top: the staged
 sweep pipeline captures one trace and replays it under many machine
 configurations, and every configuration that keeps the register-file
 geometry (array count and shape) recompiles to the *same* compiled kernel.
 Configs that only vary cache, DRAM, TMU or scheme parameters therefore skip
-scheduling and register allocation entirely.
+register allocation entirely.
 
 Keys embed ``id(trace)``, so the memo only hits when the caller presents
 the *same trace object* again: within one process and one decoded trace
@@ -24,14 +25,11 @@ guessing at them from wall clock.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..isa.instructions import TraceEntry
 from ..isa.registers import PhysicalRegisterFile
-from .liveness import LivenessInfo, analyze_liveness
-from .regalloc import AllocationResult, allocate_registers
-from .scheduler import schedule_trace
+from .regalloc import CompiledKernel, compile_trace
 
 __all__ = [
     "CompiledKernel",
@@ -39,39 +37,6 @@ __all__ = [
     "compile_trace",
     "compile_trace_cached",
 ]
-
-
-@dataclass
-class CompiledKernel:
-    """A kernel trace after scheduling and register allocation."""
-
-    trace: list[TraceEntry]
-    liveness: LivenessInfo
-    allocation: AllocationResult
-
-    @property
-    def spill_count(self) -> int:
-        return self.allocation.spill_count
-
-    @property
-    def element_bits(self) -> int:
-        return self.allocation.element_bits
-
-    @property
-    def peak_pressure(self) -> int:
-        return self.allocation.peak_pressure
-
-
-def compile_trace(
-    trace: Sequence[TraceEntry],
-    register_file: Optional[PhysicalRegisterFile] = None,
-    use_scheduler: bool = True,
-) -> CompiledKernel:
-    """Run the full compiler pipeline on a recorded trace."""
-    scheduled = schedule_trace(trace) if use_scheduler else list(trace)
-    liveness = analyze_liveness(scheduled)
-    allocation = allocate_registers(scheduled, register_file=register_file, liveness=liveness)
-    return CompiledKernel(trace=allocation.trace, liveness=liveness, allocation=allocation)
 
 
 class _CompileMemo:
@@ -127,18 +92,17 @@ def compile_cache_info() -> dict:
 def compile_trace_cached(
     trace: Sequence[TraceEntry],
     register_file: Optional[PhysicalRegisterFile] = None,
-    use_scheduler: bool = True,
 ) -> CompiledKernel:
     """:func:`compile_trace`, memoized per (trace object, geometry).
 
     The staged pipeline calls this with one shared trace list per capture;
     replays under configurations that differ only in timing parameters hit
-    the memo and reuse the scheduled, register-allocated kernel.
+    the memo and reuse the register-allocated kernel.
     """
     register_file = register_file or PhysicalRegisterFile()
-    key = (id(trace), register_file, use_scheduler)
+    key = (id(trace), register_file)
     compiled = _compile_memo.get(trace, key)
     if compiled is None:
-        compiled = compile_trace(trace, register_file=register_file, use_scheduler=use_scheduler)
+        compiled = compile_trace(trace, register_file=register_file)
         _compile_memo.put(trace, key, compiled)
     return compiled

@@ -1,17 +1,18 @@
-"""Greedy register allocation with spill insertion.
+"""The compiler: one element width per kernel, then greedy register allocation.
 
 MVE's physical register file is unusual: the *vector length* is fixed
 (8192 lanes) but the number of registers depends on the element width --
 256 word-lines divided by the kernel's widest element type (Section III-G).
 Spilling an in-cache register is expensive because all 8192 elements must be
 stored to and reloaded from memory, so the allocator follows the paper:
-greedy allocation with furthest-next-use (Belady) eviction, after the list
-scheduler has shortened live ranges.
+greedy allocation with furthest-next-use (Belady) eviction.  It allocates
+over the trace in captured order; the paper's list-hybrid scheduler is not
+modeled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..isa.datatypes import DataType
@@ -23,17 +24,18 @@ from ..isa.instructions import (
     TraceEntry,
 )
 from ..isa.registers import PhysicalRegisterFile
-from .liveness import LivenessInfo, analyze_liveness, defined_register, used_registers
+from .liveness import analyze_liveness, defined_register, used_registers
 
-__all__ = ["AllocationResult", "allocate_registers"]
+__all__ = ["CompiledKernel", "compile_trace"]
 
 #: Base byte address of the compiler-managed spill area.
 SPILL_AREA_BASE = 0x4000_0000
 
 
 @dataclass
-class AllocationResult:
-    """Outcome of register allocation on one kernel trace."""
+class CompiledKernel:
+    """A kernel trace after register allocation: the trace that reaches the
+    MVE controller, with the width config and any spill traffic inserted."""
 
     trace: list[TraceEntry]
     assignment: dict[int, int]
@@ -72,22 +74,28 @@ def _spill_instruction(
     )
 
 
-def allocate_registers(
+def compile_trace(
     trace: Sequence[TraceEntry],
     register_file: Optional[PhysicalRegisterFile] = None,
-    liveness: Optional[LivenessInfo] = None,
-) -> AllocationResult:
-    """Assign virtual registers to physical registers, spilling when needed.
+) -> CompiledKernel:
+    """Compile a recorded trace: assign virtual registers to physical
+    registers in captured order, spilling when needed.
 
     Returns a new trace with a ``vsetwidth`` config instruction injected at
     the top (the compiler's single-kernel-width rule) and spill stores/fills
-    inserted where the physical register file overflows.
+    inserted where the physical register file overflows.  A register file
+    that holds fewer than two registers of the kernel's width raises
+    ``ValueError``.
     """
     register_file = register_file or PhysicalRegisterFile()
-    trace = list(trace)
-    liveness = liveness or analyze_liveness(trace)
+    liveness = analyze_liveness(trace)
     element_bits = liveness.widest_bits
-    num_prs = max(2, register_file.register_count(element_bits))
+    num_prs = register_file.register_count(element_bits)
+    if num_prs < 2:
+        raise ValueError(
+            f"{register_file.array_rows}-row arrays hold {num_prs} registers of "
+            f"{element_bits}-bit elements; the compiler needs at least 2"
+        )
     lanes = register_file.simd_lanes
 
     assignment: dict[int, int] = {}
@@ -172,7 +180,7 @@ def allocate_registers(
         peak_pressure = max(peak_pressure, len(resident))
         release_dead(index)
 
-    return AllocationResult(
+    return CompiledKernel(
         trace=new_trace,
         assignment=assignment,
         num_physical_registers=num_prs,

@@ -92,10 +92,10 @@ __all__ = [
 def replay_group_key(config: MachineConfig) -> tuple[int, int, int]:
     """The compiled-kernel identity of a config: register-file geometry.
 
-    Configs with equal keys replay the same scheduled, register-allocated
-    kernel (shared via :func:`compile_trace_cached`) and may therefore share
-    one batched replay; configs with different keys see different spill
-    traffic and must split.
+    Configs with equal keys replay the same register-allocated kernel
+    (shared via :func:`compile_trace_cached`) and may therefore share one
+    batched replay; configs with different keys see different spill traffic
+    and must split.
     """
     engine = config.engine
     return (engine.num_arrays, engine.array.rows, engine.array.cols)

@@ -47,14 +47,14 @@ __all__ = ["compile_trace", "replay_trace", "simulate_trace", "simulate_trace_ba
 def simulate_trace(
     trace: Sequence[TraceEntry], config: Optional[MachineConfig] = None
 ) -> tuple[SimulationResult, CompiledKernel]:
-    """Compile a captured trace (scheduler + register allocation) and time
-    it under one configuration.
+    """Compile a captured trace (register allocation) and time it under one
+    configuration.
 
     The compile step goes through the geometry-keyed compile memo, so a
     trace replayed under configurations that keep the register-file
-    geometry reuses the scheduled, register-allocated kernel and only
-    re-runs the timing model.  The result is a second, steady-state run
-    after one that fills the cache hierarchy -- the equivalent of the
+    geometry reuses the register-allocated kernel and only re-runs the
+    timing model.  The result is a second, steady-state run after one that
+    fills the cache hierarchy -- the equivalent of the
     paper's repeated kernel invocations on the phone, where inputs already
     live in the caches.
     """

@@ -15,7 +15,7 @@ capture-once/replay-many methodology:
   capture) is the one resolver every in-process lookup goes through.
 * **Replay** -- each job replays the shared trace through the timing model;
   configurations with the same register-file geometry also share the
-  compiled (scheduled + register-allocated) kernel via
+  compiled (register-allocated) kernel via
   :func:`~repro.compiler.pipeline.compile_trace_cached`.
 
 The engine also

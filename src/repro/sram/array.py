@@ -21,6 +21,12 @@ class SramArrayGeometry:
     rows: int = 256
     cols: int = 256
 
+    def __post_init__(self) -> None:
+        if self.rows <= 0:
+            raise ValueError("array rows must be positive")
+        if self.cols <= 0:
+            raise ValueError("array cols must be positive")
+
     @property
     def bits(self) -> int:
         return self.rows * self.cols

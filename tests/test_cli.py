@@ -280,6 +280,17 @@ class TestTraceCommand:
         with pytest.raises(SystemExit, match="pass a kernel"):
             cli_main(["--cache-dir", str(tmp_path), "trace", "capture"])
 
+    def test_capture_the_machine_rejects_exits_with_one_line(self, tmp_path):
+        """Regression: a lane count below the kernel's shape ended in a
+        traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--cache-dir", str(tmp_path), "trace", "stats", "gemm",
+                      "--lanes", "3"])
+        assert excinfo.value.code == (
+            "trace: logical shape (64, 1) needs 64 lanes but only 3 SIMD lanes "
+            "are available"
+        )
+
 
 class TestTraceDiff:
     def test_diffs_mve_against_rvv_instruction_mix(self, tmp_path, capsys):

@@ -1,16 +1,11 @@
-"""Unit tests for the compiler pipeline: liveness, scheduling, register allocation."""
+"""Unit tests for the compiler: liveness and register allocation."""
 
-from functools import partial
+import re
 
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    analyze_liveness,
-    allocate_registers,
-    compile_trace,
-    schedule_trace,
-)
+from repro.compiler import analyze_liveness, compile_trace
 from repro.compiler.liveness import defined_register, used_registers
 from repro.core.traces import TraceSpec
 from repro.intrinsics import MVEMachine
@@ -50,14 +45,6 @@ def kernel_trace(name):
 #: 32 arrays of 128 rows: four physical registers at 32 bits
 SMALL_FILE = PhysicalRegisterFile(num_arrays=32, array_rows=128)
 
-#: traces on which the scheduler raises pressure today: it sinks compute
-#: definitions without tracking how many values stay live (the FOUND line on
-#: the scheduler in CHANGES.md, ROADMAP item 7).  A pressure-aware scheduler
-#: turns these into strict XPASS failures; the marks go with that fix.
-SCHEDULER_RAISES_PRESSURE = pytest.mark.xfail(
-    strict=True, reason="the scheduler sinks definitions without tracking pressure"
-)
-
 
 class TestLiveness:
     def test_def_use_extraction(self):
@@ -85,59 +72,21 @@ class TestLiveness:
         info = analyze_liveness(machine.trace)
         assert info.widest_bits == 64
 
-    def test_max_live_positive(self):
-        info = analyze_liveness(build_chain_trace(num_values=6))
-        assert info.max_live >= 2
-
     def test_scalar_blocks_ignored(self):
         info = analyze_liveness([ScalarBlock(10)])
         assert info.ranges == {}
 
 
-class TestScheduler:
-    def test_preserves_instruction_multiset(self):
-        trace = build_chain_trace()
-        scheduled = schedule_trace(trace)
-        assert len(scheduled) == len(trace)
-        assert {id(e) for e in scheduled} == {id(e) for e in trace}
-
-    def test_definitions_precede_uses(self):
-        trace = build_chain_trace(num_values=5)
-        scheduled = schedule_trace(trace)
-        seen = set()
-        for entry in scheduled:
-            for reg in used_registers(entry):
-                # registers defined by loads earlier in the schedule
-                if reg in {defined_register(e) for e in trace}:
-                    assert reg in seen
-            defined = defined_register(entry)
-            if defined is not None:
-                seen.add(defined)
-
-    def test_barriers_keep_relative_order(self):
-        trace = build_chain_trace()
-        scheduled = schedule_trace(trace)
-        memory_ops = [e for e in scheduled if isinstance(e, MemoryInstruction)]
-        original_ops = [e for e in trace if isinstance(e, MemoryInstruction)]
-        assert [id(e) for e in memory_ops] == [id(e) for e in original_ops]
-
-    def test_does_not_increase_pressure(self):
-        trace = build_chain_trace(num_values=6)
-        before = analyze_liveness(trace).max_live
-        after = analyze_liveness(schedule_trace(trace)).max_live
-        assert after <= before
-
-
 class TestRegisterAllocation:
     def test_no_spills_when_registers_suffice(self):
         trace = build_chain_trace(num_values=3)
-        result = allocate_registers(trace)
+        result = compile_trace(trace)
         assert result.spill_count == 0
         assert result.element_bits == 32
         assert result.num_physical_registers == 8
 
     def test_width_config_injected(self):
-        result = allocate_registers(build_chain_trace())
+        result = compile_trace(build_chain_trace())
         first = result.trace[0]
         assert isinstance(first, ConfigInstruction)
         assert first.opcode is Opcode.SET_WIDTH
@@ -148,7 +97,7 @@ class TestRegisterAllocation:
         # where all loads happen before the adds.
         trace = build_chain_trace(num_values=6)
         tiny = PhysicalRegisterFile(num_arrays=1, array_rows=64, array_cols=16)
-        result = allocate_registers(trace, register_file=tiny)
+        result = compile_trace(trace, register_file=tiny)
         assert result.num_physical_registers == 2
         assert result.spill_count > 0
         spill_ops = [
@@ -158,14 +107,26 @@ class TestRegisterAllocation:
 
     def test_assignments_within_bounds(self):
         trace = build_chain_trace(num_values=5)
-        result = allocate_registers(trace)
+        result = compile_trace(trace)
         assert all(0 <= p < result.num_physical_registers for p in result.assignment.values())
 
     def test_peak_pressure_bounded_by_register_count(self):
         trace = build_chain_trace(num_values=8)
         tiny = PhysicalRegisterFile(num_arrays=1, array_rows=96, array_cols=16)
-        result = allocate_registers(trace, register_file=tiny)
+        result = compile_trace(trace, register_file=tiny)
         assert result.peak_pressure <= result.num_physical_registers
+
+    @pytest.mark.parametrize("rows", [8, 63])
+    def test_file_below_two_registers_is_rejected(self, rows):
+        """A file too small for the kernel's width is an error, never
+        simulated as if it held two registers."""
+        tiny = PhysicalRegisterFile(num_arrays=1, array_rows=rows, array_cols=16)
+        message = (
+            f"{rows}-row arrays hold {rows // 32} registers of 32-bit elements; "
+            "the compiler needs at least 2"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compile_trace(build_chain_trace(), register_file=tiny)
 
 
 class TestPipeline:
@@ -177,43 +138,27 @@ class TestPipeline:
         assert len(compiled.trace) >= len(trace)
 
     @pytest.mark.parametrize(
-        "make_trace, register_file, spills_fall",
-        [
-            pytest.param(partial(build_chain_trace, num_values=6), None, False, id="chain6"),
-            # ten fp32 values loaded up front, then summed: 14 spills either way
-            pytest.param(
-                partial(build_chain_trace, num_values=10, dtype=DataType.FLOAT32),
-                SMALL_FILE, False, id="chain10-small-file",
-            ),
-            pytest.param(partial(kernel_trace, "webp_dither"), None, False, id="webp_dither"),
-            pytest.param(
-                partial(kernel_trace, "webp_dither"), SMALL_FILE, True,
-                id="webp_dither-small-file",
-            ),
-            pytest.param(
-                partial(kernel_trace, "ycc_to_rgb"), SMALL_FILE, False,
-                id="ycc_to_rgb-small-file", marks=SCHEDULER_RAISES_PRESSURE,
-            ),
-            pytest.param(
-                partial(kernel_trace, "skia_grayscale"), None, False,
-                id="skia_grayscale", marks=SCHEDULER_RAISES_PRESSURE,
-            ),
-            pytest.param(
-                partial(kernel_trace, "skia_grayscale"), SMALL_FILE, False,
-                id="skia_grayscale-small-file", marks=SCHEDULER_RAISES_PRESSURE,
-            ),
-        ],
+        "name, small_file_spills",
+        [("ycc_to_rgb", 10), ("webp_dither", 2), ("skia_grayscale", 2)],
     )
-    def test_scheduler_toggle(self, make_trace, register_file, spills_fall):
-        """The list scheduler never raises peak pressure or spills, and on
-        webp_dither it removes every spill of a four-register file."""
-        trace = make_trace()
-        with_sched = compile_trace(trace, register_file=register_file, use_scheduler=True)
-        without = compile_trace(trace, register_file=register_file, use_scheduler=False)
-        assert with_sched.peak_pressure <= without.peak_pressure
-        assert with_sched.spill_count <= without.spill_count
-        if spills_fall:
-            assert with_sched.spill_count < without.spill_count
+    def test_allocates_in_captured_order(self, name, small_file_spills):
+        """Compiling keeps the captured order: without its leading width
+        config and its spill traffic, the compiled trace is the captured
+        trace, entry for entry.  These are the kernels whose order a
+        scheduler that sinks definitions toward their first use changes."""
+        trace = kernel_trace(name)
+        spills = []
+        for register_file in (None, SMALL_FILE):
+            compiled = compile_trace(trace, register_file=register_file)
+            assert compiled.trace[0].opcode is Opcode.SET_WIDTH
+            body = [
+                entry
+                for entry in compiled.trace[1:]
+                if not (isinstance(entry, MemoryInstruction) and entry.is_spill)
+            ]
+            assert [id(entry) for entry in body] == [id(entry) for entry in trace]
+            spills.append(compiled.spill_count)
+        assert spills == [0, small_file_spills]
 
     def test_compiled_trace_still_has_all_categories(self):
         compiled = compile_trace(build_chain_trace())

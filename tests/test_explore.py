@@ -631,6 +631,30 @@ class TestExploreCLI:
         )
         assert not any(cache_dir.glob("*/*.json"))
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("array_rows=0", "array rows must be positive"),
+            (
+                "array_rows=8",
+                "8-row arrays hold 0 registers of 32-bit elements; "
+                "the compiler needs at least 2",
+            ),
+            ("num_arrays=0", "num_arrays must be positive"),
+            ("array_cols=0", "array cols must be positive"),
+        ],
+    )
+    def test_machine_the_model_rejects_exits_with_one_line(self, tmp_path, axis, message):
+        """Regression: ``array_rows=0`` or ``=8`` printed a frontier point
+        timed on the default register file, and ``num_arrays=0`` or
+        ``array_cols=0`` ended in a traceback."""
+        argv = ["--cache-dir", str(tmp_path), "explore", "run", "csum",
+                "--axis", axis, "--scale", str(SCALE), "--budget", "2",
+                "--jobs", "1", "--no-progress"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == f"explore: {message}"
+
     def test_scheme_aliases_name_one_search(self, tmp_path, capsys):
         """Regression: `--axis scheme=bs,bp` was rejected although `run
         --schemes bs` accepted the alias.  Aliases now canonicalize, so the

@@ -35,6 +35,18 @@ class TestGeometry:
         with pytest.raises(ValueError):
             EngineGeometry(num_arrays=10, arrays_per_control_block=4)
 
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            (0, 256, "array rows must be positive"),
+            (-8, 256, "array rows must be positive"),
+            (256, 0, "array cols must be positive"),
+        ],
+    )
+    def test_non_positive_array_shape_rejected(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SramArrayGeometry(rows=rows, cols=cols)
+
     def test_scaling_arrays(self):
         engine = EngineGeometry(num_arrays=64)
         assert engine.bitlines == 16384

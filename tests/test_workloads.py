@@ -23,6 +23,12 @@ SCALE = 0.1
 
 ALL_KERNELS = kernel_names()
 
+#: RVV lowerings whose output differs from the reference: the emitter never
+#: packs a multi-dimensional access's segments into one register (ROADMAP
+#: item 3).  Fixing it turns these into strict XPASS failures; the marks go
+#: with that fix.
+RVV_WRONG_OUTPUT = ("dct", "gemm", "idct", "intra", "satd", "spmm")
+
 
 class TestRegistry:
     def test_twelve_libraries(self):
@@ -128,6 +134,33 @@ class TestRvvLowerings:
             1 for e in kernel.capture("rvv") if not isinstance(e, ScalarBlock)
         )
         assert rvv_vector > mve_vector
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 3: the RVV emitter never packs segments"
+                )
+                if name in RVV_WRONG_OUTPUT
+                else (),
+            )
+            for name in rvv_kernel_names()
+        ],
+    )
+    def test_rvv_lowering_computes_reference(self, name):
+        """The RVV lowering's output matches the numpy reference, compared
+        the way ``Kernel.validate`` compares the MVE lowering's."""
+        kernel = create_kernel(name, scale=0.25)
+        kernel.capture("rvv", record_values=True)
+        expected = np.asarray(kernel.reference())
+        actual = np.asarray(kernel.output())
+        assert actual.shape == expected.shape
+        if kernel.dtype.is_float or expected.dtype.kind == "f":
+            np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-4)
+        else:
+            np.testing.assert_array_equal(actual, expected)
 
     @pytest.mark.parametrize("name", ["csum", "lpack"])
     def test_rvv_similar_for_1d_kernels(self, name):
