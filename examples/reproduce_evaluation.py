@@ -43,10 +43,7 @@ def main() -> None:
     )
 
     def run(name, scale=0.5):
-        return run_experiment(
-            name, runner=runner, options=ExperimentOptions(scale=scale),
-            use_cache=not args.no_cache,
-        )
+        return run_experiment(name, runner=runner, options=ExperimentOptions(scale=scale))
 
     area = run("tables").table5
     print("Table V  : MVE area overhead "

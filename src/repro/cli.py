@@ -28,8 +28,10 @@ dynamic instruction mix, without ever touching the timing simulator::
 
 ``explore`` searches the machine-configuration space adaptively for the
 Pareto frontier of cycles vs area vs energy and prints (or exports) it.
-Every point's result lands in the store, so rerunning a killed search, or
-one with a bigger budget, re-simulates nothing it has simulated before::
+There is one search: a seed grid, then the frontier's grid neighbors
+until none is left.  Every point's result lands in the store, so rerunning
+a killed search, or one with a bigger budget, re-simulates nothing it has
+simulated before::
 
     python -m repro explore run csum --budget 128
     python -m repro explore run csum --budget 128 --export csv
@@ -88,7 +90,7 @@ from .experiments.sweep import (
     default_job_count,
 )
 from .experiments.tables import format_table, table3_libraries
-from .explore import AXIS_NAMES, STRATEGY_NAMES
+from .explore import AXIS_NAMES
 from .workloads import kernel_names, rvv_kernel_names
 
 __all__ = ["main", "named_sweep", "named_sweep_names", "run_sweep"]
@@ -181,9 +183,11 @@ def _positive(convert):
     """An argparse type: ``convert(text)``, accepted only when finite and
     above zero.
 
-    Every ``--scale`` and ``--lanes`` uses it, and ``trace diff --against``
-    applies it to ``scale=`` and ``lanes=``, so a bad value ends in one line
-    of error instead of a traceback from inside the engine."""
+    Every ``--scale``, ``--lanes``, ``--jobs``, ``--budget`` and
+    ``--rounds`` uses it, and ``trace diff --against`` applies it to
+    ``scale=`` and ``lanes=``, so a bad value ends in one line of error
+    instead of a traceback from inside the engine or a run that does
+    nothing."""
     noun = "an integer" if convert is int else "a number"
 
     def parse(text: str):
@@ -540,9 +544,8 @@ def _space_from_args(args: argparse.Namespace):
 def _cmd_explore(args: argparse.Namespace) -> int:
     """``explore run``: adaptive Pareto search.
 
-    A search is a pure function of its space, strategy, objectives, budget
-    and round limit (and of ``--seed`` and ``--batch`` under ``--strategy
-    random``), answered from the store wherever an earlier run simulated a
+    A search is a pure function of its space, objectives, budget and round
+    limit, answered from the store wherever an earlier run simulated a
     point.  Prints the summary line and the frontier table, or with
     ``--export`` writes the frontier document instead.
     """
@@ -557,10 +560,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             space,
             store=_store_for(args),
             jobs=args.jobs,
-            strategy=args.strategy,
-            seed=args.seed,
             objectives=objectives,
-            batch=args.batch,
             log=None
             if args.no_progress
             else (lambda message: print(message, file=sys.stderr)),
@@ -579,7 +579,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # An axis value the machine model rejects, e.g. a register file that
         # holds fewer than two registers.
         raise SystemExit(f"explore: {error}") from None
-    line = f"explore {space.kernel} [{args.strategy}]: {summary.describe()}"
+    line = f"explore {space.kernel}: {summary.describe()}"
     state = summary.state
     if args.export:
         payload = explore_export_payload(space, state, elapsed_s=summary.elapsed_s)
@@ -719,7 +719,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             name,
             runner=runner,
             options=options,
-            use_cache=not args.no_cache,
             on_result=on_result,
         )
         elapsed_s = time.perf_counter() - start
@@ -823,7 +822,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="dataset scale (default 0.5; ignored by fixed-shape experiments, see `list`)",
     )
     run.add_argument(
-        "--jobs", type=int, default=default_job_count(), help="worker processes (default: cores)"
+        "--jobs", type=_positive(int), default=default_job_count(),
+        help="worker processes (default: cores)",
     )
     run.add_argument("--no-cache", action="store_true", help="bypass the persistent cache")
     run.add_argument(
@@ -896,29 +896,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"num_arrays x l2_compute_ways x dram grid); names: {', '.join(AXIS_NAMES)}",
     )
     explorep.add_argument(
-        "--strategy", choices=STRATEGY_NAMES, default="frontier",
-        help="sampling strategy (default: frontier-neighborhood refinement)",
-    )
-    explorep.add_argument(
-        "--seed", type=int, default=0,
-        help="sampling seed; only --strategy random reads it (default: 0)",
-    )
-    explorep.add_argument(
         "--objectives", default="cycles,area,energy",
         help="comma-separated Pareto objectives: cycles, time_us, area, energy "
         "(default: cycles,area,energy)",
     )
     explorep.add_argument(
-        "--budget", type=int, default=64,
+        "--budget", type=_positive(int), default=64,
         help="stop after this many evaluated configs (default: 64)",
     )
-    explorep.add_argument("--rounds", type=int, default=64, help="max search rounds (default: 64)")
     explorep.add_argument(
-        "--batch", type=int, default=16,
-        help="points sampled per round; only --strategy random reads it (default: 16)",
+        "--rounds", type=_positive(int), default=64, help="max search rounds (default: 64)"
     )
     explorep.add_argument(
-        "--jobs", type=int, default=default_job_count(),
+        "--jobs", type=_positive(int), default=default_job_count(),
         help="worker processes (default: cores)",
     )
     explorep.add_argument(

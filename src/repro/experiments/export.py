@@ -105,8 +105,6 @@ def explore_export_payload(space, state, elapsed_s: float = 0.0) -> dict:
             "kernel": space.kernel,
             "kind": space.kind,
             "scale": space.scale,
-            "strategy": state.strategy,
-            "seed": state.seed,
             "objectives": list(state.objectives),
             "space_size": space.size,
             "evaluated": len(state.evaluated),

@@ -274,26 +274,24 @@ def run_experiment(
     name: str,
     runner: Optional[ExperimentRunner] = None,
     options: Optional[ExperimentOptions] = None,
-    use_cache: bool = True,
     on_result: Optional[OnResult] = None,
 ):
     """Run one registered experiment end to end and return its result.
 
     The declared job set runs as a single engine batch (sharded over worker
     processes when the runner's engine has ``jobs > 1``), with ``on_result``
-    streaming per-job progress, before the experiment assembles.  With
-    ``use_cache`` and a store attached, the assembled result itself is
-    answered from / persisted to the store as ``{"result": to_dict()}``,
-    keyed by experiment name, options and the source fingerprint; a stored
-    result that no longer deserializes is a miss, reassembled and
-    overwritten.
+    streaming per-job progress, before the experiment assembles.  The
+    store is the runner's (a runner built here uses
+    :meth:`ResultStore.default`): the assembled result itself is answered
+    from / persisted to it as ``{"result": to_dict()}``, keyed by
+    experiment name, options and the source fingerprint; a stored result
+    that no longer deserializes is a miss, reassembled and overwritten.  A
+    storeless runner stores nothing.
     """
     experiment = get_experiment(name)
     options = options or ExperimentOptions()
     if runner is None:
-        runner = build_runner(
-            store=ResultStore.default() if use_cache else None, config=options.config
-        )
+        runner = build_runner(store=ResultStore.default(), config=options.config)
     if options.config is None:
         options = replace(options, config=runner.config)
     elif options.config != runner.config:
@@ -305,7 +303,7 @@ def run_experiment(
             default_scale=runner.default_scale,
             engine=runner.engine,
         )
-    store = runner.engine.store if use_cache else None
+    store = runner.engine.store
     key = experiment.cache_key(options)
     record = store.load(key) if store is not None else None
     if record is not None:

@@ -1,6 +1,6 @@
 """In-memory progress of one search.
 
-A :class:`SearchState` is what the strategies read to propose the next
+A :class:`SearchState` is what the search reads to propose the next
 round and what the frontier export publishes: the objective vector of
 every point evaluated so far (compact -- no full metrics for interior
 points), the current frontier (full metrics, but bounded by the frontier
@@ -20,7 +20,7 @@ from .pareto import FrontierPoint
 
 __all__ = ["SearchState", "CONVERGED", "BUDGET_SPENT", "ROUND_LIMIT"]
 
-#: why a search stopped (:attr:`SearchState.stopped`): the strategy
+#: why a search stopped (:attr:`SearchState.stopped`): the search
 #: proposed nothing new, every point of the budget was evaluated, or the
 #: round limit was reached
 CONVERGED = "converged"
@@ -32,8 +32,6 @@ ROUND_LIMIT = "round limit reached"
 class SearchState:
     """One search's progress (see module docstring)."""
 
-    seed: int
-    strategy: str
     objectives: tuple[str, ...]
     #: point id -> objective vector, for every point evaluated
     evaluated: dict[int, tuple[float, ...]] = field(default_factory=dict)

@@ -122,6 +122,32 @@ class TestPositiveScaleAndLanes:
         assert len(errors) == 1 and "> 0 (got" in errors[0]
 
 
+#: one command line per non-positive count limit, the bad flag last
+NON_POSITIVE_LIMITS = {
+    "explore-budget": "explore run csum --jobs 1 --budget -3",
+    "explore-budget-0": "explore run csum --jobs 1 --budget 0",
+    "explore-rounds-0": "explore run csum --jobs 1 --rounds 0",
+    "explore-jobs-0": "explore run csum --jobs 0",
+    "run-jobs-0": "run --kernels csum --jobs 0",
+}
+
+
+class TestPositiveLimits:
+    @pytest.mark.parametrize(
+        "command", list(NON_POSITIVE_LIMITS.values()), ids=list(NON_POSITIVE_LIMITS)
+    )
+    def test_non_positive_limit_is_an_argparse_error(self, command, tmp_path, capsys):
+        """Regression: `explore run csum --budget -3` (or `--rounds 0`)
+        exited 0 with an empty frontier, "0 rounds, budget spent"."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--cache-dir", str(tmp_path), *command.split()])
+        assert excinfo.value.code == 2
+        *_, flag, value = command.split()
+        error = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer > 0 (got '{value}')" in error
+        assert not any(tmp_path.glob("*/*.json"))
+
+
 class TestRunSweepCommand:
     def test_adhoc_sweep_json_export(self, tmp_path):
         out_path = tmp_path / "sweep.json"

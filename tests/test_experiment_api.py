@@ -271,9 +271,10 @@ class TestResultSerialization:
         """A freshly assembled engine result (numpy-derived floats included)
         survives the JSON round trip bit-exactly."""
         runner = build_runner(jobs=1, store=ResultStore(warm_store_dir))
-        result = run_experiment(
-            "figure7", runner=runner, options=ExperimentOptions(scale=0.1), use_cache=False
-        )
+        options = ExperimentOptions(scale=0.1, config=runner.config)
+        figure7 = get_experiment("figure7")
+        runner.engine.run_jobs(figure7.jobs(options))
+        result = figure7.assemble(runner, options)
         assert roundtrip(result) == result
 
 
@@ -301,17 +302,14 @@ class TestRunExperiment:
         assert result == run_tables()
         assert store.load(key)["result"] == result.to_dict()
 
-    def test_no_cache_skips_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = build_runner(jobs=1, store=store)
-        run_experiment("tables", runner=runner, use_cache=False)
-        assert len(store) == 0
-
-    def test_no_cache_without_runner_builds_storeless_engine(self, monkeypatch, tmp_path):
-        """Regression: use_cache=False with an auto-built runner must not
-        attach the default persistent store to the engine."""
+    def test_storeless_runner_stores_nothing(self, monkeypatch, tmp_path):
+        """The store is the runner's: a storeless runner, which is what `run
+        --no-cache` builds, leaves the default store empty, job results and
+        assembled result alike."""
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
-        run_experiment("tables", use_cache=False)
+        runner = build_runner(jobs=1, store=None)
+        run_experiment("figure12a", runner=runner)
+        assert runner.engine.computed > 0
         assert len(ResultStore(tmp_path)) == 0
 
     def test_ignored_scale_does_not_change_cache_key(self):

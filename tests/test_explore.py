@@ -34,17 +34,14 @@ from repro.core.energy import EnergyBreakdown
 from repro.experiments.export import explore_export_payload, export_rows, schema_outline
 from repro.experiments.sweep import ParallelSweepEngine, SweepSpec
 from repro.explore import (
-    DEFAULT_OBJECTIVES,
     Axis,
     Explorer,
     FrontierPoint,
     ParetoFrontier,
     PointMetrics,
     SearchSpace,
-    SearchState,
     default_space,
     exhaustive_frontier,
-    get_strategy,
 )
 from repro.workloads import rvv_kernel_names
 
@@ -54,7 +51,6 @@ settings.load_profile("repro")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 EXPLORE_SCHEMA_GOLDEN = os.path.join(GOLDEN_DIR, "explore_frontier_schema.json")
 
-SEED = 7
 SCALE = 0.25
 
 
@@ -261,49 +257,49 @@ class TestParetoFrontier:
         assert frontier_dicts(ordered.points) == frontier_dicts(permuted.points)
 
 
-class TestStrategies:
-    def test_unknown_strategy_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            get_strategy("simulated-annealing")
-
-    def test_frontier_seed_grid_covers_categories_and_endpoints(self):
-        import random
-
-        space = small_space()
-        strategy = get_strategy("frontier")
-        state = SearchState(seed=0, strategy="frontier", objectives=DEFAULT_OBJECTIVES)
-        seeds = strategy.propose(space, state, random.Random(0), batch=99)
-        values = [space.point_values(point) for point in seeds]
-        assert {v["scheme"] for v in values} == {"bit-serial", "bit-parallel"}
-        assert {v["num_arrays"] for v in values} == {8, 64}  # endpoints only
-        assert {v["l2_compute_ways"] for v in values} == {2, 4}
-
-
 # ---------------------------------------------------------------------- #
 #  Acceptance: exact frontier, fewer evaluations; resume semantics
 # ---------------------------------------------------------------------- #
 
 
 class TestAdaptiveSearch:
-    def test_finds_exact_frontier_evaluating_fewer_points(self, tmp_path):
+    def test_seed_grid_covers_categories_and_endpoints(self, tmp_path):
+        """Round 0 evaluates every category and both endpoints of each
+        numeric axis, and nothing else."""
         space = small_space()
+        summary = Explorer(space, store=ResultStore(tmp_path / "cache"), jobs=1).run(
+            budget=space.size, max_rounds=1
+        )
+        assert summary.state.stopped == "round limit reached"
+        values = [space.point_values(point) for point in summary.state.evaluated]
+        assert len(values) == 2 * 2 * 2
+        assert {v["scheme"] for v in values} == {"bit-serial", "bit-parallel"}
+        assert {v["num_arrays"] for v in values} == {8, 64}  # endpoints only
+        assert {v["l2_compute_ways"] for v in values} == {2, 4}
+
+    @pytest.mark.parametrize(
+        "space",
+        [small_space(), default_space("csum", scale=SCALE)],
+        ids=["ci-16", "stock-192"],
+    )
+    def test_finds_exact_frontier_evaluating_fewer_points(self, space, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        summary = Explorer(
-            space, store=store, jobs=1, strategy="frontier", seed=SEED
-        ).run(budget=space.size, max_rounds=64)
+        summary = Explorer(space, store=store, jobs=1).run(
+            budget=space.size, max_rounds=64
+        )
         assert summary.state.done
         assert summary.state.stopped == "converged"
         assert len(summary.state.evaluated) < space.size  # measurably fewer
         # Ground truth shares the store, so it only simulates the skipped
         # interior points.
-        exact = exhaustive_frontier(space, store=store, seed=SEED)
+        exact = exhaustive_frontier(space, store=store)
         assert frontier_dicts(summary.state.frontier) == frontier_dicts(exact)
 
     def test_resumed_search_is_a_zero_simulation_no_op(self, tmp_path):
         space = small_space()
         store = ResultStore(tmp_path / "cache")
-        first = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
-        again = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
+        first = Explorer(space, store=store, jobs=1).run(budget=space.size)
+        again = Explorer(space, store=store, jobs=1).run(budget=space.size)
         assert again.simulated_this_run == 0
         assert again.state.done
         assert frontier_dicts(again.state.frontier) == frontier_dicts(
@@ -316,7 +312,7 @@ class TestAdaptiveSearch:
         the points the first run did not."""
         space = small_space()
         store = ResultStore(tmp_path / "cache")
-        first = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=4)
+        first = Explorer(space, store=store, jobs=1).run(budget=4)
         assert not first.state.done
         assert first.state.stopped == "budget spent"
         assert "1 rounds, budget spent |" in first.describe()
@@ -326,12 +322,12 @@ class TestAdaptiveSearch:
             if outcome.source == "computed":
                 simulated.append(job)
 
-        second = Explorer(space, store=store, jobs=1, seed=SEED).run(
+        second = Explorer(space, store=store, jobs=1).run(
             budget=space.size, on_result=record
         )
-        fresh = Explorer(
-            space, store=ResultStore(tmp_path / "fresh"), jobs=1, seed=SEED
-        ).run(budget=space.size)
+        fresh = Explorer(space, store=ResultStore(tmp_path / "fresh"), jobs=1).run(
+            budget=space.size
+        )
         assert sorted(second.state.evaluated) == sorted(fresh.state.evaluated)
         assert frontier_dicts(second.state.frontier) == frontier_dicts(fresh.state.frontier)
         assert second.state.done == fresh.state.done
@@ -344,26 +340,13 @@ class TestAdaptiveSearch:
         one result per evaluated point and the traces they replayed."""
         space = small_space()
         store = ResultStore(tmp_path / "cache")
-        summary = Explorer(space, store=store, jobs=1, seed=SEED).run(budget=space.size)
+        summary = Explorer(space, store=store, jobs=1).run(budget=space.size)
         jobs = space.jobs(sorted(summary.state.evaluated))
         expected = {job.cache_key() for job in jobs} | {
             job.trace_spec().cache_key() for job in jobs
         }
         stored = {path.stem for path in (tmp_path / "cache").glob("*/*.json")}
         assert stored == expected
-
-    def test_random_strategy_stays_deterministic_per_seed(self, tmp_path):
-        space = small_space()
-        a = Explorer(
-            space, store=ResultStore(tmp_path / "a"), jobs=1,
-            strategy="random", seed=3, batch=5,
-        ).run(budget=10)
-        b = Explorer(
-            space, store=ResultStore(tmp_path / "b"), jobs=1,
-            strategy="random", seed=3, batch=5,
-        ).run(budget=10)
-        assert sorted(a.state.evaluated) == sorted(b.state.evaluated)
-        assert frontier_dicts(a.state.frontier) == frontier_dicts(b.state.frontier)
 
 
 KILLED_CHILD = textwrap.dedent(
@@ -373,7 +356,7 @@ KILLED_CHILD = textwrap.dedent(
     from repro.core.cache import ResultStore
     from repro.explore import Explorer, SearchSpace
 
-    cache_dir, space_json, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    cache_dir, space_json = sys.argv[1], sys.argv[2]
     space = SearchSpace.from_dict(json.loads(space_json))
     progress = os.path.join(cache_dir, "progress.log")
 
@@ -383,7 +366,7 @@ KILLED_CHILD = textwrap.dedent(
         if sum(1 for _ in open(progress)) == 3:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    Explorer(space, store=ResultStore(cache_dir), jobs=1, seed=seed).run(
+    Explorer(space, store=ResultStore(cache_dir), jobs=1).run(
         budget=space.size, on_result=killer
     )
     """
@@ -399,7 +382,7 @@ class TestKillAndResume:
         rest."""
         space = small_space()
         reference = Explorer(
-            space, store=ResultStore(tmp_path / "reference"), jobs=1, seed=SEED
+            space, store=ResultStore(tmp_path / "reference"), jobs=1
         ).run(budget=space.size)
         total_simulated = reference.simulated_this_run
         assert total_simulated > 3
@@ -420,7 +403,6 @@ class TestKillAndResume:
                 str(script),
                 str(victim_dir),
                 json.dumps(space.to_dict()),
-                str(SEED),
             ],
             env=env,
             timeout=120,
@@ -429,9 +411,9 @@ class TestKillAndResume:
         survived = len((victim_dir / "progress.log").read_text().splitlines())
         assert survived == 3
 
-        resumed = Explorer(
-            space, store=ResultStore(victim_dir), jobs=1, seed=SEED
-        ).run(budget=space.size)
+        resumed = Explorer(space, store=ResultStore(victim_dir), jobs=1).run(
+            budget=space.size
+        )
         assert resumed.state.done
         # Zero re-simulation: the three pre-kill results are recalled, so
         # the resumed run simulates exactly the remainder.
@@ -492,7 +474,7 @@ class TestMetricsSerialization:
     def test_export_payload_carries_area_and_energy_per_frontier_point(self, tmp_path):
         space = tiny_space()
         store = ResultStore(tmp_path / "cache")
-        explorer = Explorer(space, store=store, jobs=1, seed=SEED)
+        explorer = Explorer(space, store=store, jobs=1)
         summary = explorer.run(budget=space.size)
         payload = explore_export_payload(space, summary.state)
         assert payload["explore"]["space_size"] == space.size
@@ -521,7 +503,7 @@ CLI_AXES = [
 def explore_argv(cache_dir, action, *extra):
     return [
         "--cache-dir", str(cache_dir), "explore", action, "csum",
-        "--scale", str(SCALE), "--seed", str(SEED), "--jobs", "1",
+        "--scale", str(SCALE), "--jobs", "1",
         *CLI_AXES, *extra,
     ]
 
@@ -533,7 +515,7 @@ class TestExploreCLI:
         assert cli_main(
             [
                 "--cache-dir", str(tmp_path / "cache"), "explore", "run", "csum",
-                "--scale", "0.25", "--seed", "7", "--jobs", "1", "--no-progress",
+                "--scale", "0.25", "--jobs", "1", "--no-progress",
                 "--axis", "scheme=bit-serial,bit-parallel",
                 "--axis", "num_arrays=8,16,32,64",
                 "--axis", "l2_compute_ways=2,4",
@@ -541,6 +523,7 @@ class TestExploreCLI:
             ]
         ) == 0
         out = capsys.readouterr().out
+        assert out.startswith("explore csum: frontier ")
         assert "/16 configs" in out
         assert "1 rounds, round limit reached |" in out
         assert "budget" not in out
@@ -548,8 +531,9 @@ class TestExploreCLI:
     def test_run_reports_and_resume_simulates_nothing(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert cli_main(explore_argv(cache_dir, "run", "--budget", "8")) == 0
-        out = capsys.readouterr().out
-        assert "frontier" in out and "simulated this run" in out
+        captured = capsys.readouterr()
+        assert "frontier" in captured.out and "simulated this run" in captured.out
+        assert "round 0: 8 points (8 simulated)" in captured.err
 
         assert cli_main(explore_argv(cache_dir, "run", "--budget", "8")) == 0
         captured = capsys.readouterr()
@@ -600,6 +584,18 @@ class TestExploreCLI:
         assert rows
         assert all(float(row["metrics.cycles"]) > 0 for row in rows)
         assert "metrics.area.total_mm2" in rows[0]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--strategy", "random"), ("--seed", "7"), ("--batch", "16")]
+    )
+    def test_removed_search_flags_are_rejected(self, flag, value, tmp_path, capsys):
+        """There is one search, so nothing chooses a strategy, seeds it or
+        sizes its batches."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(explore_argv(tmp_path, "run", flag, value))
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*/*.json"))
 
     def test_bad_flags_exit_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="bad --axis"):
